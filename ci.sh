@@ -82,8 +82,8 @@ stage "cargo clippy --workspace --all-targets -- -D warnings" \
 # The core library crates must not unwrap in non-test code: user-reachable
 # failures are typed errors, lock poisoning is recovered explicitly
 # (PoisonError::into_inner), and rank panics resurface with their rank id.
-stage "cargo clippy (simkit, moneq libs) -- -D clippy::unwrap_used" \
-    "cargo clippy -p simkit -p moneq --lib -- -D warnings -D clippy::unwrap_used"
+stage "cargo clippy (simkit, moneq, envmon-serve libs) -- -D clippy::unwrap_used" \
+    "cargo clippy -p simkit -p moneq -p envmon-serve --lib -- -D warnings -D clippy::unwrap_used"
 
 # Workspace coverage: every first-party crate under crates/ must be a
 # workspace member, carry #![deny(missing_docs)], and appear in the README

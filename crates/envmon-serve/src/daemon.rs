@@ -19,11 +19,23 @@
 //! cluster's worker pool, for the `run_until` phase); readers only ever
 //! touch published views, so ingest needs no locks and queries never
 //! block collection.
+//!
+//! The store is double-buffered (left-right). The front always holds the
+//! last published snapshot, and writing to a series that snapshot shares
+//! would copy the series' whole history ([`TsStore::cow_copies`]). So the
+//! daemon keeps a second store one tick behind, whose snapshot the front
+//! released at the previous publish. Each tick swaps the two, replays the
+//! previous tick's records into the lagging one (registering the same
+//! names in the same order, so ids agree), ingests the new records into
+//! it and publishes it. Ingest then costs what it records, not what the
+//! store retains. A reader that holds one view across two publishes
+//! still reads it frozen; only then does `Arc::make_mut` copy.
 
 use crate::query::{Published, QueryFront, SeriesMeta};
 use moneq::{ClusterResult, ClusterRun, Completeness};
 use simkit::store::{SeriesId, StoreConfig, StoreStats, TsStore};
 use simkit::{SimDuration, SimTime};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Daemon configuration: how often to tick and how much to retain.
@@ -66,9 +78,16 @@ pub struct Daemon {
     run: ClusterRun,
     now: SimTime,
     tick: SimDuration,
+    /// The store the front's current view was published from.
     store: TsStore,
+    /// The same store one tick behind: `store` minus `lag`.
+    spare: TsStore,
+    /// Every sample offered to `store` in the last tick, in ingest order
+    /// (rejected ones too, so the replay counts them the same way).
+    lag: Vec<(SeriesId, SimTime, f64)>,
     cursors: Vec<RankCursor>,
     meta: Arc<Vec<SeriesMeta>>,
+    domains: Arc<HashMap<String, Vec<SeriesId>>>,
     front: QueryFront,
     seq: u64,
 }
@@ -95,18 +114,21 @@ impl Daemon {
     /// Panics if `cfg.tick` is zero or the store plan is invalid.
     pub fn new(run: ClusterRun, now: SimTime, cfg: ServeConfig) -> Self {
         assert!(!cfg.tick.is_zero(), "tick must be non-zero");
+        let spare = TsStore::new(cfg.store.clone());
         let store = TsStore::new(cfg.store);
         let cursors = run
             .sessions()
             .iter()
             .map(|_| RankCursor::default())
             .collect();
-        let meta: Arc<Vec<SeriesMeta>> = Arc::new(Vec::new());
+        let meta: Arc<Vec<SeriesMeta>> = Arc::default();
+        let domains: Arc<HashMap<String, Vec<SeriesId>>> = Arc::default();
         let front = QueryFront::new(Published {
             seq: 0,
             at: now,
             store: store.snapshot(now),
             meta: Arc::clone(&meta),
+            domains: Arc::clone(&domains),
             completeness: Arc::new(Vec::new()),
         });
         Daemon {
@@ -114,8 +136,11 @@ impl Daemon {
             now,
             tick: cfg.tick,
             store,
+            spare,
+            lag: Vec::new(),
             cursors,
             meta,
+            domains,
             front,
             seq: 0,
         }
@@ -143,6 +168,12 @@ impl Daemon {
         self.store.stats()
     }
 
+    /// Series copied on write so far, over both of the daemon's stores.
+    /// Stays zero unless a reader holds a view across two publishes.
+    pub fn cow_copies(&self) -> u64 {
+        self.store.cow_copies() + self.spare.cow_copies()
+    }
+
     /// Advance one tick: drive every session `tick` forward in virtual
     /// time, ingest each rank's newly appended records, and publish a new
     /// snapshot. Returns the number of records ingested this tick.
@@ -150,6 +181,7 @@ impl Daemon {
         let until = self.now + self.tick;
         self.run.run_until(until);
         self.now = until;
+        self.catch_up();
         let ingested = self.ingest();
         self.publish();
         ingested
@@ -164,6 +196,22 @@ impl Daemon {
             ingested += self.tick();
         }
         ingested
+    }
+
+    /// Swap in the store one tick behind and bring it level with the one
+    /// just published: register the series it lacks in id order, then
+    /// replay the last tick's samples. The front released this store's
+    /// snapshot at the previous publish, so the writes land in place.
+    fn catch_up(&mut self) {
+        std::mem::swap(&mut self.store, &mut self.spare);
+        for id in self.spare.ids().skip(self.store.len()) {
+            self.store.series(self.spare.name(id));
+        }
+        for &(id, at, value) in &self.lag {
+            self.store.record(id, at, value);
+        }
+        self.lag.clear();
+        debug_assert_eq!(self.store.stats(), self.spare.stats());
     }
 
     /// Pull every rank's record tail into the store, in rank order then
@@ -199,9 +247,14 @@ impl Daemon {
                             device: p.device.to_owned(),
                             domain: p.domain.to_owned(),
                         });
+                        Arc::make_mut(&mut self.domains)
+                            .entry(p.domain.to_owned())
+                            .or_default()
+                            .push(id);
                         id
                     }
                 };
+                self.lag.push((id, p.timestamp, p.watts));
                 if self.store.record(id, p.timestamp, p.watts) {
                     ingested += 1;
                 }
@@ -230,6 +283,7 @@ impl Daemon {
             at: self.now,
             store: self.store.snapshot(self.now),
             meta: Arc::clone(&self.meta),
+            domains: Arc::clone(&self.domains),
             completeness: Arc::new(merged),
         });
     }
@@ -242,5 +296,167 @@ impl Daemon {
     pub fn finalize(self) -> ClusterResult {
         let now = self.now;
         self.run.finalize(now)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::query::{Query, QueryFront};
+    use moneq::backend::{EnvBackend, Poll, ReadError};
+    use moneq::backends::BgqBackend;
+    use moneq::DataPoint;
+    use powermodel::{Metric, Platform, Support};
+
+    /// Eight BG/Q agents, one per node card, behind a daemon.
+    fn bgq_daemon() -> Daemon {
+        let machine = Arc::new(bgq_sim::BgqMachine::new(
+            bgq_sim::BgqConfig::default(),
+            2015,
+        ));
+        let run = ClusterRun::launch(
+            8,
+            None,
+            |rank| Box::new(BgqBackend::new(Arc::clone(&machine), rank)) as _,
+            |rank| format!("agent{rank:02}"),
+            SimTime::ZERO,
+        );
+        Daemon::new(run, SimTime::ZERO, ServeConfig::default())
+    }
+
+    /// Every query kind over the whole served window, on both tiers: one
+    /// range per series, every domain, top-k at two depths, freshness.
+    fn battery(view: &Published) -> Vec<Query> {
+        let (from, to) = (SimTime::ZERO, view.at + SimDuration::from_nanos(1));
+        let mut qs = vec![Query::Freshness];
+        for id in view.store.ids() {
+            qs.push(Query::Range {
+                series: view.store.name(id).to_owned(),
+                from,
+                to,
+            });
+        }
+        for tier in 0..2 {
+            for domain in view.domains.keys() {
+                qs.push(Query::DomainAggregate {
+                    domain: domain.clone(),
+                    tier,
+                    from,
+                    to,
+                });
+            }
+            for k in [3, usize::MAX] {
+                qs.push(Query::TopK { k, tier, from, to });
+            }
+        }
+        qs
+    }
+
+    fn digests(view: &Published, qs: &[Query]) -> Vec<u64> {
+        qs.iter()
+            .map(|q| QueryFront::answer(view, q).expect("answerable").digest())
+            .collect()
+    }
+
+    #[test]
+    fn ticks_copy_no_series_unless_a_view_outlives_two_publishes() {
+        let mut daemon = bgq_daemon();
+        for _ in 0..120 {
+            daemon.tick();
+        }
+        assert!(daemon.stats().recorded > 0);
+        assert_eq!(daemon.cow_copies(), 0);
+
+        // Held across one publish: the writes go to the other store.
+        let once = daemon.front().view();
+        daemon.tick();
+        drop(once);
+        daemon.tick();
+        assert_eq!(daemon.cow_copies(), 0);
+
+        // Held across two or more: the fallback copies, the view stays
+        // exactly as it was published.
+        let held = daemon.front().view();
+        let qs = battery(&held);
+        let before = digests(&held, &qs);
+        daemon.run_for(SimDuration::from_secs(5));
+        assert!(daemon.cow_copies() > 0);
+        assert!(daemon.front().view().seq > held.seq);
+        assert_eq!(digests(&held, &qs), before);
+    }
+
+    /// One `dev/ok` record per poll, plus a `dev/bad` record that is NaN,
+    /// +inf and finite in turn.
+    struct NanBackend {
+        polls: u32,
+    }
+
+    impl EnvBackend for NanBackend {
+        fn name(&self) -> &'static str {
+            "nan"
+        }
+        fn platform(&self) -> Platform {
+            Platform::Rapl
+        }
+        fn min_interval(&self) -> SimDuration {
+            SimDuration::from_millis(100)
+        }
+        fn poll_cost(&self) -> SimDuration {
+            SimDuration::from_micros(10)
+        }
+        fn capabilities(&self) -> Vec<(Metric, Support)> {
+            vec![]
+        }
+        fn read(&mut self, t: SimTime) -> Result<Poll, ReadError> {
+            self.polls += 1;
+            let bad = [f64::NAN, f64::INFINITY, 5.0][self.polls as usize % 3];
+            Ok(Poll::complete(vec![
+                DataPoint::power(t, "dev", "ok", 100.0),
+                DataPoint::power(t, "dev", "bad", bad),
+            ]))
+        }
+        fn records_per_poll(&self) -> usize {
+            2
+        }
+    }
+
+    #[test]
+    fn nonfinite_values_are_counted_rejections_not_panics() {
+        let run = ClusterRun::launch(
+            3,
+            Some(SimDuration::from_millis(100)),
+            |_| Box::new(NanBackend { polls: 0 }) as _,
+            |rank| format!("nan{rank}"),
+            SimTime::ZERO,
+        );
+        let mut daemon = Daemon::new(run, SimTime::ZERO, ServeConfig::default());
+        let ingested = daemon.run_for(SimDuration::from_secs(4));
+        let front = daemon.front();
+        let top = Query::TopK {
+            k: 3,
+            tier: 0,
+            from: SimTime::ZERO,
+            to: daemon.now(),
+        };
+        assert!(front.query(&top).is_ok());
+        assert!(front.query(&Query::Freshness).is_ok());
+        for id in daemon.store().ids() {
+            let d = daemon.store().get(id);
+            assert!(d.lifetime().sum.is_finite(), "{}", daemon.store().name(id));
+            assert!(d.tier_bins(0).all(|b| b.sum.is_finite()));
+        }
+        let stats = daemon.stats();
+        let result = daemon.finalize();
+        let (mut total, mut nonfinite) = (0u64, 0u64);
+        for f in &result.files {
+            for p in f.points.iter() {
+                total += 1;
+                nonfinite += u64::from(!p.watts.is_finite());
+            }
+        }
+        assert!(nonfinite > 0);
+        assert_eq!(stats.rejected_nonfinite, nonfinite);
+        assert_eq!(stats.recorded, ingested);
+        assert_eq!(stats.recorded + stats.rejected_nonfinite, total);
     }
 }

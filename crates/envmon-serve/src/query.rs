@@ -12,6 +12,7 @@ use moneq::Completeness;
 use simkit::rng::mix64;
 use simkit::store::{Aggregate, SeriesId, StoreSnapshot};
 use simkit::{Sample, SimDuration, SimTime};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -44,6 +45,9 @@ pub struct Published {
     pub store: StoreSnapshot,
     /// Per-series coordinates, index-aligned with store ids.
     pub meta: Arc<Vec<SeriesMeta>>,
+    /// Series ids of each domain label, ascending — the daemon extends it
+    /// as series register, so a domain query visits only its matches.
+    pub(crate) domains: Arc<HashMap<String, Vec<SeriesId>>>,
     /// Completeness ledgers merged across ranks by device, in
     /// first-appearance order (the PR 2 ledger, readable mid-run).
     pub completeness: Arc<Vec<Completeness>>,
@@ -300,47 +304,60 @@ impl QueryFront {
                 to,
             } => {
                 let width = check_tier(view, *tier)?;
+                let ids = view
+                    .domains
+                    .get(domain.as_str())
+                    .map_or(&[][..], Vec::as_slice);
                 let mut agg = Aggregate::default();
-                let mut matched = 0u64;
-                for id in view.store.ids() {
-                    if view.meta[id.index()].domain == *domain {
-                        matched += 1;
-                        agg.absorb(&view.store.get(id).aggregate(*tier, *from, *to));
-                    }
+                for &id in ids {
+                    agg.absorb(&view.store.get(id).aggregate(*tier, *from, *to));
                 }
                 Ok(Response::DomainAggregate {
-                    series: matched,
+                    series: ids.len() as u64,
                     width,
                     agg,
                 })
             }
             Query::TopK { k, tier, from, to } => {
                 check_tier(view, *tier)?;
-                // Sum window means per rank, in series order (series of one
-                // rank are contiguous, so the fold order is rank order).
-                let mut entries: Vec<TopEntry> = Vec::new();
+                // Sum window means per rank in series order, keeping ranks in
+                // first-appearance order; `slot[rank]` is the rank's place in
+                // `sums`. Each sum remembers its first series, whose agent
+                // name is cloned only if the rank makes the top k.
+                let mut slot: Vec<Option<usize>> = Vec::new();
+                let mut sums: Vec<(u32, f64, SeriesId)> = Vec::new();
                 for id in view.store.ids() {
-                    let m = &view.meta[id.index()];
                     let Some(mean) = view.store.get(id).aggregate(*tier, *from, *to).mean() else {
                         continue;
                     };
-                    match entries.iter_mut().find(|e| e.rank == m.rank) {
-                        Some(e) => e.watts += mean,
-                        None => entries.push(TopEntry {
-                            rank: m.rank,
-                            agent: m.agent.clone(),
-                            watts: mean,
-                        }),
+                    let rank = view.meta[id.index()].rank;
+                    let r = rank as usize;
+                    if r >= slot.len() {
+                        slot.resize(r + 1, None);
+                    }
+                    match slot[r] {
+                        Some(i) => sums[i].1 += mean,
+                        None => {
+                            slot[r] = Some(sums.len());
+                            sums.push((rank, mean, id));
+                        }
                     }
                 }
-                entries.sort_by(|a, b| {
-                    b.watts
-                        .partial_cmp(&a.watts)
+                sums.sort_by(|a, b| {
+                    b.1.partial_cmp(&a.1)
                         .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.rank.cmp(&b.rank))
+                        .then(a.0.cmp(&b.0))
                 });
-                entries.truncate(*k);
-                Ok(Response::TopK(entries))
+                sums.truncate(*k);
+                Ok(Response::TopK(
+                    sums.into_iter()
+                        .map(|(rank, watts, id)| TopEntry {
+                            rank,
+                            agent: view.meta[id.index()].agent.clone(),
+                            watts,
+                        })
+                        .collect(),
+                ))
             }
             Query::Freshness => {
                 let oldest = view

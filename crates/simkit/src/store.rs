@@ -21,10 +21,18 @@
 //!
 //! Readers never block writers: series data lives behind per-series
 //! [`Arc`]s, the writer mutates through [`Arc::make_mut`], and
-//! [`TsStore::snapshot`] clones only the `Arc` spine. A snapshot is an
-//! immutable, internally consistent view as of the publish instant; the
-//! writer's next mutation of a still-shared series pays one series clone
-//! (copy-on-write) and then appends in place until the next snapshot.
+//! [`TsStore::snapshot`] clones only the `Arc` spine (and shares the name
+//! index). A snapshot is an immutable, internally consistent view as of
+//! the publish instant.
+//!
+//! Taking a snapshot is O(series), but it moves a cost rather than
+//! removing it: while a snapshot is alive, the writer's next `record` on
+//! each series it shares copies that series' whole history (raw ring and
+//! every tier) before appending — a cost that grows with retained
+//! history, not with the sample. [`TsStore::cow_copies`] counts those
+//! copies. A writer that publishes every tick should therefore write into
+//! a store whose last snapshot has been released; `envmon-serve`'s daemon
+//! keeps two stores a tick apart for exactly that (DESIGN.md §13.3).
 //!
 //! ```
 //! use simkit::store::{StoreConfig, TsStore};
@@ -277,6 +285,8 @@ pub struct StoreStats {
     pub recorded: u64,
     /// Samples rejected because they predate their series' newest sample.
     pub rejected_late: u64,
+    /// Samples rejected because their value is NaN or infinite.
+    pub rejected_nonfinite: u64,
     /// Raw samples evicted from full rings (each was already folded into
     /// every tier's bins at ingest, so eviction loses no rolled-up data).
     pub raw_evicted: u64,
@@ -443,6 +453,20 @@ impl SeriesData {
     }
 }
 
+/// Series names in id order plus the name → id index, shared by every
+/// snapshot and copied only when a series registers while one is alive.
+#[derive(Clone, Debug, Default)]
+struct Catalog {
+    names: Vec<String>,
+    index: HashMap<String, u32>,
+}
+
+impl Catalog {
+    fn find(&self, name: &str) -> Option<SeriesId> {
+        self.index.get(name).map(|&i| SeriesId(i))
+    }
+}
+
 /// The writer half: an appendable store of named series.
 ///
 /// Single-writer by construction (`record` takes `&mut self`); readers
@@ -451,10 +475,10 @@ impl SeriesData {
 #[derive(Clone, Debug)]
 pub struct TsStore {
     cfg: StoreConfig,
-    names: Arc<Vec<String>>,
-    index: HashMap<String, u32>,
+    catalog: Arc<Catalog>,
     series: Vec<Arc<SeriesData>>,
     stats: StoreStats,
+    cow_copies: u64,
 }
 
 impl TsStore {
@@ -466,10 +490,10 @@ impl TsStore {
         cfg.validate();
         TsStore {
             cfg,
-            names: Arc::new(Vec::new()),
-            index: HashMap::new(),
+            catalog: Arc::default(),
             series: Vec::new(),
             stats: StoreStats::default(),
+            cow_copies: 0,
         }
     }
 
@@ -493,21 +517,30 @@ impl TsStore {
         self.stats
     }
 
+    /// Series copied on write so far: each time a `record` found its
+    /// series still shared with a live snapshot and cloned its whole
+    /// history before appending. Zero for a writer whose snapshots are
+    /// all released before it records again.
+    pub fn cow_copies(&self) -> u64 {
+        self.cow_copies
+    }
+
     /// The id for `name`, registering an empty series on first use.
     pub fn series(&mut self, name: &str) -> SeriesId {
-        if let Some(&i) = self.index.get(name) {
-            return SeriesId(i);
+        if let Some(id) = self.catalog.find(name) {
+            return id;
         }
         let i = u32::try_from(self.series.len()).expect("more than u32::MAX series");
-        Arc::make_mut(&mut self.names).push(name.to_owned());
-        self.index.insert(name.to_owned(), i);
+        let catalog = Arc::make_mut(&mut self.catalog);
+        catalog.names.push(name.to_owned());
+        catalog.index.insert(name.to_owned(), i);
         self.series.push(Arc::new(SeriesData::new(&self.cfg)));
         SeriesId(i)
     }
 
     /// Look up a series by name without registering it.
     pub fn find(&self, name: &str) -> Option<SeriesId> {
-        self.index.get(name).map(|&i| SeriesId(i))
+        self.catalog.find(name)
     }
 
     /// The name `id` was registered under.
@@ -515,7 +548,7 @@ impl TsStore {
     /// # Panics
     /// Panics if `id` came from a different store.
     pub fn name(&self, id: SeriesId) -> &str {
-        &self.names[id.index()]
+        &self.catalog.names[id.index()]
     }
 
     /// Read access to one series.
@@ -531,35 +564,42 @@ impl TsStore {
         (0..self.series.len()).map(|i| SeriesId(i as u32))
     }
 
-    /// Ingest one sample. Returns `false` (and counts `rejected_late`)
-    /// when `at` predates the series' newest sample; equal timestamps are
-    /// accepted. A rejected sample leaves the store untouched.
+    /// Ingest one sample. Returns `false` when the sample is rejected:
+    /// a NaN or infinite `value` counts `rejected_nonfinite`, and an `at`
+    /// that predates the series' newest sample counts `rejected_late`
+    /// (equal timestamps are accepted). A rejected sample leaves the
+    /// series untouched.
     ///
     /// # Panics
-    /// Panics if `value` is not finite or `id` came from a different
-    /// store.
+    /// Panics if `id` came from a different store.
     pub fn record(&mut self, id: SeriesId, at: SimTime, value: f64) -> bool {
-        assert!(value.is_finite(), "store values must be finite");
-        if self.series[id.index()].last.is_some_and(|l| at < l.at) {
+        if !value.is_finite() {
+            self.stats.rejected_nonfinite += 1;
+            return false;
+        }
+        let slot = &mut self.series[id.index()];
+        if slot.last.is_some_and(|l| at < l.at) {
             self.stats.rejected_late += 1;
             return false;
         }
-        let data = Arc::make_mut(&mut self.series[id.index()]);
-        data.record(at, value, &mut self.stats);
+        if Arc::get_mut(slot).is_none() {
+            self.cow_copies += 1;
+        }
+        Arc::make_mut(slot).record(at, value, &mut self.stats);
         self.stats.recorded += 1;
         true
     }
 
     /// Publish an immutable view of the store as of virtual time `at`.
     ///
-    /// Cost is one `Arc` clone per series — no sample data is copied.
-    /// The writer's next `record` on a series still shared with a live
-    /// snapshot clones that one series (copy-on-write) and then appends
-    /// in place until the next snapshot.
+    /// Cost is one `Arc` clone per series — no sample data is copied
+    /// here. While the view is alive, the writer's next `record` on each
+    /// series it shares clones that series' full history (counted by
+    /// [`TsStore::cow_copies`]) and then appends in place.
     pub fn snapshot(&self, at: SimTime) -> StoreSnapshot {
         StoreSnapshot {
             at,
-            names: Arc::clone(&self.names),
+            catalog: Arc::clone(&self.catalog),
             series: self.series.clone(),
             stats: self.stats,
         }
@@ -577,7 +617,7 @@ impl TsStore {
 #[derive(Clone, Debug)]
 pub struct StoreSnapshot {
     at: SimTime,
-    names: Arc<Vec<String>>,
+    catalog: Arc<Catalog>,
     series: Vec<Arc<SeriesData>>,
     stats: StoreStats,
 }
@@ -605,12 +645,7 @@ impl StoreSnapshot {
 
     /// Look up a series by name.
     pub fn find(&self, name: &str) -> Option<SeriesId> {
-        // Snapshots carry no hash index; names are few and queries resolve
-        // ids once, so a linear scan keeps the publish path allocation-free.
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| SeriesId(i as u32))
+        self.catalog.find(name)
     }
 
     /// The name `id` was registered under.
@@ -618,7 +653,7 @@ impl StoreSnapshot {
     /// # Panics
     /// Panics if `id` came from a different store.
     pub fn name(&self, id: SeriesId) -> &str {
-        &self.names[id.index()]
+        &self.catalog.names[id.index()]
     }
 
     /// Read access to one series.
@@ -764,6 +799,43 @@ mod tests {
         assert_eq!(stats.recorded, 2);
         assert_eq!(stats.rejected_late, 1);
         assert_eq!(store.get(id).lifetime().count, 2);
+    }
+
+    #[test]
+    fn nonfinite_values_are_rejected_and_counted() {
+        let mut store = TsStore::new(tiny());
+        let id = store.series("a/dev/dom");
+        assert!(store.record(id, SimTime::from_secs(1), 1.0));
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!store.record(id, SimTime::from_secs(2), v));
+        }
+        let stats = store.stats();
+        assert_eq!(stats.recorded, 1);
+        assert_eq!(stats.rejected_nonfinite, 3);
+        assert_eq!(stats.rejected_late, 0);
+        let d = store.get(id);
+        assert_eq!(d.lifetime().count, 1);
+        assert_eq!(d.last().map(|s| s.at), Some(SimTime::from_secs(1)));
+        assert_eq!(d.tier_bins(0).map(|b| b.count).sum::<u64>(), 1);
+    }
+
+    #[test]
+    fn cow_copies_count_series_shared_with_a_live_snapshot() {
+        let mut store = TsStore::new(tiny());
+        let a = store.series("a/dev/dom");
+        let b = store.series("b/dev/dom");
+        store.record(a, SimTime::ZERO, 1.0);
+        store.record(b, SimTime::ZERO, 1.0);
+        assert_eq!(store.cow_copies(), 0);
+        let snap = store.snapshot(SimTime::ZERO);
+        // The first write to a shared series copies it; later writes
+        // append to the now-private copy.
+        store.record(a, SimTime::from_secs(1), 2.0);
+        store.record(a, SimTime::from_secs(2), 3.0);
+        assert_eq!(store.cow_copies(), 1);
+        drop(snap);
+        store.record(b, SimTime::from_secs(1), 2.0);
+        assert_eq!(store.cow_copies(), 1);
     }
 
     #[test]

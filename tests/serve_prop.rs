@@ -16,11 +16,16 @@
 //! 4. *Reader determinism*: on a quiesced daemon, faulted client batches
 //!    on OS threads reproduce the serial reference bit for bit, run after
 //!    run.
+//! 5. *Every view is right*: after every tick the published view equals
+//!    a single store fed the same records in the same order, and views
+//!    readers hold for a few ticks stay exactly as published — whichever
+//!    of the daemon's two stores served them.
 
 use envmon::prelude::*;
-use envmon::serve::clients;
+use envmon::serve::{clients, Published};
 use proptest::prelude::*;
-use simkit::store::{StoreConfig, TierSpec, TsStore};
+use proptest::test_runner::TestCaseError;
+use simkit::store::{StoreConfig, StoreSnapshot, TierSpec, TsStore};
 use simkit::Sample;
 use std::sync::Arc;
 
@@ -83,6 +88,47 @@ fn batch_scan(run: &ClusterRun) -> Vec<(String, Vec<Sample>)> {
     series.into_iter().map(|(n, _, s)| (n, s)).collect()
 }
 
+/// Feed every record the sessions appended since `seen` into `store`, in
+/// rank order then record order, registering series on first appearance
+/// — the order the daemon ingests in.
+fn feed_tail(run: &ClusterRun, seen: &mut [usize], store: &mut TsStore) {
+    for (rank, session) in run.sessions().iter().enumerate() {
+        let agent = session.agent_name();
+        let data = session.collected();
+        for i in seen[rank]..data.len() {
+            let p = data.get(i).expect("index within arena");
+            let id = store.series(&format!("{agent}/{}/{}", p.device, p.domain));
+            store.record(id, p.timestamp, p.watts);
+        }
+        seen[rank] = data.len();
+    }
+}
+
+/// `got` and `want` hold the same series under the same ids with the same
+/// raw samples, tier bins, tier aggregates and counters, bit for bit.
+fn same_store(got: &StoreSnapshot, want: &StoreSnapshot) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.at(), want.at());
+    prop_assert_eq!(got.len(), want.len());
+    prop_assert_eq!(got.stats(), want.stats());
+    let end = want.at() + SimDuration::from_nanos(1);
+    for id in want.ids() {
+        prop_assert_eq!(got.name(id), want.name(id));
+        let (g, w) = (got.get(id), want.get(id));
+        let raw = |d: &simkit::SeriesData| d.raw_range(SimTime::ZERO, end).collect::<Vec<_>>();
+        prop_assert_eq!(raw(g), raw(w), "{}", want.name(id));
+        prop_assert_eq!(g.lifetime(), w.lifetime());
+        for tier in 0..w.tier_count() {
+            let bins = |d: &simkit::SeriesData| d.tier_bins(tier).collect::<Vec<_>>();
+            prop_assert_eq!(bins(g), bins(w), "{} tier {}", want.name(id), tier);
+            prop_assert_eq!(
+                g.aggregate(tier, SimTime::ZERO, end),
+                w.aggregate(tier, SimTime::ZERO, end)
+            );
+        }
+    }
+    Ok(())
+}
+
 /// Feed one monotone sample stream into a fresh store; `dts` are the
 /// nanosecond gaps between consecutive samples.
 fn feed(cfg: StoreConfig, stream: &[(u64, f64)]) -> TsStore {
@@ -137,6 +183,54 @@ proptest! {
                 }
                 other => prop_assert!(false, "series {}: unexpected {:?}", name, other),
             }
+        }
+    }
+
+    /// (5) Every published view — not just the last — equals one store fed
+    /// the same records in the same order, and a view held for `hold`
+    /// further publishes still equals it when released. Views held across
+    /// at most one publish never make the daemon copy a series.
+    #[test]
+    fn every_published_view_equals_a_batch_store(
+        seed in 0u64..1_000,
+        agents in 2usize..6,
+        tick_quarters in 1u32..9,
+        holds in prop::collection::vec(0usize..4, 2..14),
+    ) {
+        let tick = SimDuration::from_millis(u64::from(tick_quarters) * 250);
+        let secs = (tick.as_nanos() * holds.len() as u64).div_ceil(1_000_000_000);
+        let mut daemon = Daemon::new(
+            launch_run(seed, agents, secs),
+            SimTime::ZERO,
+            ServeConfig { tick, ..ServeConfig::default() },
+        );
+        let mut batch_run = launch_run(seed, agents, secs);
+        let mut batch = TsStore::new(StoreConfig::default());
+        let mut seen = vec![0; agents];
+        let front = daemon.front();
+        // (view, what it must equal, tick after which it is released)
+        let mut held: Vec<(Arc<Published>, StoreSnapshot, usize)> = Vec::new();
+        for (t, &hold) in holds.iter().enumerate() {
+            daemon.tick();
+            batch_run.run_until(daemon.now());
+            feed_tail(&batch_run, &mut seen, &mut batch);
+            let view = front.view();
+            let want = batch.snapshot(daemon.now());
+            same_store(&view.store, &want)?;
+            prop_assert_eq!(view.meta.len(), want.len());
+            if hold > 0 {
+                held.push((view, want, t + hold));
+            }
+            for (view, want, _) in held.iter().filter(|h| h.2 <= t) {
+                same_store(&view.store, want)?;
+            }
+            held.retain(|h| h.2 > t);
+        }
+        for (view, want, _) in &held {
+            same_store(&view.store, want)?;
+        }
+        if holds.iter().all(|&h| h <= 1) {
+            prop_assert_eq!(daemon.cow_copies(), 0);
         }
     }
 
