@@ -1,19 +1,18 @@
-//! # envmon-bench — benchmark harness and the `repro` binary
+//! # envmon-bench — the `repro` binary and the `*_sweep` bench binaries
 //!
 //! * `cargo run -p envmon-bench --bin repro [--seed N] [experiment…]`
 //!   regenerates the paper's tables and figures as text (run with no
 //!   arguments for everything).
-//! * `cargo bench -p envmon-bench` runs the Criterion benches: one per
-//!   table/figure (`benches/experiments.rs`), the per-query access-path
-//!   costs (`benches/access_paths.rs`), and the ablations
-//!   (`benches/ablations.rs`).
+//! * `cargo run --release -p envmon-bench --bin <name>_sweep` runs one
+//!   sweep (cluster, cache, telemetry, accuracy, query, transport,
+//!   scenario) and writes its `BENCH_*.json` rows.
 //!
-//! The library part only hosts shared helpers for the benches.
+//! The library part only hosts helpers shared by those binaries.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-/// Default seed used by the benches and the `repro` binary.
+/// Default seed used by the sweep binaries and the `repro` binary.
 pub const DEFAULT_SEED: u64 = 2015;
 
 /// The sweeps' per-rank agent name, byte-identical to

@@ -14,7 +14,7 @@ use simkit::store::{Aggregate, SeriesId, StoreSnapshot};
 use simkit::{Sample, SimDuration, SimTime};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Who one series belongs to: the coordinates the daemon files each
 /// `agent/device/domain` series under, index-aligned with the store's
@@ -246,7 +246,7 @@ impl Response {
 /// readers never hold the publish path up for the duration of a query.
 #[derive(Clone)]
 pub struct QueryFront {
-    shared: Arc<parking_lot::RwLock<Arc<Published>>>,
+    shared: Arc<RwLock<Arc<Published>>>,
 }
 
 impl fmt::Debug for QueryFront {
@@ -263,18 +263,18 @@ impl fmt::Debug for QueryFront {
 impl QueryFront {
     pub(crate) fn new(initial: Published) -> Self {
         QueryFront {
-            shared: Arc::new(parking_lot::RwLock::new(Arc::new(initial))),
+            shared: Arc::new(RwLock::new(Arc::new(initial))),
         }
     }
 
     pub(crate) fn publish(&self, view: Published) {
-        *self.shared.write() = Arc::new(view);
+        *self.shared.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(view);
     }
 
     /// Retain the current view (the daemon may publish newer ones while
     /// the caller holds this one; held views stay frozen and valid).
     pub fn view(&self) -> Arc<Published> {
-        Arc::clone(&self.shared.read())
+        Arc::clone(&self.shared.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Answer `q` against the current view.

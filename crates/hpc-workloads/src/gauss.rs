@@ -6,7 +6,7 @@
 //! of host-side data generation, then offload and a jump in power).
 //!
 //! This module contains a real dense LU factorization with partial pivoting,
-//! parallelised across rows with crossbeam scoped threads, and the mapping
+//! parallelised across rows with `std` scoped threads, and the mapping
 //! from its phase structure to a [`WorkloadProfile`]. The rhythmic dips come
 //! from the synchronization between elimination blocks: every block boundary
 //! is a barrier where utilization sags briefly.
@@ -100,9 +100,9 @@ impl GaussianElimination {
             // Parallel elimination of all rows below the pivot.
             let chunk = elim_rows.len().div_ceil(self.threads.max(1));
             if chunk > 0 {
-                crossbeam::scope(|s| {
+                std::thread::scope(|s| {
                     for (rows, bs) in elim_rows.chunks_mut(chunk).zip(b_elim.chunks_mut(chunk)) {
-                        s.spawn(move |_| {
+                        s.spawn(move || {
                             for (row, bi) in rows.iter_mut().zip(bs) {
                                 let factor = row[k] / pivot[k];
                                 for j in k..pivot.len() {
@@ -112,8 +112,7 @@ impl GaussianElimination {
                             }
                         });
                     }
-                })
-                .expect("elimination worker panicked");
+                });
             }
             flops_per_step.push(((n - k - 1) * (n - k + 1)) as u64);
         }

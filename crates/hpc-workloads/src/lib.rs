@@ -6,9 +6,10 @@
 //! runtime toy application for the Table III overhead study.
 //!
 //! Each module here contains a *real, executed* Rust kernel (parallelised
-//! with crossbeam where the original is parallel) plus instrumentation that
-//! converts the kernel's measured phase structure into a
-//! [`WorkloadProfile`]: per-channel utilization demand over virtual time.
+//! with `std` scoped threads where the original is parallel) plus
+//! instrumentation that converts the kernel's measured phase structure
+//! into a [`WorkloadProfile`]: per-channel utilization demand over virtual
+//! time.
 //! The platform crates map channels onto their power components (the BG/Q
 //! maps [`Channel::Network`] onto its HSS/link-chip domains, the GPU maps
 //! [`Channel::Accelerator`] onto its core rail, …).

@@ -44,10 +44,9 @@ impl Noop {
     /// Actually spin a launch loop: `launches` empty closures are dispatched
     /// to a worker thread and counted. Returns the number executed.
     pub fn run(&self, launches: u64) -> u64 {
-        let (tx, rx) = crossbeam::channel::bounded::<Box<dyn FnOnce() + Send>>(32);
-        let mut executed = 0u64;
-        crossbeam::scope(|s| {
-            let h = s.spawn(move |_| {
+        let (tx, rx) = std::sync::mpsc::sync_channel::<Box<dyn FnOnce() + Send>>(32);
+        std::thread::scope(|s| {
+            let h = s.spawn(move || {
                 let mut n = 0u64;
                 while let Ok(f) = rx.recv() {
                     f();
@@ -60,10 +59,8 @@ impl Noop {
                     .expect("worker alive");
             }
             drop(tx);
-            executed = h.join().expect("worker panicked");
+            h.join().expect("worker panicked")
         })
-        .expect("noop scope failed");
-        executed
     }
 
     /// Constant low-level accelerator demand for the duration. The launch

@@ -60,20 +60,19 @@ impl VectorAdd {
         let b: Vec<f64> = (0..n).map(|_| rng.uniform(-1e3, 1e3)).collect();
         let mut c = vec![0.0f64; n];
         let chunk = n.div_ceil(self.threads.max(1));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for ((ca, aa), ba) in c
                 .chunks_mut(chunk)
                 .zip(a.chunks(chunk))
                 .zip(b.chunks(chunk))
             {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..ca.len() {
                         ca[i] = aa[i] + ba[i];
                     }
                 });
             }
-        })
-        .expect("vecadd worker panicked");
+        });
         let max_error = (0..n)
             .map(|i| (c[i] - (a[i] + b[i])).abs())
             .fold(0.0f64, f64::max);

@@ -7,10 +7,10 @@
 //! those based on the Kepler architecture", §II-C).
 
 use hpc_workloads::{Channel, WorkloadProfile};
-use parking_lot::RwLock;
 use powermodel::{DevicePower, DeviceSpec, ScalarSensor, SensorSpec, ThermalTrace};
 use simkit::{NoiseStream, SimDuration, SimTime};
 use std::fmt;
+use std::sync::{PoisonError, RwLock};
 
 use crate::clocks::{ClockType, PState};
 use crate::memory::MemoryInfo;
@@ -110,7 +110,10 @@ impl Device {
             return Err(NvmlError::NotSupported);
         }
         let power = &self.power;
-        let limit = *self.power_limit_watts.read();
+        let limit = *self
+            .power_limit_watts
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
         let watts = self
             .power_sensor
             .observe(t, |at| power.total_power(at).min(limit))
@@ -201,7 +204,11 @@ impl Device {
 
     /// `nvmlDeviceGetPowerManagementLimit`: current limit, milliwatts.
     pub fn power_management_limit(&self) -> Result<u32, NvmlError> {
-        Ok((*self.power_limit_watts.read() * 1_000.0).round() as u32)
+        let limit = *self
+            .power_limit_watts
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        Ok((limit * 1_000.0).round() as u32)
     }
 
     /// `nvmlDeviceSetPowerManagementLimit`: set the limit, milliwatts.
@@ -214,7 +221,10 @@ impl Device {
                 "limit {w} W outside [{min_w}, {max_w}] W"
             )));
         }
-        *self.power_limit_watts.write() = w;
+        *self
+            .power_limit_watts
+            .write()
+            .unwrap_or_else(PoisonError::into_inner) = w;
         Ok(())
     }
 
@@ -248,7 +258,10 @@ impl Device {
             return Err(NvmlError::NotSupported);
         }
         let power = &self.power;
-        let limit = *self.power_limit_watts.read();
+        let limit = *self
+            .power_limit_watts
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
         Ok(self
             .power_sensor
             .observe_parts(t, |at| power.total_power(at).min(limit)))

@@ -17,9 +17,9 @@
 //! closes its hysteresis loop around.
 
 use hpc_workloads::{Channel, WorkloadProfile};
-use parking_lot::RwLock;
 use powermodel::{DemandTrace, ThermalSpec};
 use simkit::SimTime;
+use std::sync::{PoisonError, RwLock};
 
 use crate::profile::GpuSpec;
 
@@ -104,7 +104,7 @@ impl LiveGpu {
 
     /// True board power at `t` under the throttle decisions applied so far.
     pub fn power_at(&self, t: SimTime) -> f64 {
-        let st = self.state.read();
+        let st = self.state.read().unwrap_or_else(PoisonError::into_inner);
         // Last transition at or before t decides the scale.
         let engaged = st
             .switches
@@ -163,7 +163,7 @@ impl LiveGpu {
     /// Die temperature at `t`, °C (advances the integrator; queries must
     /// be monotone in virtual time, as a polling session's are).
     pub fn temperature_c(&self, t: SimTime) -> f64 {
-        let mut st = self.state.write();
+        let mut st = self.state.write().unwrap_or_else(PoisonError::into_inner);
         self.advance_to(&mut st, t);
         st.temp_last
     }
@@ -171,7 +171,7 @@ impl LiveGpu {
     /// Engage or release the throttle at `t`. The integrator advances to
     /// `t` under the old scale first, so the past never changes.
     pub fn set_throttle(&self, t: SimTime, engaged: bool) {
-        let mut st = self.state.write();
+        let mut st = self.state.write().unwrap_or_else(PoisonError::into_inner);
         self.advance_to(&mut st, t);
         if st.engaged != engaged {
             st.engaged = engaged;
@@ -181,12 +181,19 @@ impl LiveGpu {
 
     /// Whether the throttle is currently engaged.
     pub fn throttled(&self) -> bool {
-        self.state.read().engaged
+        self.state
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .engaged
     }
 
     /// Every throttle transition applied so far, in actuation order.
     pub fn switch_history(&self) -> Vec<(SimTime, bool)> {
-        self.state.read().switches.clone()
+        self.state
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .switches
+            .clone()
     }
 }
 
@@ -268,5 +275,28 @@ mod tests {
             "{direct} vs {stepped_final}"
         );
         let _ = stepped;
+    }
+
+    #[test]
+    fn backwards_query_panic_leaves_the_plant_usable() {
+        let g = LiveGpu::new(GpuSpec::k20(), &busy_profile(), 30.0, 0.4);
+        let twin = LiveGpu::new(GpuSpec::k20(), &busy_profile(), 30.0, 0.4);
+        for plant in [&g, &twin] {
+            plant.temperature_c(SimTime::from_secs(100));
+        }
+        // The backwards-time assert fires while the write lock is held,
+        // which poisons a std lock; every later call must recover it.
+        let backwards = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            g.temperature_c(SimTime::from_secs(50))
+        }));
+        assert!(backwards.is_err(), "driving time backwards must panic");
+        for plant in [&g, &twin] {
+            plant.set_throttle(SimTime::from_secs(150), true);
+        }
+        assert_eq!(
+            g.temperature_c(SimTime::from_secs(300)).to_bits(),
+            twin.temperature_c(SimTime::from_secs(300)).to_bits()
+        );
+        assert_eq!(g.switch_history(), twin.switch_history());
     }
 }

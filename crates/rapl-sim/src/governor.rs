@@ -23,9 +23,9 @@
 //! changes retroactively — exactly how firmware throttling behaves.
 
 use hpc_workloads::{Channel, WorkloadProfile};
-use parking_lot::RwLock;
 use powermodel::{ComponentSpec, DemandTrace, DevicePower, DeviceSpec};
 use simkit::{SimDuration, SimTime};
+use std::sync::{PoisonError, RwLock};
 
 use crate::domains::RaplDomain;
 use crate::limit::PowerLimit;
@@ -99,7 +99,7 @@ impl CappedSocket {
     /// `min(wanted, cap_level)` per wanted/memory segment. A disabled
     /// limit restores the wanted trace from `t` on.
     pub fn apply_limit(&self, t: SimTime, limit: PowerLimit) {
-        let mut st = self.state.write();
+        let mut st = self.state.write().unwrap_or_else(PoisonError::into_inner);
         let mut granted = DemandTrace::zero();
         // Past: every breakpoint strictly before t survives unchanged, so
         // energy already integrated never moves.
@@ -142,17 +142,28 @@ impl CappedSocket {
 
     /// The limit currently in force.
     pub fn current_limit(&self) -> PowerLimit {
-        self.state.read().limit
+        self.state
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .limit
     }
 
     /// Every limit ever applied, in application order.
     pub fn limit_history(&self) -> Vec<(SimTime, PowerLimit)> {
-        self.state.read().history.clone()
+        self.state
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .history
+            .clone()
     }
 
     /// The granted CPU demand level at `t` under the limits applied so far.
     pub fn granted_level(&self, t: SimTime) -> f64 {
-        self.state.read().granted_cpu.level_at(t)
+        self.state
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .granted_cpu
+            .level_at(t)
     }
 
     /// The uncapped (wanted) CPU demand level at `t`.
@@ -211,7 +222,7 @@ impl PowerSource for CappedSocket {
     }
 
     fn domain_power(&self, domain: RaplDomain, t: SimTime) -> f64 {
-        let st = self.state.read();
+        let st = self.state.read().unwrap_or_else(PoisonError::into_inner);
         match domain {
             RaplDomain::Pkg => {
                 st.power.component_power(CORES, t)
@@ -225,7 +236,7 @@ impl PowerSource for CappedSocket {
     }
 
     fn domain_energy(&self, domain: RaplDomain, t: SimTime) -> f64 {
-        let st = self.state.read();
+        let st = self.state.read().unwrap_or_else(PoisonError::into_inner);
         match domain {
             RaplDomain::Pkg => {
                 st.power.component_energy(CORES, SimTime::ZERO, t)
