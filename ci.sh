@@ -79,12 +79,12 @@ stage "cargo fmt --check" \
 stage "cargo clippy --workspace --all-targets -- -D warnings" \
     "cargo clippy --workspace --all-targets -- -D warnings"
 
-# The core library crates and the simulated platforms must not unwrap in
-# non-test code: user-reachable failures are typed errors, lock poisoning is
-# recovered explicitly (PoisonError::into_inner), and rank panics resurface
-# with their rank id.
-stage "cargo clippy (simkit, moneq, envmon-serve, *-sim libs) -- -D clippy::unwrap_used" \
-    "cargo clippy -p simkit -p moneq -p envmon-serve \
+# The core library crates, the device models and workloads under them, and
+# the simulated platforms must not unwrap in non-test code: user-reachable
+# failures are typed errors, lock poisoning is recovered explicitly
+# (PoisonError::into_inner), and rank panics resurface with their rank id.
+stage "cargo clippy (simkit, powermodel, hpc-workloads, moneq, envmon-serve, *-sim libs) -- -D clippy::unwrap_used" \
+    "cargo clippy -p simkit -p powermodel -p hpc-workloads -p moneq -p envmon-serve \
         -p bgq-sim -p mic-sim -p nvml-sim -p occ-sim -p rapl-sim -p powertools-sim \
         --lib -- -D warnings -D clippy::unwrap_used"
 

@@ -7,9 +7,15 @@
 //! stepping). Because demand is piecewise constant, both the response and its
 //! time integral (energy) have closed forms per segment, so the model is
 //! exact at any query time — no simulation step size exists to tune.
+//!
+//! Energy is a left-to-right fold of those per-segment integrals. Each
+//! segment also stores the fold up to its own start, so the cumulative
+//! energy a counter reads (`from = ZERO`) costs one binary search and one
+//! partial integral however far virtual time has run.
 
 use crate::demand::DemandTrace;
 use simkit::{SimDuration, SimTime};
+use std::ops::Range;
 
 /// Static description of one power component of a device.
 #[derive(Clone, Copy, Debug)]
@@ -65,6 +71,9 @@ struct Segment {
     start: SimTime,
     y_start: f64,
     target: f64,
+    /// Energy over `[ZERO, start]`, joules: [`fold_energy`] over every
+    /// earlier segment, accumulated in the fold's own order.
+    energy_before: f64,
 }
 
 /// A device bound to a workload demand: the exact power/energy oracle the
@@ -72,7 +81,8 @@ struct Segment {
 #[derive(Clone, Debug)]
 pub struct DevicePower {
     spec: DeviceSpec,
-    /// Per component: exponential segments, time-ordered.
+    /// Per component: exponential segments with strictly increasing
+    /// starts, the first at `ZERO`.
     segments: Vec<Vec<Segment>>,
 }
 
@@ -132,30 +142,27 @@ impl DevicePower {
     }
 
     /// Exact energy of component `i` over `[from, to]`, joules.
+    ///
+    /// From `ZERO` (a cumulative counter read) this is the stored prefix of
+    /// the last segment starting before `to` plus that segment's integral up
+    /// to `to`: the same additions, in the same order, as folding every
+    /// segment. A window (`from > ZERO`) folds the segments it overlaps, from
+    /// the one holding `from` to the last starting before `to`.
     pub fn component_energy(&self, i: usize, from: SimTime, to: SimTime) -> f64 {
         assert!(to >= from);
         let segs = &self.segments[i];
-        let comp = &self.spec.components[i];
-        if segs.is_empty() {
-            return comp.idle_w * (to - from).as_secs_f64();
+        let tau = self.spec.components[i].ramp_tau;
+        // Segments from `end` on start at or after `to`: outside the window.
+        let end = segs.partition_point(|s| s.start < to);
+        if from == SimTime::ZERO {
+            let Some(last) = end.checked_sub(1) else {
+                return 0.0;
+            };
+            return fold_energy(segs, tau, segs[last].energy_before, from, to, last..end);
         }
-        let mut acc = 0.0;
-        // Portion before the first segment (steady at y_start of segment 0).
-        let first_start = segs[0].start;
-        if from < first_start {
-            let end = to.min(first_start);
-            acc += segs[0].y_start * (end - from).as_secs_f64();
-        }
-        for (k, seg) in segs.iter().enumerate() {
-            let seg_end = segs.get(k + 1).map(|s| s.start).unwrap_or(SimTime::MAX);
-            let lo = from.max(seg.start);
-            let hi = to.min(seg_end);
-            if hi <= lo {
-                continue;
-            }
-            acc += integrate_segment(seg, comp.ramp_tau, lo, hi);
-        }
-        acc
+        // Segments before the one holding `from` end at or before it.
+        let begin = segs.partition_point(|s| s.start <= from).saturating_sub(1);
+        fold_energy(segs, tau, 0.0, from, to, begin..end)
     }
 
     /// Exact total device energy over `[from, to]`, joules.
@@ -172,6 +179,7 @@ fn build_segments(comp: &ComponentSpec, demand: &DemandTrace) -> Vec<Segment> {
         start: SimTime::ZERO,
         y_start: initial,
         target: initial,
+        energy_before: 0.0,
     }];
     for &(bt, level) in demand.breakpoints() {
         let target = comp.raw_power(level);
@@ -183,16 +191,52 @@ fn build_segments(comp: &ComponentSpec, demand: &DemandTrace) -> Vec<Segment> {
                 start: SimTime::ZERO,
                 y_start: target,
                 target,
+                energy_before: 0.0,
             };
         } else {
             segs.push(Segment {
                 start: bt,
                 y_start: y_at_bt,
                 target,
+                energy_before: 0.0,
             });
         }
     }
+    for k in 1..segs.len() {
+        let prev = k - 1;
+        segs[k].energy_before = fold_energy(
+            &segs,
+            comp.ramp_tau,
+            segs[prev].energy_before,
+            SimTime::ZERO,
+            segs[k].start,
+            prev..k,
+        );
+    }
     segs
+}
+
+/// Adds to `acc`, left to right, the integral of each segment in `ks` over
+/// its overlap with `[from, to]`; a segment the window misses adds nothing.
+/// Every energy the model reports is a run of this fold.
+fn fold_energy(
+    segs: &[Segment],
+    tau: SimDuration,
+    mut acc: f64,
+    from: SimTime,
+    to: SimTime,
+    ks: Range<usize>,
+) -> f64 {
+    for k in ks {
+        let seg = &segs[k];
+        let seg_end = segs.get(k + 1).map_or(SimTime::MAX, |s| s.start);
+        let lo = from.max(seg.start);
+        let hi = to.min(seg_end);
+        if hi > lo {
+            acc += integrate_segment(seg, tau, lo, hi);
+        }
+    }
+    acc
 }
 
 #[inline]
@@ -222,6 +266,8 @@ fn integrate_segment(seg: &Segment, tau: SimDuration, lo: SimTime, hi: SimTime) 
 mod tests {
     use super::*;
     use crate::demand::PhaseBuilder;
+    use proptest::prelude::*;
+    use proptest::prop::sample::Index;
 
     fn comp(idle: f64, dynamic: f64, tau_ms: u64) -> ComponentSpec {
         ComponentSpec {
@@ -346,5 +392,101 @@ mod tests {
             components: vec![comp(1.0, 1.0, 0)],
         };
         DevicePower::new(spec, &[]);
+    }
+
+    /// One component's plan: a lead-in before the first phase (`None` puts
+    /// the first breakpoint at `ZERO`), `(duration_ms, level)` phases,
+    /// whether the trace returns to idle after them, and the ramp time
+    /// constant in ms (`None` is an instantaneous component).
+    type Plan = (Option<u64>, Vec<(u64, f64)>, bool, Option<u64>);
+
+    fn plan() -> impl Strategy<Value = Plan> {
+        (
+            prop::option::of(1u64..2_000),
+            prop::collection::vec((1u64..3_000, 0.0f64..=1.0), 0..10),
+            prop::bool::ANY,
+            prop::option::of(1u64..3_000),
+        )
+    }
+
+    fn device(plans: &[Plan]) -> DevicePower {
+        let mut components = Vec::new();
+        let mut demands = Vec::new();
+        for (k, (lead_ms, phases, closed, tau_ms)) in plans.iter().enumerate() {
+            let origin = SimTime::from_millis(lead_ms.unwrap_or(0));
+            let mut b = PhaseBuilder::starting_at(origin);
+            for &(ms, level) in phases {
+                b = b.phase(SimDuration::from_millis(ms), level);
+            }
+            demands.push(if *closed { b.build() } else { b.build_open() });
+            components.push(comp(5.0 + k as f64, 40.0, tau_ms.unwrap_or(0)));
+        }
+        let spec = DeviceSpec {
+            name: "prop".into(),
+            components,
+        };
+        DevicePower::new(spec, &demands)
+    }
+
+    /// An instant of kind `kind % 4`: `ZERO`, a segment start of any
+    /// component (a breakpoint, exactly), past every breakpoint by
+    /// `offset_ns`, or anywhere up to that far past the last one.
+    fn instant(dev: &DevicePower, (kind, at, offset_ns): (u8, Index, u64)) -> SimTime {
+        let starts: Vec<SimTime> = dev.segments.iter().flatten().map(|s| s.start).collect();
+        let last = starts.iter().copied().max().unwrap_or(SimTime::ZERO);
+        let past = last + SimDuration::from_nanos(offset_ns);
+        match kind % 4 {
+            0 => SimTime::ZERO,
+            1 => *at.get(&starts),
+            2 => past,
+            _ => SimTime::from_nanos(at.index(past.as_nanos() as usize + 1) as u64),
+        }
+    }
+
+    fn pick() -> impl Strategy<Value = (u8, Index, u64)> {
+        (0u8..4, any::<Index>(), 1u64..5_000_000_000)
+    }
+
+    /// The energy fold over every segment of component `i`: the reference
+    /// the table and the bounded window must equal bit for bit.
+    fn full_fold(dev: &DevicePower, i: usize, from: SimTime, to: SimTime) -> f64 {
+        let segs = &dev.segments[i];
+        let tau = dev.spec.components[i].ramp_tau;
+        fold_energy(segs, tau, 0.0, from, to, 0..segs.len())
+    }
+
+    proptest! {
+        #[test]
+        fn energy_table_and_window_equal_the_full_fold_bitwise(
+            plans in prop::collection::vec(plan(), 1..4),
+            ts in prop::collection::vec(pick(), 1..12),
+            windows in prop::collection::vec((pick(), pick()), 1..12),
+        ) {
+            let dev = device(&plans);
+            let n = plans.len();
+            for pick in ts {
+                let t = instant(&dev, pick);
+                for i in 0..n {
+                    let got = dev.component_energy(i, SimTime::ZERO, t);
+                    let want = full_fold(&dev, i, SimTime::ZERO, t);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(),
+                        "component {} at {:?}: {} vs {}", i, t, got, want);
+                }
+                let total = dev.total_energy(SimTime::ZERO, t);
+                let want: f64 = (0..n).map(|i| full_fold(&dev, i, SimTime::ZERO, t)).sum();
+                prop_assert_eq!(total.to_bits(), want.to_bits(),
+                    "total at {:?}: {} vs {}", t, total, want);
+            }
+            for (a, b) in windows {
+                let (a, b) = (instant(&dev, a), instant(&dev, b));
+                let (from, to) = (a.min(b), a.max(b));
+                for i in 0..n {
+                    let got = dev.component_energy(i, from, to);
+                    let want = full_fold(&dev, i, from, to);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(),
+                        "component {} over [{:?}, {:?}]: {} vs {}", i, from, to, got, want);
+                }
+            }
+        }
     }
 }
