@@ -85,13 +85,6 @@ impl BpmGroup {
             output_amps: output_watts / BUS_VOLTAGE,
         }
     }
-
-    /// Sum of all module input powers at `t` (what Figure 1 plots per poll).
-    pub fn total_input_watts(&self, machine: &BgqMachine, t: SimTime) -> f64 {
-        (0..self.modules())
-            .map(|i| self.read(machine, i, t).input_watts)
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -145,11 +145,6 @@ impl BgqMachine {
             .map(|c| c.total_power(t))
             .sum()
     }
-
-    /// Total DC power of the machine at `t`, watts.
-    pub fn machine_power(&self, t: SimTime) -> f64 {
-        self.cards.iter().map(|c| c.total_power(t)).sum()
-    }
 }
 
 fn build_card_power(location: Location, profile: Option<&WorkloadProfile>) -> DevicePower {
@@ -178,7 +173,8 @@ mod tests {
         let m = BgqMachine::new(BgqConfig::default(), 1);
         let t = SimTime::from_secs(10);
         let expected = 32.0 * node_card_idle_watts(); // 1 rack = 32 boards
-        assert!((m.machine_power(t) - expected).abs() < 1e-6);
+        let total: f64 = m.cards().iter().map(|c| c.total_power(t)).sum();
+        assert!((total - expected).abs() < 1e-6);
     }
 
     #[test]

@@ -63,14 +63,6 @@ impl Location {
         }
     }
 
-    /// The node board containing this location.
-    pub fn board_of(&self) -> Location {
-        Location {
-            card: None,
-            ..*self
-        }
-    }
-
     /// Flat index of the node board within the whole machine.
     pub fn board_index(&self) -> usize {
         (self.rack as usize * MIDPLANES_PER_RACK + self.midplane as usize) * BOARDS_PER_MIDPLANE
@@ -212,12 +204,6 @@ mod tests {
         ] {
             assert!(bad.parse::<Location>().is_err(), "accepted {bad:?}");
         }
-    }
-
-    #[test]
-    fn board_of_strips_card() {
-        let l = Location::compute_card(1, 0, 3, 9);
-        assert_eq!(l.board_of(), Location::board(1, 0, 3));
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl WorkloadProfile {
             .unwrap_or_else(DemandTrace::zero)
     }
 
-    /// Channels this workload actually loads.
-    pub fn active_channels(&self) -> Vec<Channel> {
-        self.demands.keys().copied().collect()
-    }
-
     /// The same workload delayed by `lead_in` of idle (Figure 1 needs idle
     /// visible before and after the job). Tags shift with the work.
     pub fn with_lead_in(&self, lead_in: SimDuration) -> WorkloadProfile {
@@ -133,7 +128,7 @@ mod tests {
         let p = WorkloadProfile::new("w", SimDuration::from_secs(10));
         let d = p.demand(Channel::Io);
         assert_eq!(d.level_at(SimTime::from_secs(5)), 0.0);
-        assert!(p.active_channels().is_empty());
+        assert!(p.demands.is_empty());
     }
 
     #[test]
@@ -146,7 +141,7 @@ mod tests {
                 .build(),
         );
         assert_eq!(p.demand(Channel::Cpu).level_at(SimTime::from_secs(5)), 0.9);
-        assert_eq!(p.active_channels(), vec![Channel::Cpu]);
+        assert_eq!(p.demands.keys().collect::<Vec<_>>(), [&Channel::Cpu]);
     }
 
     #[test]

@@ -43,13 +43,10 @@ impl PhiSpec {
     }
 }
 
-/// Component indices inside the card's [`DevicePower`].
+/// Component indices inside the card's [`DevicePower`] (in order: cores,
+/// GDDR, uncore+PCIe, management).
 const CORES: usize = 0;
-const GDDR: usize = 1;
 const UNCORE: usize = 2;
-/// The management/collection component: in-band queries execute here (the
-/// Figure 7 power offset).
-const MGMT: usize = 3;
 
 /// A card bound to a workload.
 #[derive(Clone, Debug)]
@@ -145,20 +142,9 @@ impl PhiCard {
         self.power.total_energy(SimTime::ZERO, t)
     }
 
-    /// Power of the management component alone (test hook for the Figure 7
-    /// mechanism).
-    pub fn mgmt_power(&self, t: SimTime) -> f64 {
-        self.power.component_power(MGMT, t)
-    }
-
     /// Power of the compute cores alone.
     pub fn cores_power(&self, t: SimTime) -> f64 {
         self.power.component_power(CORES, t)
-    }
-
-    /// GDDR power alone.
-    pub fn gddr_power(&self, t: SimTime) -> f64 {
-        self.power.component_power(GDDR, t)
     }
 
     /// Uncore/PCIe power alone.
@@ -200,6 +186,10 @@ impl PhiCard {
 mod tests {
     use super::*;
     use hpc_workloads::{GaussianElimination, Noop};
+
+    /// The management/collection component: in-band queries execute here
+    /// (the Figure 7 power offset).
+    const MGMT: usize = 3;
 
     fn card_for(profile: &WorkloadProfile) -> PhiCard {
         PhiCard::new(
@@ -257,8 +247,8 @@ mod tests {
         let t = SimTime::from_secs(60);
         let delta = with_mgmt.total_power(t) - baseline.total_power(t);
         assert!((1.0..4.0).contains(&delta), "mgmt delta {delta} W");
-        assert!(with_mgmt.mgmt_power(t) > 0.0);
-        assert_eq!(baseline.mgmt_power(t), 0.0);
+        assert!(with_mgmt.power.component_power(MGMT, t) > 0.0);
+        assert_eq!(baseline.power.component_power(MGMT, t), 0.0);
     }
 
     #[test]

@@ -142,35 +142,6 @@ impl IpmbFrame {
         let bits = (self.encode().len() as u64) * 9;
         SimDuration::from_micros(bits * 10) // 10 us per bit at 100 kHz
     }
-
-    /// Serialize with a one-byte length prefix, for concatenated streams
-    /// (a BMC draining several queued SMC responses in one bus turn).
-    ///
-    /// Panics if the encoded frame exceeds 255 bytes — longer than any
-    /// frame the 32-byte IPMB transaction limit allows, so a programming
-    /// error, not a wire condition.
-    pub fn encode_prefixed(&self) -> Vec<u8> {
-        let frame = self.encode();
-        let len = u8::try_from(frame.len()).expect("IPMB frames fit a one-byte length");
-        let mut out = Vec::with_capacity(frame.len() + 1);
-        out.push(len);
-        out.extend_from_slice(&frame);
-        out
-    }
-
-    /// Decode one length-prefixed frame from the head of `stream`,
-    /// returning the frame and the bytes consumed.
-    ///
-    /// All offset arithmetic is bounds-checked: a corrupted length byte
-    /// can claim more than the stream holds (→ [`IpmbError::Truncated`])
-    /// or cut a frame short so its checksum lands on the wrong byte
-    /// (→ a checksum error), but it can never make the data-checksum
-    /// offset wrap or slice out of bounds.
-    pub fn decode_prefixed(stream: &[u8]) -> Result<(Self, usize), IpmbError> {
-        let (&len, rest) = stream.split_first().ok_or(IpmbError::Truncated)?;
-        let frame = rest.get(..len as usize).ok_or(IpmbError::Truncated)?;
-        Ok((IpmbFrame::decode(frame)?, 1 + len as usize))
-    }
 }
 
 /// The platform BMC.
@@ -365,53 +336,5 @@ mod tests {
                 wire.len()
             );
         }
-    }
-
-    #[test]
-    fn prefixed_stream_roundtrips_consecutive_frames() {
-        let a = IpmbFrame::request(NETFN_OEM_REQ, CMD_GET_POWER, 1, vec![]);
-        let b = a.response_to(vec![0xDE, 0xAD, 0xBE, 0xEF]);
-        let mut stream = a.encode_prefixed();
-        stream.extend_from_slice(&b.encode_prefixed());
-        let (got_a, used_a) = IpmbFrame::decode_prefixed(&stream).unwrap();
-        let (got_b, used_b) = IpmbFrame::decode_prefixed(&stream[used_a..]).unwrap();
-        assert_eq!(got_a, a);
-        assert_eq!(got_b, b);
-        assert_eq!(used_a + used_b, stream.len());
-    }
-
-    #[test]
-    fn corrupted_length_prefix_cannot_wrap_the_checksum_offset() {
-        let f = IpmbFrame::request(NETFN_OEM_REQ, CMD_GET_POWER, 6, vec![0x42]);
-        let mut stream = f.encode_prefixed();
-
-        // Length inflated past the stream: claims bytes that don't exist.
-        stream[0] = 0xFF;
-        assert_eq!(
-            IpmbFrame::decode_prefixed(&stream).err(),
-            Some(IpmbError::Truncated)
-        );
-
-        // Length cut below the 7-byte minimum: structurally truncated.
-        stream[0] = 6;
-        assert_eq!(
-            IpmbFrame::decode_prefixed(&stream).err(),
-            Some(IpmbError::Truncated)
-        );
-
-        // Length cut to a still-plausible 7: the checksum byte now lands on
-        // the data byte and the verdict is a checksum failure, not a slice
-        // past the end.
-        stream[0] = 7;
-        assert_eq!(
-            IpmbFrame::decode_prefixed(&stream).err(),
-            Some(IpmbError::BadPayloadChecksum)
-        );
-
-        // Empty stream: no length byte at all.
-        assert_eq!(
-            IpmbFrame::decode_prefixed(&[]).err(),
-            Some(IpmbError::Truncated)
-        );
     }
 }

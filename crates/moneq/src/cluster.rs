@@ -513,12 +513,6 @@ impl ClusterRun {
         self
     }
 
-    /// The active collection plan (per-agent unless
-    /// [`ClusterRun::with_collection_plan`] changed it).
-    pub fn collection_plan(&self) -> CollectionPlan {
-        self.plan
-    }
-
     /// Attach a per-rank control hook to every session that gets one
     /// (`make(rank)` returning `None` leaves that rank open-loop).
     ///
@@ -577,12 +571,6 @@ impl ClusterRun {
     /// Number of agent ranks.
     pub fn agents(&self) -> usize {
         self.sessions.len()
-    }
-
-    /// Wall-clock scheduling diagnostics accumulated so far (chunks
-    /// claimed and busy time per worker across every `run_until` phase).
-    pub fn sched_stats(&self) -> &SchedStats {
-        &self.sched
     }
 
     /// The chunk size actually used for dispatch: the configured size,
@@ -1304,7 +1292,7 @@ mod tests {
             .with_chunk_size(3)
             .with_host_cpus(4);
         run.run_until(SimTime::from_secs(1));
-        let claimed: u64 = run.sched_stats().claimed_per_worker.iter().sum();
+        let claimed: u64 = run.sched.claimed_per_worker.iter().sum();
         assert_eq!(claimed, 5, "13 ranks / chunk 3 = 5 chunks, all claimed");
         let result = run.finalize(SimTime::from_secs(2));
         assert_eq!(result.sched.chunks, 10, "run_until + finalize phases");
@@ -1321,7 +1309,7 @@ mod tests {
         let naive = naive.finalize(SimTime::from_secs(2));
         // Domains {0-3}, {4-7}, {8-9} (ragged tail on purpose).
         let mut shared = launch(10).with_collection_plan(CollectionPlan::shared(4));
-        assert!(shared.collection_plan().is_shared());
+        assert!(shared.plan.is_shared());
         drive(&mut shared);
         let shared = shared.finalize(SimTime::from_secs(2));
         // Data is untouched by the plan; only the charged cost moves.
@@ -1445,7 +1433,7 @@ mod tests {
         naive.run_until(end);
         let naive = naive.finalize(end);
         let mut single = launch(6).with_collection_plan(CollectionPlan::shared(1));
-        assert!(!single.collection_plan().is_shared());
+        assert!(!single.plan.is_shared());
         single.run_until(end);
         let single = single.finalize(end);
         assert_eq!(naive.files, single.files);

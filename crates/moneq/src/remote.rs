@@ -19,8 +19,8 @@
 //! |------|-----------------|------------------|
 //! | [`REQ_META`] | empty | min_interval, poll_cost, cadence, replayable, records/poll |
 //! | [`REQ_READ`] | empty (poll instant = arrival time) | result tag + [`Poll`] or [`ReadError`] |
-//! | [`REQ_READ_MANY`] | agent count | result tag + polls or error |
-//! | [`REQ_GATE`] | empty | presence tag + [`GateStats`] counters |
+//!
+//! Any other kind is dropped like a bad datagram.
 //!
 //! Error mapping ([`WireError`] → [`ReadError`], DESIGN.md §14): a wire
 //! timeout becomes [`ReadError::Timeout`] carrying the exact accumulated
@@ -41,10 +41,6 @@ use simkit::{SimDuration, SimTime};
 pub const REQ_META: u8 = 0x01;
 /// Request opcode: one poll.
 pub const REQ_READ: u8 = 0x02;
-/// Request opcode: one batched poll serving several co-resident agents.
-pub const REQ_READ_MANY: u8 = 0x03;
-/// Request opcode: the backend's fault-gate decision counters.
-pub const REQ_GATE: u8 = 0x04;
 /// OR-ed into a request opcode to form its response opcode.
 pub const RESP_FLAG: u8 = 0x80;
 
@@ -166,44 +162,6 @@ fn decode_meta(payload: &[u8]) -> Result<RemoteMeta, WireError> {
     Ok(m)
 }
 
-fn encode_gate_stats(gs: Option<GateStats>) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    match gs {
-        None => w.u8(0),
-        Some(gs) => {
-            w.u8(1);
-            for (_, n) in gs.kinds() {
-                w.u64(n);
-            }
-        }
-    }
-    w.finish()
-}
-
-fn decode_gate_stats(payload: &[u8]) -> Result<Option<GateStats>, WireError> {
-    let mut r = WireReader::new(payload);
-    match r.u8()? {
-        0 => {
-            r.expect_end()?;
-            Ok(None)
-        }
-        1 => {
-            let gs = GateStats {
-                admitted: r.u64()?,
-                glitches: r.u64()?,
-                transient: r.u64()?,
-                timeout: r.u64()?,
-                no_data: r.u64()?,
-                blackout: r.u64()?,
-                dropped_records: r.u64()?,
-            };
-            r.expect_end()?;
-            Ok(Some(gs))
-        }
-        _ => Err(WireError::Malformed("gate-stats tag")),
-    }
-}
-
 /// The server side: the wrapped mechanism plus the request dispatcher.
 ///
 /// [`BackendServer::handle`] is the `serve` hook a [`Transport`] calls at
@@ -219,12 +177,6 @@ impl BackendServer {
     /// Put a mechanism behind the protocol.
     pub fn new(backend: Box<dyn EnvBackend>) -> Self {
         BackendServer { backend }
-    }
-
-    /// The wrapped mechanism (control-plane access: name, platform,
-    /// capabilities — static facts that a deployment knows out of band).
-    pub fn backend(&self) -> &dyn EnvBackend {
-        self.backend.as_ref()
     }
 
     /// The mechanism's metadata as served by `REQ_META`.
@@ -273,35 +225,6 @@ impl BackendServer {
                 }
                 (self.backend.poll_cost(), w.finish())
             }
-            REQ_READ_MANY => {
-                let mut r = WireReader::new(&frame.payload);
-                let agents = r.u32().ok()?;
-                r.expect_end().ok()?;
-                let mut w = WireWriter::new();
-                match self.backend.read_many(at, agents as usize) {
-                    Ok(polls) => {
-                        w.u8(0);
-                        w.u32(u32::try_from(polls.len()).expect("poll count fits u32"));
-                        for p in &polls {
-                            encode_poll(&mut w, p);
-                        }
-                    }
-                    Err(e) => {
-                        w.u8(1);
-                        encode_read_error(&mut w, &e);
-                    }
-                }
-                (self.backend.batched_cost(agents as usize), w.finish())
-            }
-            REQ_GATE => {
-                if !frame.payload.is_empty() {
-                    return None;
-                }
-                (
-                    SimDuration::ZERO,
-                    encode_gate_stats(self.backend.gate_stats()),
-                )
-            }
             _ => return None,
         };
         Some((
@@ -309,39 +232,6 @@ impl BackendServer {
             Frame::new(frame.kind | RESP_FLAG, frame.seq, payload).encode(),
         ))
     }
-}
-
-/// Placeholder backend used only while a slot's real backend is being
-/// wrapped in place (`std::mem::replace`). Never polled.
-struct NullBackend;
-
-impl EnvBackend for NullBackend {
-    fn name(&self) -> &'static str {
-        "null"
-    }
-    fn platform(&self) -> Platform {
-        Platform::Rapl
-    }
-    fn min_interval(&self) -> SimDuration {
-        SimDuration::from_nanos(1)
-    }
-    fn poll_cost(&self) -> SimDuration {
-        SimDuration::ZERO
-    }
-    fn capabilities(&self) -> Vec<(Metric, Support)> {
-        Vec::new()
-    }
-    fn read(&mut self, _t: SimTime) -> Result<Poll, ReadError> {
-        Err(ReadError::Unavailable("placeholder backend".into()))
-    }
-    fn records_per_poll(&self) -> usize {
-        0
-    }
-}
-
-/// A boxed placeholder for in-place backend swaps.
-pub(crate) fn null_backend() -> Box<dyn EnvBackend> {
-    Box::new(NullBackend)
 }
 
 /// A mechanism served over a [`Transport`].
@@ -421,24 +311,9 @@ impl<T: Transport> RemoteBackend<T> {
         }
     }
 
-    /// The link personality this backend is served over.
-    pub fn link(&self) -> &LinkSpec {
-        self.transport.spec()
-    }
-
-    /// The exact transfer ledger so far.
-    pub fn link_stats(&self) -> &LinkStats {
-        self.transport.stats()
-    }
-
-    /// The metadata the connect-time hello returned.
-    pub fn meta(&self) -> RemoteMeta {
-        self.meta
-    }
-
-    /// One wire exchange at instant `t`: frames `payload` under `kind`,
-    /// runs it through the transport, validates the response envelope.
-    fn rpc(&mut self, kind: u8, t: SimTime, payload: Vec<u8>) -> Result<Vec<u8>, ReadError> {
+    /// One `REQ_READ` exchange at instant `t`: frames the request, runs
+    /// it through the transport, validates the response envelope.
+    fn rpc(&mut self, t: SimTime) -> Result<Vec<u8>, ReadError> {
         let index = match self.rpc_at {
             Some((at, n)) if at == t => n + 1,
             _ => 0,
@@ -450,7 +325,7 @@ impl<T: Transport> RemoteBackend<T> {
         }
         self.seq += 1;
         let seq = self.seq;
-        let request = Frame::new(kind, seq, payload).encode();
+        let request = Frame::new(REQ_READ, seq, Vec::new()).encode();
         let key = mix64(t.as_nanos(), u64::from(index));
         // Serialize exchanges: a retry (or a poll whose predecessor
         // overran its slot) transmits when the line is free, not in the
@@ -473,7 +348,7 @@ impl<T: Transport> RemoteBackend<T> {
         self.ready_at = done;
         let frame = Frame::decode(&resp)
             .map_err(|e| ReadError::Transient(format!("wire: response {e}")))?;
-        if frame.kind != kind | RESP_FLAG || frame.seq != seq {
+        if frame.kind != REQ_READ | RESP_FLAG || frame.seq != seq {
             return Err(ReadError::Transient("wire: response mismatch".into()));
         }
         // One access-path charge per poll instant: the first completed
@@ -482,16 +357,6 @@ impl<T: Transport> RemoteBackend<T> {
             self.cost = done.saturating_since(send);
         }
         Ok(frame.payload)
-    }
-
-    /// Fetch the remote mechanism's gate counters over the wire (the
-    /// `REQ_GATE` exchange). [`EnvBackend::gate_stats`] serves the same
-    /// counters in-process — this is the data-plane path for callers that
-    /// want the protocol exercised (and charged) for real.
-    pub fn fetch_gate_stats(&mut self, t: SimTime) -> Result<Option<GateStats>, ReadError> {
-        let payload = self.rpc(REQ_GATE, t, Vec::new())?;
-        decode_gate_stats(&payload)
-            .map_err(|e| ReadError::Transient(format!("wire: gate stats {e}")))
     }
 }
 
@@ -535,7 +400,7 @@ impl<T: Transport + Send> EnvBackend for RemoteBackend<T> {
     }
 
     fn read(&mut self, t: SimTime) -> Result<Poll, ReadError> {
-        let payload = self.rpc(REQ_READ, t, Vec::new())?;
+        let payload = self.rpc(t)?;
         decode_read_result(&payload)
     }
 
@@ -548,35 +413,6 @@ impl<T: Transport + Send> EnvBackend for RemoteBackend<T> {
         // delay nor damage it: any link cost shifts served timestamps, any
         // fault process is per-attempt state.
         self.meta.replayable && self.transport.spec().is_free()
-    }
-
-    fn read_many(&mut self, t: SimTime, agents: usize) -> Result<Vec<Poll>, ReadError> {
-        let mut w = WireWriter::new();
-        w.u32(u32::try_from(agents).expect("agent count fits u32"));
-        let payload = self.rpc(REQ_READ_MANY, t, w.finish())?;
-        let wire = |e: WireError| ReadError::Transient(format!("wire: read_many reply {e}"));
-        let mut r = WireReader::new(&payload);
-        match r.u8().map_err(wire)? {
-            0 => {
-                let count = r.u32().map_err(wire)?;
-                let mut polls = Vec::with_capacity(count.min(4096) as usize);
-                for _ in 0..count {
-                    polls.push(decode_poll(&mut r).map_err(wire)?);
-                }
-                r.expect_end().map_err(wire)?;
-                Ok(polls)
-            }
-            1 => {
-                let e = decode_read_error(&mut r).map_err(wire)?;
-                r.expect_end().map_err(wire)?;
-                Err(e)
-            }
-            _ => Err(wire(WireError::Malformed("result tag"))),
-        }
-    }
-
-    fn batched_cost(&self, agents: usize) -> SimDuration {
-        self.server.backend.batched_cost(agents)
     }
 
     fn records_per_poll(&self) -> usize {
@@ -612,6 +448,7 @@ impl<T: Transport + Send> EnvBackend for RemoteBackend<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use simkit::wire::LinkSpec;
 
     /// A deterministic two-record backend with optional scripted failures.
@@ -707,25 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_stats_roundtrip_including_absent() {
-        for gs in [
-            None,
-            Some(GateStats::default()),
-            Some(GateStats {
-                admitted: 10,
-                glitches: 1,
-                transient: 2,
-                timeout: 3,
-                no_data: 4,
-                blackout: 5,
-                dropped_records: 6,
-            }),
-        ] {
-            assert_eq!(decode_gate_stats(&encode_gate_stats(gs)).unwrap(), gs);
-        }
-    }
-
-    #[test]
     fn ideal_link_read_matches_local_and_charges_poll_cost() {
         let t = SimTime::from_millis(560);
         let mut local = Bench::boxed(30);
@@ -753,6 +571,8 @@ mod tests {
             .limitations()
             .iter()
             .any(|l| l.aspect == "deployment"));
+        // Bench has no gate, and the remote side reports that absence.
+        assert_eq!(remote.gate_stats(), None);
     }
 
     #[test]
@@ -832,19 +652,10 @@ mod tests {
         let got = remote.read_many(t, 4).unwrap();
         assert_eq!(got, want);
         assert_eq!(got.len(), 4);
-        // Batched charge: one access-path crossing for the whole batch.
+        // Batched charge: one access-path crossing for the whole batch,
+        // and the trait default sends one exchange over the link for it.
         assert_eq!(remote.last_poll_cost(), SimDuration::from_micros(30));
-    }
-
-    #[test]
-    fn gate_stats_rpc_roundtrips() {
-        let mut remote = RemoteBackend::connect(Bench::boxed(30), LinkSpec::ideal());
-        // Bench has no gate: the RPC must carry the absence faithfully.
-        assert_eq!(
-            remote.fetch_gate_stats(SimTime::from_secs(1)).unwrap(),
-            None
-        );
-        assert_eq!(remote.gate_stats(), None);
+        assert_eq!(remote.wire_stats().unwrap().tx, 1);
     }
 
     #[test]
@@ -861,5 +672,35 @@ mod tests {
         // Trailing payload on a bodyless request is rejected too.
         let junk = Frame::new(REQ_READ, 1, vec![9]).encode();
         assert!(server.handle(t, &junk).is_none());
+    }
+
+    #[test]
+    fn server_drops_retired_opcodes() {
+        // The retired kinds 0x03 (batched read) and 0x04 (gate counters)
+        // are dropped like any unknown kind, even a checksum-valid batched
+        // read whose reply would overflow the frame limit.
+        let mut server = BackendServer::new(Bench::boxed(30));
+        let mut w = WireWriter::new();
+        w.u32(200_000);
+        let read_many = Frame::new(0x03, 1, w.finish()).encode();
+        assert!(server.handle(SimTime::ZERO, &read_many).is_none());
+        let gate = Frame::new(0x04, 2, Vec::new()).encode();
+        assert!(server.handle(SimTime::ZERO, &gate).is_none());
+    }
+
+    proptest! {
+        /// Any reply payload decodes to a poll or a typed error. The
+        /// result tag is forced to a valid value in two cases of three so
+        /// the poll and error decoders see the arbitrary bytes.
+        #[test]
+        fn read_result_decoder_never_panics(
+            tag in 0u8..3,
+            mut payload in prop::collection::vec(any::<u8>(), 0..256),
+        ) {
+            if tag < 2 && !payload.is_empty() {
+                payload[0] = tag;
+            }
+            let _ = decode_read_result(&payload);
+        }
     }
 }

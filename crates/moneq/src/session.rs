@@ -26,7 +26,7 @@ use crate::output::OutputFile;
 use crate::overhead::{finalize_time, init_time, OverheadReport, IO_STRIPE_WIDTH};
 use crate::plan::{SharedLookup, SharedRead, SharedReadCache};
 use crate::records::Records;
-use crate::remote::{null_backend, RemoteBackend};
+use crate::remote::RemoteBackend;
 use crate::tags::{TagEvent, TagKind};
 use simkit::wire::LinkSpec;
 use simkit::{CounterId, HistogramId, SamplingPolicy, SimDuration, SimTime, SpanId, Telemetry};
@@ -387,14 +387,14 @@ impl MonEq {
     /// [`Deployment::Remote`](crate::plan::Deployment::Remote); call it
     /// before any poll fires.
     pub fn deploy_remote(&mut self, link: LinkSpec) {
-        for slot in &mut self.slots {
-            let inner = std::mem::replace(&mut slot.backend, null_backend());
-            slot.backend = Box::new(RemoteBackend::connect_salted(
-                inner,
-                link,
-                u64::from(self.rank),
-            ));
-        }
+        let salt = u64::from(self.rank);
+        self.slots = std::mem::take(&mut self.slots)
+            .into_iter()
+            .map(|mut slot| {
+                slot.backend = Box::new(RemoteBackend::connect_salted(slot.backend, link, salt));
+                slot
+            })
+            .collect();
     }
 
     /// Attach a control hook: after every timer fire, the hook sees the
@@ -452,20 +452,14 @@ impl MonEq {
         while self.next_fire <= until {
             let t = self.next_fire;
             let new_from = self.data.len();
-            if self.telemetry.is_enabled() {
-                self.telemetry.count_id(self.ids.polls_fired, 1);
-                self.telemetry.span_enter_id(self.ids.poll_span, t);
-                let before = self.collection_cost + self.fault_recovery;
-                for i in 0..self.slots.len() {
-                    self.poll_slot_instrumented(i, t);
-                }
-                let spent = (self.collection_cost + self.fault_recovery) - before;
-                self.telemetry.span_exit(t + spent);
-            } else {
-                for i in 0..self.slots.len() {
-                    self.poll_slot(i, t);
-                }
+            self.telemetry.count_id(self.ids.polls_fired, 1);
+            self.telemetry.span_enter_id(self.ids.poll_span, t);
+            let before = self.collection_cost + self.fault_recovery;
+            for i in 0..self.slots.len() {
+                self.poll_slot(i, t);
             }
+            let spent = (self.collection_cost + self.fault_recovery) - before;
+            self.telemetry.span_exit(t + spent);
             // The control hook fires after every backend polled, on the
             // same timeline — a `None` hook is one untaken branch.
             if let Some(hook) = self.control.as_mut() {
@@ -485,28 +479,15 @@ impl MonEq {
         }
     }
 
-    /// [`MonEq::poll_slot`] wrapped in per-backend telemetry: a
-    /// `poll/{backend}` span plus a `query_latency/{backend}` histogram
-    /// sample covering the poll cost and any fault-recovery time this poll
-    /// charged — all simulated time, so the sample is identical however
-    /// the session is scheduled. Disabled devices record nothing (their
-    /// polls do no mechanism work).
-    fn poll_slot_instrumented(&mut self, i: usize, t: SimTime) {
-        if self.slots[i].disabled {
-            self.poll_slot(i, t);
-            return;
-        }
-        let sids = self.slots[i].ids;
-        self.telemetry.span_enter_id(sids.poll_span, t);
-        let before = self.collection_cost + self.fault_recovery;
-        self.poll_slot(i, t);
-        let spent = (self.collection_cost + self.fault_recovery) - before;
-        self.telemetry.span_exit(t + spent);
-        self.telemetry.record_id(sids.query_latency, spent);
-    }
-
     /// One backend's share of one timer fire: read with bounded retry,
     /// then record, substitute, or mark missed.
+    ///
+    /// A live poll is wrapped in a `poll/{backend}` span and records one
+    /// `query_latency/{backend}` sample covering the poll cost and any
+    /// fault-recovery time it charged — all simulated time, so the sample
+    /// is identical however the session is scheduled. Disabled devices
+    /// record neither (their polls do no mechanism work). On a disabled
+    /// registry every interned ID no-ops, so the same path serves both.
     fn poll_slot(&mut self, i: usize, t: SimTime) {
         let policy = self.config.retry;
         let ids = self.ids;
@@ -522,6 +503,8 @@ impl MonEq {
                 .count_id(ids.records_lost, slot.backend.records_per_poll() as u64);
             return;
         }
+        self.telemetry.span_enter_id(sids.poll_span, t);
+        let before = self.collection_cost + self.fault_recovery;
         // Collection-plan consult: when a sharing domain's cache is
         // attached, ask whether this generation was already fetched by
         // the domain's leader. A hit skips the access-path charge (and,
@@ -596,6 +579,9 @@ impl MonEq {
         if charged {
             self.collection_cost += slot.backend.last_poll_cost();
         }
+        let spent = (self.collection_cost + self.fault_recovery) - before;
+        self.telemetry.span_exit(t + spent);
+        self.telemetry.record_id(sids.query_latency, spent);
         // The generation's leader publishes its outcome so co-resident
         // ranks share the fetch. Values are stored only for replayable
         // backends; otherwise a cost-only marker is published and
@@ -1210,19 +1196,39 @@ mod tests {
             disable_after: 3,
             ..RetryPolicy::default()
         };
-        let script: Vec<_> = (0..20).map(|_| Err(ReadError::NoData)).collect();
-        let mut s = session_with(script, policy);
-        s.run_until(SimTime::from_secs(1));
-        let result = s.finalize(SimTime::from_secs(1));
-        let c = &result.completeness[0];
-        assert!(c.disabled_at_ns.is_some());
-        // Every poll missed: 3 live failures, the rest disabled.
-        assert_eq!(c.missed_polls, c.scheduled);
-        assert_eq!(c.succeeded, 0);
-        assert!(c.reconciles());
-        assert_eq!(c.records_lost, c.scheduled);
-        // Disabled polls charge no collection cost.
-        let live_cost = SimDuration::from_micros(10) * 3;
-        assert_eq!(result.overhead.collection, live_cost);
+        for telemetry in [false, true] {
+            let script: Vec<_> = (0..20).map(|_| Err(ReadError::NoData)).collect();
+            let mut s = MonEq::initialize(
+                0,
+                vec![Box::new(Scripted { script, cursor: 0 })],
+                MonEqConfig {
+                    interval: Some(SimDuration::from_millis(100)),
+                    retry: policy,
+                    telemetry,
+                    ..MonEqConfig::default()
+                },
+                SimTime::ZERO,
+            );
+            s.run_until(SimTime::from_secs(1));
+            let result = s.finalize(SimTime::from_secs(1));
+            let c = &result.completeness[0];
+            assert!(c.disabled_at_ns.is_some());
+            // Every poll missed: 3 live failures, the rest disabled.
+            assert_eq!(c.missed_polls, c.scheduled);
+            assert_eq!(c.succeeded, 0);
+            assert!(c.reconciles());
+            assert_eq!(c.records_lost, c.scheduled);
+            // Disabled polls charge no collection cost.
+            let live_cost = SimDuration::from_micros(10) * 3;
+            assert_eq!(result.overhead.collection, live_cost);
+            if telemetry {
+                // Every fire opens the session's `poll` span; only the 3
+                // live polls open the backend's span and sample latency.
+                let t = result.telemetry.report();
+                assert_eq!(t.spans["poll"].count, c.scheduled);
+                assert_eq!(t.spans["poll/scripted"].count, 3);
+                assert_eq!(t.histograms["query_latency/scripted"].count(), 3);
+            }
+        }
     }
 }

@@ -41,10 +41,9 @@ impl P9Spec {
     }
 }
 
-/// Component indices inside the chip's [`DevicePower`].
+/// Index of the core complex inside the chip's [`DevicePower`] (in order:
+/// cores, nest, memory).
 const CORES: usize = 0;
-const NEST: usize = 1;
-const MEMORY: usize = 2;
 
 /// A POWER9 module bound to a workload.
 #[derive(Clone, Debug)]
@@ -132,16 +131,6 @@ impl Power9Chip {
         self.power.component_power(CORES, t)
     }
 
-    /// Nest (fabric, caches, memory controllers) power alone.
-    pub fn nest_power(&self, t: SimTime) -> f64 {
-        self.power.component_power(NEST, t)
-    }
-
-    /// Attached-DDR4 power alone.
-    pub fn memory_power(&self, t: SimTime) -> f64 {
-        self.power.component_power(MEMORY, t)
-    }
-
     /// Die temperature at `t`, °C.
     pub fn die_temp(&self, t: SimTime) -> f64 {
         self.thermal.temp_at(t)
@@ -189,7 +178,9 @@ mod tests {
     fn components_sum_to_total() {
         let c = chip_for(&Noop::figure4().profile());
         let t = SimTime::from_secs(30);
-        let sum = c.cores_power(t) + c.nest_power(t) + c.memory_power(t);
+        let sum: f64 = (0..c.power.spec().components.len())
+            .map(|i| c.power.component_power(i, t))
+            .sum();
         assert!((sum - c.total_power(t)).abs() < 1e-9);
     }
 

@@ -68,11 +68,6 @@ impl DemandTrace {
         &self.points
     }
 
-    /// Time of the last breakpoint (`None` for the zero trace).
-    pub fn last_change(&self) -> Option<SimTime> {
-        self.points.last().map(|&(t, _)| t)
-    }
-
     /// Exact integral of the level over `[from, to]` (unit: seconds of
     /// full-utilization time). Used to cross-check the closed-form device
     /// energy against numeric integration in the property tests.
@@ -118,23 +113,6 @@ impl DemandTrace {
         let mut out = DemandTrace::zero();
         for t in times {
             out.set(t, self.level_at(t).max(other.level_at(t)));
-        }
-        out
-    }
-
-    /// Pointwise saturating sum with another trace, clamped to 1.0.
-    pub fn add_clamped(&self, other: &DemandTrace) -> DemandTrace {
-        let mut times: Vec<SimTime> = self
-            .points
-            .iter()
-            .chain(other.points.iter())
-            .map(|&(t, _)| t)
-            .collect();
-        times.sort_unstable();
-        times.dedup();
-        let mut out = DemandTrace::zero();
-        for t in times {
-            out.set(t, (self.level_at(t) + other.level_at(t)).min(1.0));
         }
         out
     }
@@ -313,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn max_and_add() {
+    fn max_with_is_pointwise_max() {
         let a = PhaseBuilder::new()
             .phase(SimDuration::from_secs(2), 0.6)
             .build();
@@ -325,8 +303,5 @@ mod tests {
         assert_eq!(m.level_at(SimTime::from_millis(1_500)), 0.7);
         assert_eq!(m.level_at(SimTime::from_millis(2_500)), 0.7);
         assert_eq!(m.level_at(SimTime::from_millis(3_500)), 0.0);
-        let s = a.add_clamped(&b);
-        assert!((s.level_at(SimTime::from_millis(1_500)) - 1.0).abs() < 1e-12);
-        assert!((s.level_at(SimTime::from_millis(2_500)) - 0.7).abs() < 1e-12);
     }
 }

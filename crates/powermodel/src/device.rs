@@ -52,16 +52,6 @@ impl DeviceSpec {
     pub fn idle_power(&self) -> f64 {
         self.components.iter().map(|c| c.idle_w).sum()
     }
-
-    /// Sum of component peak powers.
-    pub fn peak_power(&self) -> f64 {
-        self.components.iter().map(|c| c.idle_w + c.dynamic_w).sum()
-    }
-
-    /// Index of a component by name.
-    pub fn component_index(&self, name: &str) -> Option<usize> {
-        self.components.iter().position(|c| c.name == name)
-    }
 }
 
 /// One exponential segment of a filtered component: from `start`, the power
@@ -379,9 +369,6 @@ mod tests {
             components: vec![comp(10.0, 30.0, 0), comp(5.0, 15.0, 0)],
         };
         assert_eq!(spec.idle_power(), 15.0);
-        assert_eq!(spec.peak_power(), 60.0);
-        assert_eq!(spec.component_index("c"), Some(0));
-        assert_eq!(spec.component_index("missing"), None);
     }
 
     #[test]

@@ -31,12 +31,6 @@ impl EnergyCounterSpec {
     pub fn wrap_joules(&self) -> f64 {
         self.modulus() as f64 * self.unit_joules
     }
-
-    /// Time to wrap at a constant power draw.
-    pub fn wrap_time_at(&self, watts: f64) -> SimDuration {
-        assert!(watts > 0.0);
-        SimDuration::from_secs_f64(self.wrap_joules() / watts)
-    }
 }
 
 /// A hardware energy counter driven by a cumulative-energy oracle.
@@ -110,9 +104,6 @@ mod tests {
         let s = spec();
         assert_eq!(s.modulus(), 1u64 << 32);
         assert!((s.wrap_joules() - 65_536.0).abs() < 1e-9);
-        // At 100 W, wraps in ~655 s.
-        let wrap = s.wrap_time_at(100.0);
-        assert!((wrap.as_secs_f64() - 655.36).abs() < 0.01);
     }
 
     #[test]

@@ -107,16 +107,6 @@ impl TrueEnergyLedger {
             .sum()
     }
 
-    /// Exact energy of the device registered as `name` over `[from, to]`.
-    ///
-    /// Panics on an unknown name — a typo in an accuracy harness should
-    /// fail loudly, not report zero energy.
-    pub fn device_energy(&self, name: &str, from: SimTime, to: SimTime) -> f64 {
-        self.device(name)
-            .unwrap_or_else(|| panic!("no ledger device {name:?}"))
-            .total_energy(from, to)
-    }
-
     /// Exact per-device energy on the grid `from + k * period`, every
     /// window clipped to `to`. Window boundaries are computed directly
     /// from the index in integer nanoseconds — boundary `k` is the same
@@ -205,7 +195,10 @@ mod tests {
             SimDuration::from_millis(250),
         );
         assert_eq!(ws.len(), 4 * 2);
-        let total = ledger.device_energy("a", SimTime::ZERO, SimTime::from_secs(1));
+        let total = ledger
+            .device("a")
+            .unwrap()
+            .total_energy(SimTime::ZERO, SimTime::from_secs(1));
         let sum: f64 = ws
             .iter()
             .filter(|w| w.device == "a")
@@ -236,11 +229,5 @@ mod tests {
         let mut ledger = TrueEnergyLedger::new();
         ledger.add_device("x", ramped_device());
         ledger.add_device("x", ramped_device());
-    }
-
-    #[test]
-    #[should_panic(expected = "no ledger device")]
-    fn unknown_device_queries_panic() {
-        TrueEnergyLedger::new().device_energy("ghost", SimTime::ZERO, SimTime::from_secs(1));
     }
 }

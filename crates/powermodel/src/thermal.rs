@@ -10,7 +10,7 @@
 //! integrate on a fixed grid once and interpolate. The grid is part of the
 //! model spec, making results deterministic and query-order independent.
 
-use simkit::{SimDuration, SimTime, TimeSeries};
+use simkit::{SimDuration, SimTime};
 
 /// Static description of a first-order thermal node.
 #[derive(Clone, Copy, Debug)]
@@ -86,18 +86,6 @@ impl ThermalTrace {
         let frac = pos - k as f64;
         self.temps[k] * (1.0 - frac) + self.temps[k + 1] * frac
     }
-
-    /// Export as a [`TimeSeries`] sampled at `period`.
-    pub fn to_series(&self, name: &str, period: SimDuration) -> TimeSeries {
-        let mut out = TimeSeries::new(name);
-        let end_ns = (self.temps.len() as u64 - 1) * self.spec.step.as_nanos();
-        let mut t = SimTime::ZERO;
-        while t.as_nanos() <= end_ns {
-            out.push(t, self.temp_at(t));
-            t += period;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -172,13 +160,5 @@ mod tests {
             tr.temp_at(SimTime::from_secs(10)),
             tr.temp_at(SimTime::from_secs(1_000))
         );
-    }
-
-    #[test]
-    fn to_series_has_expected_grid() {
-        let tr = ThermalTrace::simulate(spec(), SimTime::from_secs(1), |_| 40.0);
-        let s = tr.to_series("temp", SimDuration::from_millis(250));
-        assert_eq!(s.len(), 5); // 0, 0.25, 0.5, 0.75, 1.0
-        assert_eq!(s.name(), "temp");
     }
 }

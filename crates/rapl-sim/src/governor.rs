@@ -43,7 +43,6 @@ const UNCORE_DYN_W: f64 = 5.0;
 struct CapState {
     granted_cpu: DemandTrace,
     power: DevicePower,
-    limit: PowerLimit,
     /// Every limit ever applied, in application order.
     history: Vec<(SimTime, PowerLimit)>,
 }
@@ -67,12 +66,10 @@ impl CappedSocket {
         let wanted_cpu = profile.demand(Channel::Cpu);
         let wanted_mem = profile.demand(Channel::Memory);
         let power = build_power(&wanted_cpu, &wanted_mem);
-        let limit = PowerLimit::default_for_tdp(spec.tdp_watts);
         CappedSocket {
             state: RwLock::new(CapState {
                 granted_cpu: wanted_cpu.clone(),
                 power,
-                limit,
                 history: Vec::new(),
             }),
             spec,
@@ -136,16 +133,7 @@ impl CappedSocket {
         }
         st.power = build_power(&granted, &self.wanted_mem);
         st.granted_cpu = granted;
-        st.limit = limit;
         st.history.push((t, limit));
-    }
-
-    /// The limit currently in force.
-    pub fn current_limit(&self) -> PowerLimit {
-        self.state
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .limit
     }
 
     /// Every limit ever applied, in application order.
@@ -155,20 +143,6 @@ impl CappedSocket {
             .unwrap_or_else(PoisonError::into_inner)
             .history
             .clone()
-    }
-
-    /// The granted CPU demand level at `t` under the limits applied so far.
-    pub fn granted_level(&self, t: SimTime) -> f64 {
-        self.state
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .granted_cpu
-            .level_at(t)
-    }
-
-    /// The uncapped (wanted) CPU demand level at `t`.
-    pub fn wanted_level(&self, t: SimTime) -> f64 {
-        self.wanted_cpu.level_at(t)
     }
 }
 
@@ -262,12 +236,19 @@ mod tests {
         )
     }
 
+    /// The granted CPU demand level at `t` under the limits applied so
+    /// far, and the uncapped (wanted) level.
+    fn levels(p: &CappedSocket, t: SimTime) -> (f64, f64) {
+        let granted = p.state.read().unwrap().granted_cpu.level_at(t);
+        (granted, p.wanted_cpu.level_at(t))
+    }
+
     #[test]
     fn uncapped_tracks_wanted_demand() {
         let p = plant();
         for sec in [1u64, 10, 30] {
-            let t = SimTime::from_secs(sec);
-            assert_eq!(p.granted_level(t), p.wanted_level(t));
+            let (granted, wanted) = levels(&p, SimTime::from_secs(sec));
+            assert_eq!(granted, wanted);
         }
     }
 
@@ -339,8 +320,8 @@ mod tests {
                 window_secs: 1.0,
             },
         );
-        let t = SimTime::from_secs(20);
-        assert_eq!(p.granted_level(t), p.wanted_level(t));
+        let (granted, wanted) = levels(&p, SimTime::from_secs(20));
+        assert_eq!(granted, wanted);
         assert_eq!(p.limit_history().len(), 2);
     }
 
@@ -349,8 +330,8 @@ mod tests {
         let p = plant();
         p.apply_limit(SimTime::ZERO, PowerLimit::default_for_tdp(130.0));
         for sec in 0..60 {
-            let t = SimTime::from_secs(sec);
-            assert_eq!(p.granted_level(t), p.wanted_level(t), "bound at {sec}s");
+            let (granted, wanted) = levels(&p, SimTime::from_secs(sec));
+            assert_eq!(granted, wanted, "bound at {sec}s");
         }
     }
 }

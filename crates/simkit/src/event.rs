@@ -104,11 +104,6 @@ impl<T> EventQueue<T> {
         self.heap.push(ScheduledEvent { at, seq, payload });
     }
 
-    /// Due time of the next event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Pop the next event, advancing the clock to its due time.
     pub fn pop(&mut self) -> Option<ScheduledEvent<T>> {
         let ev = self.heap.pop()?;

@@ -123,13 +123,6 @@ impl DetRng {
         }
     }
 
-    /// Normal draw with the given mean and standard deviation.
-    #[inline]
-    pub fn normal_with(&mut self, mean: f64, sigma: f64) -> f64 {
-        assert!(sigma >= 0.0, "sigma must be non-negative");
-        mean + sigma * self.normal()
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {

@@ -67,20 +67,6 @@ pub enum SamplingPolicy {
 }
 
 impl SamplingPolicy {
-    /// Does this policy reproduce the aligned (seed) schedule exactly?
-    ///
-    /// True for [`Aligned`](SamplingPolicy::Aligned) and for degenerate
-    /// parameterizations of the others (zero offset / zero amplitude),
-    /// which land on the same nanosecond grid.
-    pub fn is_aligned(&self) -> bool {
-        match *self {
-            SamplingPolicy::Aligned => true,
-            SamplingPolicy::FixedOffset(d) => d.is_zero(),
-            SamplingPolicy::Jittered { amplitude, .. } => amplitude.is_zero(),
-            SamplingPolicy::Poisson { .. } => false,
-        }
-    }
-
     /// Panic unless the policy is well-formed for `interval`: offsets and
     /// jitter amplitudes must leave consecutive polls strictly ordered.
     ///
@@ -221,12 +207,10 @@ mod tests {
 
     #[test]
     fn zero_offset_and_zero_jitter_are_aligned() {
-        assert!(SamplingPolicy::FixedOffset(SimDuration::ZERO).is_aligned());
         let z = SamplingPolicy::Jittered {
             amplitude: SimDuration::ZERO,
             seed: 9,
         };
-        assert!(z.is_aligned());
         let h = SimTime::from_secs(2);
         assert_eq!(
             SamplingPolicy::Aligned.times(A, I, h, 3),

@@ -373,12 +373,6 @@ impl Histogram {
         &self.counts
     }
 
-    /// Center of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
-
     /// Total observations accepted.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
@@ -500,7 +494,6 @@ mod tests {
         assert_eq!(h.total(), 10);
         assert_eq!(h.rejected, 2);
         assert!(h.counts().iter().all(|&c| c == 1));
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
         // Right edge lands in the last bin.
         h.push(10.0);
         assert_eq!(h.counts()[9], 2);

@@ -337,11 +337,6 @@ impl SeriesData {
         self.raw.push_back(sample);
     }
 
-    /// Raw samples currently retained.
-    pub fn raw_len(&self) -> usize {
-        self.raw.len()
-    }
-
     /// Raw samples evicted so far (already rolled up into every tier).
     pub fn raw_evicted(&self) -> u64 {
         self.raw_evicted
@@ -733,7 +728,7 @@ mod tests {
         }
         let d = store.get(id);
         // Raw ring kept only the newest 8 of 100.
-        assert_eq!(d.raw_len(), 8);
+        assert_eq!(d.raw_range(SimTime::ZERO, SimTime::MAX).count(), 8);
         assert_eq!(d.raw_evicted(), 92);
         assert_eq!(d.lifetime().count, 100);
         // Every sample reached every tier before any eviction: retained
@@ -892,7 +887,7 @@ mod tests {
         assert_eq!(stats.bins_closed, n - 1);
         assert_eq!(stats.bins_evicted, n - 1 - 4);
         assert_eq!(stats.raw_evicted, 2 * n - 8);
-        assert_eq!(d.raw_len(), 8);
+        assert_eq!(d.raw_range(SimTime::ZERO, SimTime::MAX).count(), 8);
         // The 60 s tier holds the same 20 samples in its one open bin.
         assert_eq!(d.tier_bins(1).map(|b| b.count).sum::<u64>(), 2 * n);
         // Bin-aligned query windows cut exactly on the edge: [k, k+1)

@@ -443,17 +443,6 @@ impl Telemetry {
         inner.hists[i].merge(h);
     }
 
-    /// Open a named span at simulated instant `at` (cold-path string API;
-    /// delegates through the intern table).
-    #[inline]
-    pub fn span_enter(&mut self, name: &str, at: SimTime) {
-        let Some(inner) = self.inner.as_deref_mut() else {
-            return;
-        };
-        let i = inner.intern_span(name);
-        inner.open.push((i, at));
-    }
-
     /// Close the innermost open span at simulated instant `at`, folding its
     /// duration into that name's [`SpanStats`]. An exit with no open span
     /// is ignored (a caller bug, but never a panic source mid-run).
@@ -665,8 +654,6 @@ mod tests {
         assert!(!t.is_enabled());
         t.count("x", 3);
         t.record("h", SimDuration::from_millis(1));
-        t.span_enter("s", SimTime::ZERO);
-        t.span_exit(SimTime::from_secs(1));
         let c = t.intern_counter("x");
         let h = t.intern_histogram("h");
         let s = t.intern_span("s");
@@ -706,7 +693,8 @@ mod tests {
         let mut by_name = Telemetry::enabled();
         by_name.count("polls", 3);
         by_name.record("lat", SimDuration::from_micros(7));
-        by_name.span_enter("s", SimTime::ZERO);
+        let span = by_name.intern_span("s");
+        by_name.span_enter_id(span, SimTime::ZERO);
         by_name.span_exit(SimTime::from_secs(1));
 
         assert_eq!(by_id.report(), by_name.report());
@@ -833,11 +821,13 @@ mod tests {
     #[test]
     fn spans_nest_and_aggregate() {
         let mut t = Telemetry::enabled();
-        t.span_enter("session", SimTime::ZERO);
+        let [session_id, poll_id, child_id] =
+            ["session", "poll", "poll/bgq-emon"].map(|name| t.intern_span(name));
+        t.span_enter_id(session_id, SimTime::ZERO);
         for k in 0..3u64 {
             let at = SimTime::from_secs(k);
-            t.span_enter("poll", at);
-            t.span_enter("poll/bgq-emon", at);
+            t.span_enter_id(poll_id, at);
+            t.span_enter_id(child_id, at);
             t.span_exit(at + SimDuration::from_micros(1_100));
             t.span_exit(at + SimDuration::from_millis(2));
         }
@@ -867,7 +857,8 @@ mod tests {
             let mut t = Telemetry::enabled();
             t.count("polls", seed);
             t.record("lat", SimDuration::from_nanos(seed * 37));
-            t.span_enter("s", SimTime::ZERO);
+            let s = t.intern_span("s");
+            t.span_enter_id(s, SimTime::ZERO);
             t.span_exit(SimTime::from_nanos(seed));
             t.report()
         };
@@ -890,7 +881,8 @@ mod tests {
         let mut t = Telemetry::enabled();
         t.count("polls", 2);
         t.record("query_latency/x", SimDuration::from_millis(1));
-        t.span_enter("session", SimTime::ZERO);
+        let session = t.intern_span("session");
+        t.span_enter_id(session, SimTime::ZERO);
         t.span_exit(SimTime::from_secs(1));
         let text = t.report().render();
         for needle in [

@@ -78,12 +78,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// The span from `earlier` to `self`, or `None` if `earlier > self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// Advance by `d`, saturating at [`SimTime::MAX`].
     #[inline]
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
@@ -411,11 +405,6 @@ mod tests {
         assert_eq!(
             SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
             SimTime::MAX
-        );
-        assert_eq!(t.checked_since(SimTime::from_secs(5)), None);
-        assert_eq!(
-            t.checked_since(SimTime::ZERO),
-            Some(SimDuration::from_secs(1))
         );
     }
 

@@ -1,7 +1,7 @@
 //! Property tests for the framed wire protocol and remote deployment
 //! (DESIGN.md §14).
 //!
-//! Three layers, three properties:
+//! Four kinds of property:
 //!
 //! * **Framing** — `Frame` encode/decode round-trips arbitrary payloads,
 //!   and stream decode consumes exactly one frame.
@@ -10,14 +10,22 @@
 //!   flags, unicode device names, and every `f64` bit pattern short of
 //!   NaN (f64s travel as bit patterns, so even `-0.0` and subnormals
 //!   survive byte-exact).
+//! * **Hostile input** — no byte string a link or a client can deliver
+//!   panics the frame decoders, the payload decoders or the server: each
+//!   returns a value or a typed error, and the server answers only the
+//!   protocol's two request kinds.
 //! * **Deployment** — a parallel `ClusterRun` of *remote* sessions is
 //!   byte-identical to a serial one: the wire layer must not introduce
 //!   any worker-pool-order dependence the local path doesn't have.
 
 use envmon::prelude::*;
-use moneq::remote::{decode_poll, decode_read_error, encode_poll, encode_read_error};
-use moneq::{ClusterResult, ClusterRun, DataPoint, Poll};
+use moneq::remote::{
+    decode_poll, decode_read_error, encode_poll, encode_read_error, BackendServer, REQ_META,
+    REQ_READ, RESP_FLAG,
+};
+use moneq::{ClusterResult, ClusterRun, DataPoint, EnvBackend, Poll};
 use proptest::prelude::*;
+use proptest::prop::sample::Index;
 use simkit::wire::{Frame, WireReader, WireWriter};
 use std::sync::Arc;
 
@@ -71,6 +79,92 @@ fn read_error() -> impl Strategy<Value = ReadError> {
         2 => ReadError::NoData,
         _ => ReadError::Unavailable(msg),
     })
+}
+
+/// `bytes` after damage: one byte XOR-ed with `mask` (a zero mask leaves
+/// it intact), then cut at `cut` (possibly past the end, i.e. not cut).
+fn damaged(mut bytes: Vec<u8>, flip: Index, mask: u8, cut: Index) -> Vec<u8> {
+    if !bytes.is_empty() {
+        let i = flip.index(bytes.len());
+        bytes[i] ^= mask;
+    }
+    bytes.truncate(cut.index(bytes.len() + 1));
+    bytes
+}
+
+/// Bytes aimed at every branch of the frame decoder: pure noise, a valid
+/// magic/version/kind prefix over noise, or a damaged valid frame.
+fn hostile_frame() -> impl Strategy<Value = Vec<u8>> {
+    (
+        0u8..3,
+        any::<u8>(),
+        prop::collection::vec(any::<u8>(), 0..96),
+        any::<Index>(),
+        any::<u8>(),
+        any::<Index>(),
+    )
+        .prop_map(|(pick, kind, noise, flip, mask, cut)| match pick {
+            0 => noise,
+            1 => {
+                let mut bytes = Frame::new(kind, 7, Vec::new()).encode();
+                bytes.truncate(4);
+                bytes.extend(noise);
+                bytes
+            }
+            _ => damaged(Frame::new(kind, 7, noise).encode(), flip, mask, cut),
+        })
+}
+
+/// Payloads aimed at the poll and read-error decoders: noise, or a
+/// damaged valid encoding of a poll and of a read error.
+fn hostile_payload() -> impl Strategy<Value = Vec<u8>> {
+    (
+        0u8..3,
+        prop::collection::vec(point(), 0..4),
+        read_error(),
+        prop::collection::vec(any::<u8>(), 0..128),
+        any::<Index>(),
+        any::<u8>(),
+        any::<Index>(),
+    )
+        .prop_map(|(pick, points, e, noise, flip, mask, cut)| {
+            let mut w = WireWriter::new();
+            match pick {
+                0 => return noise,
+                1 => encode_poll(&mut w, &Poll { points, missing: 0 }),
+                _ => encode_read_error(&mut w, &e),
+            }
+            damaged(w.finish(), flip, mask, cut)
+        })
+}
+
+/// A stateless mechanism: every read serves the same one-record poll.
+struct Fixed;
+
+impl EnvBackend for Fixed {
+    fn name(&self) -> &'static str {
+        "fixed"
+    }
+    fn platform(&self) -> Platform {
+        Platform::Rapl
+    }
+    fn min_interval(&self) -> SimDuration {
+        SimDuration::from_millis(60)
+    }
+    fn poll_cost(&self) -> SimDuration {
+        SimDuration::from_micros(30)
+    }
+    fn capabilities(&self) -> Vec<(Metric, Support)> {
+        Vec::new()
+    }
+    fn read(&mut self, t: SimTime) -> Result<Poll, ReadError> {
+        Ok(Poll::complete(vec![DataPoint::power(
+            t, "dev0", "pkg", 42.5,
+        )]))
+    }
+    fn records_per_poll(&self) -> usize {
+        1
+    }
 }
 
 /// A BG/Q cluster with every session's backend deployed behind the given
@@ -177,6 +271,65 @@ proptest! {
         prop_assert_eq!(serial.dropped_records, parallel.dropped_records);
         for (s, p) in serial.files.iter().zip(&parallel.files) {
             prop_assert_eq!(s.render(), p.render());
+        }
+    }
+}
+
+// The hostile-input properties are cheap, so they run at the full
+// PROPTEST_CASES count.
+proptest! {
+    /// Hostile bytes decode to a frame or a typed error, never a panic,
+    /// and the two entry points agree: `decode` accepts exactly the
+    /// buffers `decode_prefix` consumes whole.
+    #[test]
+    fn frame_decoders_never_panic(bytes in hostile_frame()) {
+        let whole = Frame::decode(&bytes);
+        match Frame::decode_prefix(&bytes) {
+            Ok((frame, used)) if used == bytes.len() => prop_assert_eq!(whole, Ok(frame)),
+            _ => prop_assert!(whole.is_err()),
+        }
+    }
+
+    /// Any payload decodes to a poll, a read error or a typed
+    /// `WireError`, never a panic.
+    #[test]
+    fn payload_decoders_never_panic(payload in hostile_payload()) {
+        let _ = decode_poll(&mut WireReader::new(&payload));
+        let _ = decode_read_error(&mut WireReader::new(&payload));
+    }
+
+    /// The server answers exactly `META` and `READ` with an empty
+    /// payload. Every other checksum-valid frame, including the retired
+    /// kinds 0x03 and 0x04 with an agent-count payload, is dropped, and
+    /// none panics the server.
+    #[test]
+    fn server_answers_only_meta_and_read(
+        pick in 0u8..6,
+        other in any::<u8>(),
+        seq in any::<u64>(),
+        shape in 0u8..3,
+        agents in any::<u32>(),
+        noise in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        // Kinds 0x01–0x04 two times in three, any kind otherwise.
+        let kind = if pick < 4 { pick + 1 } else { other };
+        let payload = match shape {
+            0 => Vec::new(),
+            1 => {
+                let mut w = WireWriter::new();
+                w.u32(agents);
+                w.finish()
+            }
+            _ => noise,
+        };
+        let served = (kind == REQ_META || kind == REQ_READ) && payload.is_empty();
+        let mut server = BackendServer::new(Box::new(Fixed));
+        let request = Frame::new(kind, seq, payload).encode();
+        let reply = server.handle(SimTime::from_millis(60), &request);
+        prop_assert_eq!(reply.is_some(), served);
+        if let Some((_, bytes)) = reply {
+            let frame = Frame::decode(&bytes).unwrap();
+            prop_assert_eq!((frame.kind, frame.seq), (kind | RESP_FLAG, seq));
         }
     }
 }
