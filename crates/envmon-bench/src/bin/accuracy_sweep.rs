@@ -22,6 +22,7 @@
 //! ```
 
 use envmon_analysis::accuracy::{accuracy, AccuracyTable};
+use envmon_bench::bench_file::{BenchFile, Fields};
 use envmon_bench::DEFAULT_SEED;
 use std::time::Instant;
 
@@ -123,47 +124,38 @@ fn main() {
         table.rapl_tick_bound_j
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"accuracy_sweep\",\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"elapsed_ms\": {elapsed_ms:.0},\n"));
-    json.push_str(&format!("  \"emon_cadence_growth\": {emon_growth:.3},\n"));
-    json.push_str(&format!("  \"nvml_cadence_growth\": {nvml_growth:.3},\n"));
-    json.push_str(&format!("  \"occ_cadence_growth\": {occ_growth:.3},\n"));
-    json.push_str(&format!(
-        "  \"occ_noise_zero\": {},\n",
-        i32::from(occ_noise_zero)
-    ));
-    json.push_str(&format!(
-        "  \"emon_burst_factor\": {emon_burst_factor:.3},\n"
-    ));
-    json.push_str(&format!("  \"rapl_error_j\": {rapl_err:.6},\n"));
-    json.push_str(&format!(
-        "  \"rapl_tick_bound_j\": {:.6},\n",
-        table.rapl_tick_bound_j
-    ));
-    json.push_str("  \"rapl_within_tick\": 1,\n");
-    json.push_str("  \"rows\": [\n");
-    let rows: Vec<_> = all_rows().collect();
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"profile\": \"{}\", \"mechanism\": \"{}\", \"polls\": {}, \
-             \"true_j\": {:.3}, \"reported_j\": {:.3}, \"rel_err_pct\": {:.4}, \
-             \"cadence_share\": {:.6}, \"exact\": {}}}{}\n",
-            r.profile,
-            r.report.mechanism,
-            r.report.polls,
-            r.report.true_energy_j,
-            r.report.reported_energy_j,
-            r.report.relative_error() * 100.0,
-            r.cadence_share(),
-            i32::from(r.report.decomposition.total() == r.report.total_error_j()),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+    BenchFile {
+        head: Fields::default()
+            .text("bench", "accuracy_sweep")
+            .num("seed", seed)
+            .fixed("elapsed_ms", elapsed_ms, 0)
+            .fixed("emon_cadence_growth", emon_growth, 3)
+            .fixed("nvml_cadence_growth", nvml_growth, 3)
+            .fixed("occ_cadence_growth", occ_growth, 3)
+            .flag("occ_noise_zero", occ_noise_zero)
+            .fixed("emon_burst_factor", emon_burst_factor, 3)
+            .fixed("rapl_error_j", rapl_err, 6)
+            .fixed("rapl_tick_bound_j", table.rapl_tick_bound_j, 6)
+            .flag("rapl_within_tick", rapl_err <= table.rapl_tick_bound_j),
+        rows_key: "rows",
+        rows: all_rows()
+            .map(|r| {
+                Fields::default()
+                    .text("profile", &r.profile)
+                    .text("mechanism", &r.report.mechanism)
+                    .num("polls", r.report.polls)
+                    .fixed("true_j", r.report.true_energy_j, 3)
+                    .fixed("reported_j", r.report.reported_energy_j, 3)
+                    .fixed("rel_err_pct", r.report.relative_error() * 100.0, 4)
+                    .fixed("cadence_share", r.cadence_share(), 6)
+                    .flag(
+                        "exact",
+                        r.report.decomposition.total() == r.report.total_error_j(),
+                    )
+                    .line()
+            })
+            .collect(),
+        tail: Fields::default(),
     }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
-    std::fs::write(&out, &json).expect("writable output path");
-    eprintln!("[wrote {}]", out.display());
+    .write(&out);
 }

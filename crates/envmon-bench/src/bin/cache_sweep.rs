@@ -15,44 +15,16 @@
 //! cache_sweep [--seed N] [--out FILE] [--quick]
 //! ```
 
+use envmon_bench::bench_file::{BenchFile, Fields};
 use envmon_bench::DEFAULT_SEED;
-use hpc_workloads::{Channel, WorkloadProfile};
 use moneq::{ClusterResult, ClusterRun, CollectionPlan};
 use simkit::{SimDuration, SimTime};
-use std::sync::Arc;
 use std::time::Instant;
-
-struct SweepRow {
-    agents: usize,
-    virtual_secs: u64,
-    records: usize,
-    naive_ms: f64,
-    planned_ms: f64,
-    naive_collection_us: f64,
-    planned_collection_us: f64,
-    hits: u64,
-    misses: u64,
-    identical: bool,
-}
-
-fn profile(virtual_secs: u64) -> WorkloadProfile {
-    let mut p = WorkloadProfile::new("sweep", SimDuration::from_secs(virtual_secs));
-    p.set_demand(
-        Channel::Cpu,
-        powermodel::PhaseBuilder::new()
-            .phase(SimDuration::from_secs(virtual_secs), 0.6)
-            .build(),
-    );
-    p
-}
 
 /// Drive `agents` EMON agents, 32 per node card (consecutive ranks share a
 /// card, matching the node-card sharing domain).
 fn drive(seed: u64, agents: usize, virtual_secs: u64, plan: bool) -> (f64, ClusterResult) {
-    let prof = profile(virtual_secs);
-    let mut machine = bgq_sim::BgqMachine::new(bgq_sim::BgqConfig::default(), seed);
-    machine.assign_job(&(0..32).collect::<Vec<_>>(), &prof);
-    let machine = Arc::new(machine);
+    let machine = envmon_bench::bgq_machine(seed, virtual_secs);
     let cards = 32; // one rack: 2 midplanes x 16 node cards
     let mut run = ClusterRun::launch(
         agents,
@@ -130,64 +102,46 @@ fn main() {
         drop((naive, planned));
         let naive_ms = best_of(reps, || drive(seed, agents, virtual_secs, false).0);
         let planned_ms = best_of(reps, || drive(seed, agents, virtual_secs, true).0);
+        let factor = naive_us / planned_us;
         eprintln!(
             "agents {agents:>5}  charged {naive_us:>12.0} us -> {planned_us:>10.0} us \
-             ({:.1}x)  wall {naive_ms:>7.1} -> {planned_ms:>7.1} ms",
-            naive_us / planned_us
+             ({factor:.1}x)  wall {naive_ms:>7.1} -> {planned_ms:>7.1} ms"
         );
-        rows.push(SweepRow {
-            agents,
-            virtual_secs,
-            records,
-            naive_ms,
-            planned_ms,
-            naive_collection_us: naive_us,
-            planned_collection_us: planned_us,
-            hits,
-            misses,
-            identical,
-        });
+        if rows.is_empty() {
+            // The headline claim: a full 32-agent node card pays >= 10x
+            // (in fact exactly 32x) less charged collection time.
+            assert!(
+                factor >= 10.0,
+                "node-card batching only saved {factor:.1}x, expected ~32x"
+            );
+        }
+        rows.push(
+            Fields::default()
+                .num("agents", agents)
+                .num("virtual_secs", virtual_secs)
+                .num("records", records)
+                .fixed("naive_collection_us", naive_us, 1)
+                .fixed("planned_collection_us", planned_us, 1)
+                .fixed("collection_factor", factor, 1)
+                .num("cache_hits", hits)
+                .num("cache_misses", misses)
+                .fixed("naive_ms", naive_ms, 1)
+                .fixed("planned_ms", planned_ms, 1)
+                .num("outputs_identical", identical)
+                .line(),
+        );
     }
 
-    // The headline claim: a full 32-agent node card pays >= 10x (in fact
-    // exactly 32x) less charged collection time under the plan.
-    let first = &rows[0];
-    let factor = first.naive_collection_us / first.planned_collection_us;
-    assert!(
-        factor >= 10.0,
-        "node-card batching only saved {factor:.1}x, expected ~32x"
-    );
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"cache_collection_sweep\",\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"host_cpus\": {},\n", moneq::host_cpus()));
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str("  \"domain_size\": 32,\n");
-    json.push_str("  \"sweeps\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"agents\": {}, \"virtual_secs\": {}, \"records\": {}, \
-             \"naive_collection_us\": {:.1}, \"planned_collection_us\": {:.1}, \
-             \"collection_factor\": {:.1}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"naive_ms\": {:.1}, \"planned_ms\": {:.1}, \"outputs_identical\": {}}}{}\n",
-            r.agents,
-            r.virtual_secs,
-            r.records,
-            r.naive_collection_us,
-            r.planned_collection_us,
-            r.naive_collection_us / r.planned_collection_us,
-            r.hits,
-            r.misses,
-            r.naive_ms,
-            r.planned_ms,
-            r.identical,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+    BenchFile {
+        head: Fields::default()
+            .text("bench", "cache_collection_sweep")
+            .num("seed", seed)
+            .num("host_cpus", moneq::host_cpus())
+            .num("reps", reps)
+            .num("domain_size", 32),
+        rows_key: "sweeps",
+        rows,
+        tail: Fields::default(),
     }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
-    std::fs::write(&out, &json).expect("writable output path");
-    eprintln!("[wrote {}]", out.display());
+    .write(&out);
 }

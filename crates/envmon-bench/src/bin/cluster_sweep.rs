@@ -10,37 +10,11 @@
 //! cluster_sweep [--seed N] [--out FILE] [--workers N] [--quick]
 //! ```
 
+use envmon_bench::bench_file::{BenchFile, Fields};
 use envmon_bench::DEFAULT_SEED;
-use hpc_workloads::{Channel, WorkloadProfile};
 use moneq::{ClusterResult, ClusterRun};
-use simkit::{SimDuration, SimTime};
-use std::sync::Arc;
+use simkit::SimTime;
 use std::time::Instant;
-
-struct SweepRow {
-    agents: usize,
-    virtual_secs: u64,
-    launch_ms: f64,
-    serial_ms: f64,
-    parallel_ms: f64,
-    records: usize,
-    /// Effective worker-pool width of the parallel leg (1 = the "parallel"
-    /// leg actually ran serial — e.g. on a single-CPU host). Consumers
-    /// (ci-bench-check.sh) skip speedup-ratio gates when this is 1, since
-    /// a serial-vs-serial ratio is pure noise.
-    pool_width: usize,
-}
-
-fn profile(virtual_secs: u64) -> WorkloadProfile {
-    let mut p = WorkloadProfile::new("sweep", SimDuration::from_secs(virtual_secs));
-    p.set_demand(
-        Channel::Cpu,
-        powermodel::PhaseBuilder::new()
-            .phase(SimDuration::from_secs(virtual_secs), 0.6)
-            .build(),
-    );
-    p
-}
 
 fn drive(
     seed: u64,
@@ -49,10 +23,7 @@ fn drive(
     workers: usize,
     chunk: usize,
 ) -> (f64, f64, ClusterResult) {
-    let prof = profile(virtual_secs);
-    let mut machine = bgq_sim::BgqMachine::new(bgq_sim::BgqConfig::default(), seed);
-    machine.assign_job(&(0..32).collect::<Vec<_>>(), &prof);
-    let machine = Arc::new(machine);
+    let machine = envmon_bench::bgq_machine(seed, virtual_secs);
     let t0 = Instant::now();
     let mut run = ClusterRun::launch(
         agents,
@@ -138,20 +109,29 @@ fn main() {
         // leg, so record the best of the three — the same minimum-as-
         // estimator discipline telemetry_sweep uses against VM jitter.
         let launch_ms = warm_launch_ms.min(serial_launch_ms).min(par_launch_ms);
+        let speedup = serial_ms / parallel_ms;
         eprintln!(
             "agents {agents:>7}  serial {serial_ms:>9.1} ms  parallel {parallel_ms:>9.1} ms  \
-             speedup {:.2}x  (pool width {pool_width})",
-            serial_ms / parallel_ms
+             speedup {speedup:.2}x  (pool width {pool_width})"
         );
-        rows.push(SweepRow {
-            agents,
-            virtual_secs,
-            launch_ms,
-            serial_ms,
-            parallel_ms,
-            records,
-            pool_width,
-        });
+        let row = Fields::default()
+            .num("agents", agents)
+            .num("virtual_secs", virtual_secs)
+            .num("records", records)
+            .num("pool_width", pool_width)
+            .fixed("launch_ms", launch_ms, 1)
+            .fixed("serial_ms", serial_ms, 1)
+            .fixed("parallel_ms", parallel_ms, 1);
+        // A pool of width 1 ran serial against serial: its ratio is
+        // scheduler noise, not a speedup, so the row carries none.
+        rows.push(
+            if pool_width > 1 {
+                row.fixed("speedup", speedup, 2)
+            } else {
+                row
+            }
+            .line(),
+        );
     }
 
     // Figure 8-style reduction on the first sweep's scale: machine-wide sum
@@ -163,36 +143,22 @@ fn main() {
     let reduce_ms = t.elapsed().as_secs_f64() * 1e3;
     let sum_mean_w = sum.stats().mean();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"cluster_parallel_sweep\",\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"workers\": {workers},\n"));
-    json.push_str(&format!("  \"host_cpus\": {},\n", moneq::host_cpus()));
-    json.push_str(&format!("  \"chunk_size\": {chunk},\n"));
-    json.push_str("  \"sweeps\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"agents\": {}, \"virtual_secs\": {}, \"records\": {}, \
-             \"pool_width\": {}, \"launch_ms\": {:.1}, \"serial_ms\": {:.1}, \
-             \"parallel_ms\": {:.1}, \"speedup\": {:.2}}}{}\n",
-            r.agents,
-            r.virtual_secs,
-            r.records,
-            r.pool_width,
-            r.launch_ms,
-            r.serial_ms,
-            r.parallel_ms,
-            r.serial_ms / r.parallel_ms,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+    BenchFile {
+        head: Fields::default()
+            .text("bench", "cluster_parallel_sweep")
+            .num("seed", seed)
+            .num("workers", workers)
+            .num("host_cpus", moneq::host_cpus())
+            .num("chunk_size", chunk),
+        rows_key: "sweeps",
+        rows,
+        tail: Fields::default().object(
+            "figure8_sum",
+            &Fields::default()
+                .num("agents", fig8_agents)
+                .fixed("reduce_ms", reduce_ms, 1)
+                .fixed("sum_mean_w", sum_mean_w, 1),
+        ),
     }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"figure8_sum\": {{\"agents\": {fig8_agents}, \"reduce_ms\": {reduce_ms:.1}, \
-         \"sum_mean_w\": {sum_mean_w:.1}}}\n"
-    ));
-    json.push_str("}\n");
-    std::fs::write(&out, &json).expect("writable output path");
-    eprintln!("[wrote {}]", out.display());
+    .write(&out);
 }

@@ -13,54 +13,24 @@
 //!    fold bit for bit over the whole served window (`exact`).
 //!
 //! Wall-clock numbers are recorded for trend reading; the *invariants*
-//! (`exact`, `coherent`) are what `ci-bench-check.sh` gates, because they
-//! must hold at any speed on any machine.
+//! (`exact`, `coherent`) are what `bench_check` gates, because they must
+//! hold at any speed on any machine.
 //!
 //! ```text
 //! query_sweep [--seed N] [--out FILE] [--quick]
 //! ```
 
+use envmon_bench::bench_file::{BenchFile, Fields};
 use envmon_bench::DEFAULT_SEED;
 use envmon_serve::{clients, ClientWorkload, Daemon, ServeConfig};
-use hpc_workloads::{Channel, WorkloadProfile};
 use moneq::ClusterRun;
 use simkit::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
-
-struct SweepRow {
-    agents: usize,
-    virtual_secs: u64,
-    records: u64,
-    series: usize,
-    ingest_ms: f64,
-    clients: usize,
-    queries: u64,
-    qps: f64,
-    live_queries: u64,
-    live_qps: f64,
-    exact: bool,
-    coherent: bool,
-}
-
-fn profile(virtual_secs: u64) -> WorkloadProfile {
-    let mut p = WorkloadProfile::new("sweep", SimDuration::from_secs(virtual_secs));
-    p.set_demand(
-        Channel::Cpu,
-        powermodel::PhaseBuilder::new()
-            .phase(SimDuration::from_secs(virtual_secs), 0.6)
-            .build(),
-    );
-    p
-}
 
 /// Launch `agents` EMON agents (32 per node card) behind a daemon.
 fn launch(seed: u64, agents: usize, virtual_secs: u64) -> Daemon {
-    let prof = profile(virtual_secs + 8);
-    let mut machine = bgq_sim::BgqMachine::new(bgq_sim::BgqConfig::default(), seed);
-    machine.assign_job(&(0..32).collect::<Vec<_>>(), &prof);
-    let machine = Arc::new(machine);
+    let machine = envmon_bench::bgq_machine(seed, virtual_secs + 8);
     let run = ClusterRun::launch(
         agents,
         None,
@@ -199,57 +169,38 @@ fn main() {
         assert!(exact, "rollup exactness violated at {agents} agents");
         let qps = queries as f64 / wall.max(1e-9);
         let live_qps = live_queries as f64 / live_wall.max(1e-9);
+        let ingest_rps = records as f64 / (ingest_ms / 1e3).max(1e-9);
         eprintln!(
             "agents {agents:>4}  ingest {records:>7} rec in {ingest_ms:>7.1} ms  \
              quiesced {qps:>9.0} q/s  live {live_qps:>9.0} q/s"
         );
-        rows.push(SweepRow {
-            agents,
-            virtual_secs,
-            records,
-            series: daemon.store().len(),
-            ingest_ms,
-            clients: n_clients,
-            queries,
-            qps,
-            live_queries,
-            live_qps,
-            exact,
-            coherent,
-        });
+        rows.push(
+            Fields::default()
+                .num("agents", agents)
+                .num("virtual_secs", virtual_secs)
+                .num("records", records)
+                .num("series", daemon.store().len())
+                .fixed("ingest_ms", ingest_ms, 1)
+                .fixed("ingest_rps", ingest_rps, 0)
+                .num("clients", n_clients)
+                .num("queries", queries)
+                .fixed("qps", qps, 0)
+                .num("live_queries", live_queries)
+                .fixed("live_qps", live_qps, 0)
+                .flag("exact", exact)
+                .flag("coherent", coherent)
+                .line(),
+        );
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"query_sweep\",\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"host_cpus\": {},\n", moneq::host_cpus()));
-    json.push_str("  \"sweeps\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let ingest_rps = r.records as f64 / (r.ingest_ms / 1e3).max(1e-9);
-        json.push_str(&format!(
-            "    {{\"agents\": {}, \"virtual_secs\": {}, \"records\": {}, \"series\": {}, \
-             \"ingest_ms\": {:.1}, \"ingest_rps\": {:.0}, \"clients\": {}, \"queries\": {}, \
-             \"qps\": {:.0}, \"live_queries\": {}, \"live_qps\": {:.0}, \
-             \"exact\": {}, \"coherent\": {}}}{}\n",
-            r.agents,
-            r.virtual_secs,
-            r.records,
-            r.series,
-            r.ingest_ms,
-            ingest_rps,
-            r.clients,
-            r.queries,
-            r.qps,
-            r.live_queries,
-            r.live_qps,
-            u8::from(r.exact),
-            u8::from(r.coherent),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+    BenchFile {
+        head: Fields::default()
+            .text("bench", "query_sweep")
+            .num("seed", seed)
+            .num("host_cpus", moneq::host_cpus()),
+        rows_key: "sweeps",
+        rows,
+        tail: Fields::default(),
     }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
-    std::fs::write(&out, &json).expect("writable output path");
-    eprintln!("[wrote {}]", out.display());
+    .write(&out);
 }

@@ -17,12 +17,12 @@
 //! CI; `--smoke` runs one replication per experiment and skips the
 //! referee.
 //!
-//! The JSON is line-per-row so CI can gate it with grep: each row ends
-//! with `"invariant": 1|0`, and the top level carries
+//! Each row ends with `"invariant": 1|0`, and the top level carries
 //! `"deterministic": 1|0` plus `"determinism_checked": 1|0` (0 only
-//! under `--smoke`).
+//! under `--smoke`); `bench_check` gates the first two.
 
 use envmon_analysis::scenarios::CATALOG;
+use envmon_bench::bench_file::{BenchFile, Fields};
 use envmon_bench::{replication_seed, DEFAULT_SEED};
 use envmon_scenarios::run_replication;
 
@@ -97,29 +97,20 @@ fn main() {
         }
     }
 
-    let wall_ms = wall.elapsed().as_millis();
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"scenario_sweep\",\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"wall_ms\": {wall_ms},\n"));
-    json.push_str(&format!(
-        "  \"determinism_checked\": {},\n",
-        u8::from(!smoke)
-    ));
-    json.push_str(&format!(
-        "  \"deterministic\": {},\n",
-        u8::from(deterministic)
-    ));
-    json.push_str("  \"replications\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        json.push_str(&format!("    {row}{sep}\n"));
+    BenchFile {
+        head: Fields::default()
+            .text("bench", "scenario_sweep")
+            .num("seed", seed)
+            .num("wall_ms", wall.elapsed().as_millis())
+            .flag("determinism_checked", !smoke)
+            .flag("deterministic", deterministic),
+        rows_key: "replications",
+        // Replication::json already renders one row per line; the
+        // scenario goldens pin those bytes.
+        rows,
+        tail: Fields::default(),
     }
-    json.push_str("  ]\n}\n");
-
-    std::fs::write(&out, &json).unwrap_or_else(|e| die(&format!("writing {}: {e}", out.display())));
-    println!("[wrote {}]", out.display());
+    .write(&out);
 
     if failures > 0 {
         eprintln!("scenario_sweep: {failures} replication(s) violated invariants");

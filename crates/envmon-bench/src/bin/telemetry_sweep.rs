@@ -16,38 +16,14 @@
 //! telemetry overhead exceeds `PCT` percent, making the sweep a pass/fail
 //! regression gate instead of a recording run.
 
+use envmon_bench::bench_file::{BenchFile, Fields};
 use envmon_bench::DEFAULT_SEED;
-use hpc_workloads::{Channel, WorkloadProfile};
 use moneq::{ClusterResult, ClusterRun, MonEqConfig};
-use simkit::{SimDuration, SimTime};
-use std::sync::Arc;
+use simkit::SimTime;
 use std::time::Instant;
 
-struct SweepRow {
-    agents: usize,
-    virtual_secs: u64,
-    off_ms: f64,
-    on_ms: f64,
-    records: usize,
-    events: u64,
-}
-
-fn profile(virtual_secs: u64) -> WorkloadProfile {
-    let mut p = WorkloadProfile::new("sweep", SimDuration::from_secs(virtual_secs));
-    p.set_demand(
-        Channel::Cpu,
-        powermodel::PhaseBuilder::new()
-            .phase(SimDuration::from_secs(virtual_secs), 0.6)
-            .build(),
-    );
-    p
-}
-
 fn drive(seed: u64, agents: usize, virtual_secs: u64, telemetry: bool) -> (f64, ClusterResult) {
-    let prof = profile(virtual_secs);
-    let mut machine = bgq_sim::BgqMachine::new(bgq_sim::BgqConfig::default(), seed);
-    machine.assign_job(&(0..32).collect::<Vec<_>>(), &prof);
-    let machine = Arc::new(machine);
+    let machine = envmon_bench::bgq_machine(seed, virtual_secs);
     let config = MonEqConfig {
         telemetry,
         ..MonEqConfig::default()
@@ -134,6 +110,7 @@ fn main() {
     }
 
     let mut rows = Vec::new();
+    let mut over_gate = Vec::new();
     for &(agents, virtual_secs) in sweep {
         // Discarded warm-up leg at this footprint (allocator/page faults).
         drop(drive(seed, agents, virtual_secs, false));
@@ -145,61 +122,44 @@ fn main() {
         let (off_ms, on_ms) = best_of_alternating(reps, |telemetry| {
             drive(seed, agents, virtual_secs, telemetry).0
         });
+        let pct = (on_ms / off_ms - 1.0) * 100.0;
         eprintln!(
             "agents {agents:>6}  off {off_ms:>8.1} ms  on {on_ms:>8.1} ms  \
-             overhead {:+.1}%  ({events} events)",
-            (on_ms / off_ms - 1.0) * 100.0
+             overhead {pct:+.1}%  ({events} events)"
         );
-        rows.push(SweepRow {
-            agents,
-            virtual_secs,
-            off_ms,
-            on_ms,
-            records,
-            events,
-        });
+        if gate_pct.is_some_and(|limit| pct > limit) {
+            over_gate.push((agents, pct));
+        }
+        rows.push(
+            Fields::default()
+                .num("agents", agents)
+                .num("virtual_secs", virtual_secs)
+                .num("records", records)
+                .num("events", events)
+                .fixed("off_ms", off_ms, 1)
+                .fixed("on_ms", on_ms, 1)
+                .fixed("overhead_pct", pct, 1)
+                .line(),
+        );
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"telemetry_overhead_sweep\",\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"host_cpus\": {},\n", moneq::host_cpus()));
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str("  \"sweeps\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"agents\": {}, \"virtual_secs\": {}, \"records\": {}, \
-             \"events\": {}, \"off_ms\": {:.1}, \"on_ms\": {:.1}, \
-             \"overhead_pct\": {:.1}}}{}\n",
-            r.agents,
-            r.virtual_secs,
-            r.records,
-            r.events,
-            r.off_ms,
-            r.on_ms,
-            (r.on_ms / r.off_ms - 1.0) * 100.0,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+    BenchFile {
+        head: Fields::default()
+            .text("bench", "telemetry_overhead_sweep")
+            .num("seed", seed)
+            .num("host_cpus", moneq::host_cpus())
+            .num("reps", reps),
+        rows_key: "sweeps",
+        rows,
+        tail: Fields::default(),
     }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
-    std::fs::write(&out, &json).expect("writable output path");
-    eprintln!("[wrote {}]", out.display());
+    .write(&out);
 
     if let Some(limit) = gate_pct {
-        let mut failed = false;
-        for r in &rows {
-            let pct = (r.on_ms / r.off_ms - 1.0) * 100.0;
-            if pct > limit {
-                eprintln!(
-                    "GATE FAIL: {} agents: telemetry overhead {pct:.1}% > {limit:.1}%",
-                    r.agents
-                );
-                failed = true;
-            }
+        for (agents, pct) in &over_gate {
+            eprintln!("GATE FAIL: {agents} agents: telemetry overhead {pct:.1}% > {limit:.1}%");
         }
-        if failed {
+        if !over_gate.is_empty() {
             std::process::exit(1);
         }
         eprintln!("gate ok: all legs within {limit:.1}% telemetry overhead");

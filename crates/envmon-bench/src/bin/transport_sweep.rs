@@ -4,7 +4,7 @@
 //! Runs [`envmon_analysis::transport::transport`] and emits one JSON row
 //! per mechanism: charged collection cost per deployment, the wire ledger
 //! of the faulty-link run, and round-trip percentiles. The *invariants*
-//! are what `ci-bench-check.sh` gates, tolerance-free:
+//! are what `bench_check` gates, tolerance-free:
 //!
 //! * `identical` — a remote run over the zero-fault, zero-latency link is
 //!   byte-identical to the local run;
@@ -19,6 +19,7 @@
 //! ```
 
 use envmon_analysis::transport::transport;
+use envmon_bench::bench_file::{BenchFile, Fields};
 use envmon_bench::DEFAULT_SEED;
 use std::time::Instant;
 
@@ -79,44 +80,39 @@ fn main() {
         );
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"transport_sweep\",\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"wall_ms\": {wall_ms:.1},\n"));
-    json.push_str(&format!(
-        "  \"all_identical\": {},\n  \"all_exact\": {},\n",
-        u8::from(table.all_identical()),
-        u8::from(table.all_exact())
-    ));
-    json.push_str("  \"mechanisms\": [\n");
-    for (i, r) in table.rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"mechanism\": \"{}\", \"band\": \"{}\", \"polls\": {}, \
-             \"local_ns\": {}, \"ideal_ns\": {}, \"latent_ns\": {}, \"latency_ns\": {}, \
-             \"identical\": {}, \"exact\": {}, \"tx\": {}, \"rx\": {}, \"retrans\": {}, \
-             \"timeouts\": {}, \"rtt_p50_ns\": {}, \"rtt_p99_ns\": {}, \"reconciled\": {}}}{}\n",
-            r.mechanism,
-            r.band,
-            r.polls,
-            r.local_collection.as_nanos(),
-            r.ideal_collection.as_nanos(),
-            r.latent_collection.as_nanos(),
-            r.latency.as_nanos(),
-            u8::from(r.ideal_identical),
-            u8::from(r.latency_exact),
-            r.wire_tx,
-            r.wire_rx,
-            r.wire_retrans,
-            r.wire_timeouts,
-            r.rtt_p50.as_nanos(),
-            r.rtt_p99.as_nanos(),
-            u8::from(r.faulty_reconciles),
-            if i + 1 < table.rows.len() { "," } else { "" }
-        ));
+    BenchFile {
+        head: Fields::default()
+            .text("bench", "transport_sweep")
+            .num("seed", seed)
+            .fixed("wall_ms", wall_ms, 1)
+            .flag("all_identical", table.all_identical())
+            .flag("all_exact", table.all_exact()),
+        rows_key: "mechanisms",
+        rows: table
+            .rows
+            .iter()
+            .map(|r| {
+                Fields::default()
+                    .text("mechanism", &r.mechanism)
+                    .text("band", r.band)
+                    .num("polls", r.polls)
+                    .num("local_ns", r.local_collection.as_nanos())
+                    .num("ideal_ns", r.ideal_collection.as_nanos())
+                    .num("latent_ns", r.latent_collection.as_nanos())
+                    .num("latency_ns", r.latency.as_nanos())
+                    .flag("identical", r.ideal_identical)
+                    .flag("exact", r.latency_exact)
+                    .num("tx", r.wire_tx)
+                    .num("rx", r.wire_rx)
+                    .num("retrans", r.wire_retrans)
+                    .num("timeouts", r.wire_timeouts)
+                    .num("rtt_p50_ns", r.rtt_p50.as_nanos())
+                    .num("rtt_p99_ns", r.rtt_p99.as_nanos())
+                    .flag("reconciled", r.faulty_reconciles)
+                    .line()
+            })
+            .collect(),
+        tail: Fields::default(),
     }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
-    std::fs::write(&out, &json).expect("writable output path");
-    eprintln!("[wrote {}]", out.display());
+    .write(&out);
 }

@@ -5,15 +5,38 @@
 //!   arguments for everything).
 //! * `cargo run --release -p envmon-bench --bin <name>_sweep` runs one
 //!   sweep (cluster, cache, telemetry, accuracy, query, transport,
-//!   scenario) and writes its `BENCH_*.json` rows.
+//!   scenario) and writes its `BENCH_*.json` rows through [`bench_file`].
+//! * `cargo build --release -p envmon-bench && ./target/release/bench_check`
+//!   re-runs every sweep with `--quick` and checks the fresh files against
+//!   the committed ones.
 //!
 //! The library part only hosts helpers shared by those binaries.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod bench_file;
+
+use hpc_workloads::{Channel, WorkloadProfile};
+use simkit::SimDuration;
+use std::sync::Arc;
+
 /// Default seed used by the sweep binaries and the `repro` binary.
 pub const DEFAULT_SEED: u64 = 2015;
+
+/// The BG/Q machine the cluster-shaped sweeps drive: nodes 0..32 run one
+/// job at a constant 0.6 CPU demand for `horizon_secs` virtual seconds.
+pub fn bgq_machine(seed: u64, horizon_secs: u64) -> Arc<bgq_sim::BgqMachine> {
+    let horizon = SimDuration::from_secs(horizon_secs);
+    let mut profile = WorkloadProfile::new("sweep", horizon);
+    profile.set_demand(
+        Channel::Cpu,
+        powermodel::PhaseBuilder::new().phase(horizon, 0.6).build(),
+    );
+    let mut machine = bgq_sim::BgqMachine::new(bgq_sim::BgqConfig::default(), seed);
+    machine.assign_job(&(0..32).collect::<Vec<_>>(), &profile);
+    Arc::new(machine)
+}
 
 /// The sweeps' per-rank agent name, byte-identical to
 /// `format!("agent{rank:05}")` for every rank. Hand-rolled because the

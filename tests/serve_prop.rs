@@ -8,7 +8,7 @@
 //!    hand — whatever the tick size.
 //! 2. *Rollup exactness*: every tier aggregate over any window equals the
 //!    raw fold at that tier's width, bit for bit (the invariant
-//!    `ci-bench-check.sh` gates at bench scale).
+//!    `bench_check` gates at bench scale).
 //! 3. *Eviction safety*: the raw ring evicting a sample never loses
 //!    rolled-up state — a store with a tiny raw ring carries bins and
 //!    lifetime aggregates bitwise identical to one that retains
