@@ -228,6 +228,33 @@ else
             --quick --out target/scenario_smoke.json"
 fi
 
+# Benchmark smoke: perfbench (the command in BENCHMARK.json) is a Cargo
+# package of its own that builds this repository's crates by path and
+# reads their public fields, so an API change that breaks the benchmark
+# fails here. Its tests run every workload at toy size, at two seeds,
+# untraced and traced. It builds from a fresh copy beside symlinks to the
+# workspace, because any build in place rewrites the committed
+# perfbench/Cargo.lock. The copy's path stays fixed, under target/, so a
+# repeat run reuses the build in target/perfbench.
+perfbench_smoke() {
+    local tree="$PWD/target/perfbench-tree"
+    rm -rf "$tree"
+    mkdir -p "$tree"
+    tar -cf - --exclude=perfbench/target perfbench | tar -xf - -C "$tree"
+    for f in Cargo.toml src crates BENCHMARK.json; do
+        ln -s "$PWD/$f" "$tree/$f"
+    done
+    CARGO_TARGET_DIR="$PWD/target/perfbench" cargo test --release --offline -q \
+        --manifest-path "$tree/perfbench/Cargo.toml"
+}
+
+if [[ $quick -eq 0 ]]; then
+    stage "perfbench smoke (benchmark builds against the tree)" \
+        "perfbench_smoke"
+else
+    skipped "--quick" "perfbench smoke (benchmark smoke needs release)"
+fi
+
 # Per-stage timing summary: the same numbers each stage already printed,
 # gathered into one table so a CI-time regression is attributable at a
 # glance (and so skipped stages are visible as skipped, not just absent).

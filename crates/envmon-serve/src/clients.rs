@@ -158,11 +158,7 @@ fn gen_query(rng: &mut DetRng, view: &Published) -> Query {
         return Query::Freshness;
     }
     let meta = &view.meta[(pick % n) as usize];
-    let tiers = view
-        .store
-        .ids()
-        .next()
-        .map_or(0, |id| view.store.get(id).tier_count());
+    let tiers = view.store.config().tiers.len();
     let tier = if tiers == 0 {
         0
     } else {

@@ -1,6 +1,7 @@
 //! The collection daemon: advances a [`ClusterRun`] in fixed virtual-time
 //! ticks, ingests each rank's newly appended records into a [`TsStore`],
-//! and publishes an immutable snapshot per tick for the query front-end.
+//! and publishes that store as an immutable view per tick for the query
+//! front-end.
 //!
 //! Record flow (see DESIGN.md §13 for the full diagram):
 //!
@@ -20,16 +21,16 @@
 //! touch published views, so ingest needs no locks and queries never
 //! block collection.
 //!
-//! The store is double-buffered (left-right). The front always holds the
-//! last published snapshot, and writing to a series that snapshot shares
-//! would copy the series' whole history ([`TsStore::cow_copies`]). So the
-//! daemon keeps a second store one tick behind, whose snapshot the front
-//! released at the previous publish. Each tick swaps the two, replays the
-//! previous tick's records into the lagging one (registering the same
-//! names in the same order, so ids agree), ingests the new records into
-//! it and publishes it. Ingest then costs what it records, not what the
-//! store retains. A reader that holds one view across two publishes
-//! still reads it frozen; only then does `Arc::make_mut` copy.
+//! The store is double-buffered (left-right): two `Arc<TsStore>`s a tick
+//! apart. The front always holds the one published last, so the daemon
+//! writes into the other, whose view the front released at the previous
+//! publish. Each tick swaps the two, calls `Arc::make_mut` once on the
+//! lagging store, replays the previous tick's records into it
+//! (registering the same names in the same order, so ids agree), ingests
+//! the new records and publishes an `Arc` clone of it. Ingest then costs
+//! what it records, not what the store retains. A reader that holds one
+//! view across two publishes still reads it frozen: only then does
+//! `Arc::make_mut` copy the whole store ([`Daemon::cow_copies`]).
 
 use crate::query::{Published, QueryFront, SeriesMeta};
 use moneq::{ClusterResult, ClusterRun, Completeness};
@@ -78,10 +79,10 @@ pub struct Daemon {
     run: ClusterRun,
     now: SimTime,
     tick: SimDuration,
-    /// The store the front's current view was published from.
-    store: TsStore,
+    /// The store the front's current view shares.
+    store: Arc<TsStore>,
     /// The same store one tick behind: `store` minus `lag`.
-    spare: TsStore,
+    spare: Arc<TsStore>,
     /// Every sample offered to `store` in the last tick, in ingest order
     /// (rejected ones too, so the replay counts them the same way).
     lag: Vec<(SeriesId, SimTime, f64)>,
@@ -90,6 +91,7 @@ pub struct Daemon {
     domains: Arc<HashMap<String, Vec<SeriesId>>>,
     front: QueryFront,
     seq: u64,
+    cow_copies: u64,
 }
 
 impl std::fmt::Debug for Daemon {
@@ -114,8 +116,8 @@ impl Daemon {
     /// Panics if `cfg.tick` is zero or the store plan is invalid.
     pub fn new(run: ClusterRun, now: SimTime, cfg: ServeConfig) -> Self {
         assert!(!cfg.tick.is_zero(), "tick must be non-zero");
-        let spare = TsStore::new(cfg.store.clone());
-        let store = TsStore::new(cfg.store);
+        let spare = Arc::new(TsStore::new(cfg.store.clone()));
+        let store = Arc::new(TsStore::new(cfg.store));
         let cursors = run
             .sessions()
             .iter()
@@ -126,7 +128,7 @@ impl Daemon {
         let front = QueryFront::new(Published {
             seq: 0,
             at: now,
-            store: store.snapshot(now),
+            store: Arc::clone(&store),
             meta: Arc::clone(&meta),
             domains: Arc::clone(&domains),
             completeness: Arc::new(Vec::new()),
@@ -143,6 +145,7 @@ impl Daemon {
             domains,
             front,
             seq: 0,
+            cow_copies: 0,
         }
     }
 
@@ -168,20 +171,21 @@ impl Daemon {
         self.store.stats()
     }
 
-    /// Series copied on write so far, over both of the daemon's stores.
-    /// Stays zero unless a reader holds a view across two publishes.
+    /// Whole stores copied on write so far: each tick that found the
+    /// store it was about to write still held by a reader. Stays zero
+    /// unless a reader holds a view across two publishes.
     pub fn cow_copies(&self) -> u64 {
-        self.store.cow_copies() + self.spare.cow_copies()
+        self.cow_copies
     }
 
     /// Advance one tick: drive every session `tick` forward in virtual
-    /// time, ingest each rank's newly appended records, and publish a new
-    /// snapshot. Returns the number of records ingested this tick.
+    /// time, ingest each rank's newly appended records, and publish the
+    /// store as a new view. Returns the number of records ingested this
+    /// tick.
     pub fn tick(&mut self) -> u64 {
         let until = self.now + self.tick;
         self.run.run_until(until);
         self.now = until;
-        self.catch_up();
         let ingested = self.ingest();
         self.publish();
         ingested
@@ -198,27 +202,26 @@ impl Daemon {
         ingested
     }
 
-    /// Swap in the store one tick behind and bring it level with the one
-    /// just published: register the series it lacks in id order, then
-    /// replay the last tick's samples. The front released this store's
-    /// snapshot at the previous publish, so the writes land in place.
-    fn catch_up(&mut self) {
+    /// Swap in the store one tick behind, bring it level with the one
+    /// just published (register the series it lacks in id order, then
+    /// replay the last tick's samples), and pull every rank's record tail
+    /// into it, in rank order then record order — the same order a serial
+    /// scan of the finalized arenas would visit, which is what makes
+    /// ingest-then-query reproduce batch-then-scan bitwise.
+    fn ingest(&mut self) -> u64 {
         std::mem::swap(&mut self.store, &mut self.spare);
-        for id in self.spare.ids().skip(self.store.len()) {
-            self.store.series(self.spare.name(id));
+        if Arc::get_mut(&mut self.store).is_none() {
+            self.cow_copies += 1;
+        }
+        let store = Arc::make_mut(&mut self.store);
+        for id in self.spare.ids().skip(store.len()) {
+            store.series(self.spare.name(id));
         }
         for &(id, at, value) in &self.lag {
-            self.store.record(id, at, value);
+            store.record(id, at, value);
         }
         self.lag.clear();
-        debug_assert_eq!(self.store.stats(), self.spare.stats());
-    }
-
-    /// Pull every rank's record tail into the store, in rank order then
-    /// record order — the same order a serial scan of the finalized arenas
-    /// would visit, which is what makes ingest-then-query reproduce
-    /// batch-then-scan bitwise.
-    fn ingest(&mut self) -> u64 {
+        debug_assert_eq!(store.stats(), self.spare.stats());
         let mut ingested = 0;
         for (rank, session) in self.run.sessions().iter().enumerate() {
             let cur = &mut self.cursors[rank];
@@ -237,7 +240,7 @@ impl Daemon {
                     Some(&(_, _, id)) => id,
                     None => {
                         let name = format!("{agent}/{}/{}", p.device, p.domain);
-                        let id = self.store.series(&name);
+                        let id = store.series(&name);
                         cur.map.push((p.device.to_owned(), p.domain.to_owned(), id));
                         let meta = Arc::make_mut(&mut self.meta);
                         debug_assert_eq!(meta.len(), id.index());
@@ -255,7 +258,7 @@ impl Daemon {
                     }
                 };
                 self.lag.push((id, p.timestamp, p.watts));
-                if self.store.record(id, p.timestamp, p.watts) {
+                if store.record(id, p.timestamp, p.watts) {
                     ingested += 1;
                 }
             }
@@ -264,9 +267,8 @@ impl Daemon {
         ingested
     }
 
-    /// Swap in a fresh immutable view: snapshot the store (`Arc` spine
-    /// clone), share the meta table, and merge the live completeness
-    /// ledgers by device.
+    /// Swap in a fresh immutable view: share the store and the meta table,
+    /// and merge the live completeness ledgers by device.
     fn publish(&mut self) {
         self.seq += 1;
         let mut merged: Vec<Completeness> = Vec::new();
@@ -281,7 +283,7 @@ impl Daemon {
         self.front.publish(Published {
             seq: self.seq,
             at: self.now,
-            store: self.store.snapshot(self.now),
+            store: Arc::clone(&self.store),
             meta: Arc::clone(&self.meta),
             domains: Arc::clone(&self.domains),
             completeness: Arc::new(merged),
@@ -302,11 +304,12 @@ impl Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{Query, QueryFront};
+    use crate::query::{Query, QueryError, QueryFront, Response};
     use moneq::backend::{EnvBackend, Poll, ReadError};
     use moneq::backends::BgqBackend;
     use moneq::DataPoint;
     use powermodel::{Metric, Platform, Support};
+    use simkit::store::Aggregate;
 
     /// Eight BG/Q agents, one per node card, behind a daemon.
     fn bgq_daemon() -> Daemon {
@@ -359,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn ticks_copy_no_series_unless_a_view_outlives_two_publishes() {
+    fn ticks_copy_no_store_unless_a_view_outlives_two_publishes() {
         let mut daemon = bgq_daemon();
         for _ in 0..120 {
             daemon.tick();
@@ -374,15 +377,55 @@ mod tests {
         daemon.tick();
         assert_eq!(daemon.cow_copies(), 0);
 
-        // Held across two or more: the fallback copies, the view stays
-        // exactly as it was published.
+        // Held across two: the second tick copies the whole store once,
+        // and the view stays exactly as it was published.
         let held = daemon.front().view();
         let qs = battery(&held);
         let before = digests(&held, &qs);
-        daemon.run_for(SimDuration::from_secs(5));
-        assert!(daemon.cow_copies() > 0);
-        assert!(daemon.front().view().seq > held.seq);
+        daemon.tick();
+        daemon.tick();
+        assert_eq!(daemon.cow_copies(), 1);
+        assert_eq!(daemon.front().view().seq, held.seq + 2);
         assert_eq!(digests(&held, &qs), before);
+        drop(held);
+        daemon.run_for(SimDuration::from_secs(5));
+        assert_eq!(daemon.cow_copies(), 1);
+    }
+
+    #[test]
+    fn tiers_are_checked_against_the_store_plan_before_any_series() {
+        let mut daemon = bgq_daemon();
+        let front = daemon.front();
+        let (from, to) = (SimTime::ZERO, SimTime::from_secs(1));
+        let top = |tier| Query::TopK {
+            k: 3,
+            tier,
+            from,
+            to,
+        };
+        let domain = |tier| Query::DomainAggregate {
+            domain: "Chip Core".to_owned(),
+            tier,
+            from,
+            to,
+        };
+        assert_eq!(front.view().store.len(), 0);
+        assert_eq!(front.query(&top(0)), Ok(Response::TopK(Vec::new())));
+        assert_eq!(
+            front.query(&domain(0)),
+            Ok(Response::DomainAggregate {
+                series: 0,
+                width: SimDuration::from_secs(1),
+                agg: Aggregate::default(),
+            })
+        );
+        let bad = Err(QueryError::BadTier { tier: 2, tiers: 2 });
+        assert_eq!(front.query(&top(2)), bad);
+        assert_eq!(front.query(&domain(2)), bad);
+        daemon.run_for(SimDuration::from_secs(3));
+        assert!(!front.view().store.is_empty());
+        assert_eq!(front.query(&top(2)), bad);
+        assert_eq!(front.query(&domain(2)), bad);
     }
 
     /// One `dev/ok` record per poll, plus a `dev/bad` record that is NaN,

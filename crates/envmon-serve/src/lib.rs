@@ -5,8 +5,8 @@
 //! a [`Daemon`] advances a [`moneq::ClusterRun`] tick by tick in virtual
 //! time, ingests every newly collected record into a
 //! [`simkit::store::TsStore`] (raw rings plus exact 1 s / 60 s rollups),
-//! and publishes an immutable snapshot per tick that any number of
-//! reader threads query through a [`QueryFront`] — range scans,
+//! and publishes the store as an immutable view per tick that any number
+//! of reader threads query through a [`QueryFront`] — range scans,
 //! per-domain aggregation, top-k power consumers, and a
 //! completeness/staleness endpoint built on the PR 2 ledgers.
 //!

@@ -1,4 +1,4 @@
-//! The query front-end: typed queries answered from published snapshots.
+//! The query front-end: typed queries answered from published views.
 //!
 //! The daemon publishes an immutable [`Published`] view after every tick;
 //! any number of reader threads hold a [`QueryFront`] handle and answer
@@ -10,7 +10,7 @@
 
 use moneq::Completeness;
 use simkit::rng::mix64;
-use simkit::store::{Aggregate, SeriesId, StoreSnapshot};
+use simkit::store::{Aggregate, SeriesId, TsStore};
 use simkit::{Sample, SimDuration, SimTime};
 use std::collections::HashMap;
 use std::fmt;
@@ -41,8 +41,10 @@ pub struct Published {
     pub seq: u64,
     /// Virtual time of the publish (the daemon's `now`).
     pub at: SimTime,
-    /// The store as of this publish.
-    pub store: StoreSnapshot,
+    /// The store as of this publish. The daemon writes to it again only
+    /// after a later publish, and copies it first if a reader still holds
+    /// this view.
+    pub store: Arc<TsStore>,
     /// Per-series coordinates, index-aligned with store ids.
     pub meta: Arc<Vec<SeriesMeta>>,
     /// Series ids of each domain label, ascending — the daemon extends it
@@ -378,21 +380,9 @@ impl QueryFront {
 }
 
 fn check_tier(view: &Published, tier: usize) -> Result<SimDuration, QueryError> {
-    // All series share one capacity plan; an empty store still validates
-    // the index against the configured plan via any registered series.
-    match view.store.ids().next() {
-        Some(first) => {
-            let d = view.store.get(first);
-            if tier < d.tier_count() {
-                Ok(d.tier_width(tier))
-            } else {
-                Err(QueryError::BadTier {
-                    tier,
-                    tiers: d.tier_count(),
-                })
-            }
-        }
-        // No series yet: nothing can match; report zero tiers.
-        None => Err(QueryError::BadTier { tier, tiers: 0 }),
-    }
+    let tiers = &view.store.config().tiers;
+    tiers.get(tier).map(|t| t.width).ok_or(QueryError::BadTier {
+        tier,
+        tiers: tiers.len(),
+    })
 }

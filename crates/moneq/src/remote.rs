@@ -3,11 +3,11 @@
 //!
 //! The paper's in-band/out-of-band axis made first-class: a
 //! [`RemoteBackend`] wraps any local backend behind a [`BackendServer`]
-//! and a [`Transport`], so every poll becomes a request/response exchange
-//! that pays serialize/flight/deserialize time on the virtual clock and
-//! is subject to the link's drop/corrupt/reorder weather. The defining
-//! invariant (asserted by the golden and property suites): over a
-//! zero-fault, zero-cost link ([`LinkSpec::ideal`]) a remote session is
+//! and a [`SimTransport`], so every poll becomes a request/response
+//! exchange that pays serialize/flight/deserialize time on the virtual
+//! clock and is subject to the link's drop/corrupt/reorder weather. The
+//! defining invariant (asserted by the golden and property suites): over
+//! a zero-fault, zero-cost link ([`LinkSpec::ideal`]) a remote session is
 //! byte-identical to the local one — same records, same overhead ledger —
 //! and any nonzero link latency shows up *exactly* in the overhead and
 //! staleness ledgers, nowhere else.
@@ -32,9 +32,7 @@ use crate::backend::{EnvBackend, GateStats, Poll, ReadError, StatedLimitation};
 use crate::reading::DataPoint;
 use powermodel::{Metric, Platform, Support};
 use simkit::rng::mix64;
-use simkit::wire::{
-    Frame, LinkSpec, LinkStats, SimTransport, Transport, WireError, WireReader, WireWriter,
-};
+use simkit::wire::{Frame, LinkSpec, LinkStats, SimTransport, WireError, WireReader, WireWriter};
 use simkit::{SimDuration, SimTime};
 
 /// Request opcode: mechanism metadata (cadence, costs, replayability).
@@ -164,8 +162,8 @@ fn decode_meta(payload: &[u8]) -> Result<RemoteMeta, WireError> {
 
 /// The server side: the wrapped mechanism plus the request dispatcher.
 ///
-/// [`BackendServer::handle`] is the `serve` hook a [`Transport`] calls at
-/// each request's virtual arrival time. A frame that fails to decode
+/// [`BackendServer::handle`] is the `serve` hook a [`SimTransport`] calls
+/// at each request's virtual arrival time. A frame that fails to decode
 /// (truncated, corrupted in flight, unknown opcode) is silently discarded
 /// — the client sees a timeout and retransmits, exactly like a real
 /// collection daemon dropping a bad datagram.
@@ -234,7 +232,7 @@ impl BackendServer {
     }
 }
 
-/// A mechanism served over a [`Transport`].
+/// A mechanism served over a [`SimTransport`].
 ///
 /// Implements [`EnvBackend`] itself, so sessions, collection plans, the
 /// cadence cache, and telemetry all compose unchanged: a poll turns into
@@ -248,9 +246,9 @@ impl BackendServer {
 /// (session-level retries redraw values but never double-charge, locally
 /// or remotely). Wire timeouts charge nothing here — their stall flows
 /// through [`ReadError::Timeout`] into the fault-recovery ledger instead.
-pub struct RemoteBackend<T: Transport = SimTransport> {
+pub struct RemoteBackend {
     server: BackendServer,
-    transport: T,
+    transport: SimTransport,
     meta: RemoteMeta,
     seq: u64,
     /// Last RPC instant and its exchange count, keying fault draws the
@@ -269,7 +267,7 @@ pub struct RemoteBackend<T: Transport = SimTransport> {
     cost: SimDuration,
 }
 
-impl RemoteBackend<SimTransport> {
+impl RemoteBackend {
     /// Serve `inner` over a fresh [`SimTransport`] on `link`.
     pub fn connect(inner: Box<dyn EnvBackend>, link: LinkSpec) -> Self {
         Self::connect_salted(inner, link, 0)
@@ -278,19 +276,12 @@ impl RemoteBackend<SimTransport> {
     /// [`RemoteBackend::connect`] with the link's noise streams salted —
     /// the cluster salts by rank so every rank's link has independent
     /// weather from one shared [`LinkSpec`].
-    pub fn connect_salted(inner: Box<dyn EnvBackend>, link: LinkSpec, salt: u64) -> Self {
-        Self::with_transport(inner, SimTransport::with_salt(link, salt))
-    }
-}
-
-impl<T: Transport> RemoteBackend<T> {
-    /// Serve `inner` over an arbitrary transport.
     ///
     /// The metadata hello (`REQ_META`) runs through the protocol against
     /// the server directly — connect-time control traffic is not part of
     /// the link's data-plane ledger, so it cannot pollute the round-trip
     /// histogram or the byte-identity overhead accounting.
-    pub fn with_transport(inner: Box<dyn EnvBackend>, transport: T) -> Self {
+    pub fn connect_salted(inner: Box<dyn EnvBackend>, link: LinkSpec, salt: u64) -> Self {
         let mut server = BackendServer::new(inner);
         let hello = Frame::new(REQ_META, 0, Vec::new()).encode();
         let (_, resp) = server
@@ -301,7 +292,7 @@ impl<T: Transport> RemoteBackend<T> {
         let meta = decode_meta(&frame.payload).expect("metadata reply decodes");
         RemoteBackend {
             server,
-            transport,
+            transport: SimTransport::with_salt(link, salt),
             meta,
             seq: 0,
             rpc_at: None,
@@ -378,7 +369,7 @@ fn decode_read_result(payload: &[u8]) -> Result<Poll, ReadError> {
     }
 }
 
-impl<T: Transport + Send> EnvBackend for RemoteBackend<T> {
+impl EnvBackend for RemoteBackend {
     fn name(&self) -> &'static str {
         self.server.backend.name()
     }

@@ -29,8 +29,7 @@
 //!   for the closed-loop scenario catalog, pure arithmetic on the virtual
 //!   clock;
 //! * [`store`] — the in-memory time-series store ([`TsStore`]): fixed-
-//!   capacity raw rings per series plus exact rollup tiers, published to
-//!   concurrent readers as copy-on-write [`StoreSnapshot`]s;
+//!   capacity raw rings per series plus exact rollup tiers;
 //! * [`telemetry`] — zero-cost-when-disabled observability ([`Telemetry`]):
 //!   named counters, simulated-time log₂ histograms, hierarchical spans,
 //!   and mergeable [`TelemetryReport`] snapshots;
@@ -68,11 +67,10 @@ pub use sampling::SamplingPolicy;
 pub use series::{Sample, TimeSeries};
 pub use stats::{welch_t_test, BoxplotSummary, Histogram, RunningStats, WelchResult};
 pub use store::{
-    Aggregate, RollupBin, SeriesData, SeriesId, StoreConfig, StoreSnapshot, StoreStats, TierSpec,
-    TsStore,
+    Aggregate, RollupBin, SeriesData, SeriesId, StoreConfig, StoreStats, TierSpec, TsStore,
 };
 pub use telemetry::{
     CounterId, HistogramId, LogHistogram, SpanId, SpanStats, Telemetry, TelemetryReport,
 };
 pub use time::{SimDuration, SimTime};
-pub use wire::{Frame, LinkSpec, LinkStats, SimTransport, Transport, WireError};
+pub use wire::{Frame, LinkSpec, LinkStats, SimTransport, WireError};

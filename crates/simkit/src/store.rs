@@ -1,5 +1,5 @@
 //! In-memory time-series store: per-series ring buffers with exact rollup
-//! tiers and cheap copy-on-write snapshots.
+//! tiers.
 //!
 //! The monitoring daemon (`envmon-serve`) ingests every collected record
 //! into one [`TsStore`]. Each series keeps a fixed-capacity **raw ring**
@@ -19,20 +19,10 @@
 //! anchored at [`SimTime::ZERO`], so every store — and every reference
 //! fold — agrees on bin edges without coordination.
 //!
-//! Readers never block writers: series data lives behind per-series
-//! [`Arc`]s, the writer mutates through [`Arc::make_mut`], and
-//! [`TsStore::snapshot`] clones only the `Arc` spine (and shares the name
-//! index). A snapshot is an immutable, internally consistent view as of
-//! the publish instant.
-//!
-//! Taking a snapshot is O(series), but it moves a cost rather than
-//! removing it: while a snapshot is alive, the writer's next `record` on
-//! each series it shares copies that series' whole history (raw ring and
-//! every tier) before appending — a cost that grows with retained
-//! history, not with the sample. [`TsStore::cow_copies`] counts those
-//! copies. A writer that publishes every tick should therefore write into
-//! a store whose last snapshot has been released; `envmon-serve`'s daemon
-//! keeps two stores a tick apart for exactly that (DESIGN.md §13.3).
+//! The store is plain data with one writer (`record` takes `&mut self`).
+//! Sharing it with readers is the owner's decision: `envmon-serve`'s
+//! daemon publishes each store as a reference-counted view and writes
+//! only into a store no reader holds (DESIGN.md §13.3).
 //!
 //! ```
 //! use simkit::store::{StoreConfig, TsStore};
@@ -43,10 +33,9 @@
 //! for s in 0..120 {
 //!     store.record(id, SimTime::from_secs(s), 700.0 + s as f64);
 //! }
-//! let snap = store.snapshot(SimTime::from_secs(120));
 //! let window = (SimTime::ZERO, SimTime::from_secs(120));
-//! let tier = snap.get(id).aggregate(1, window.0, window.1); // 60 s tier
-//! let raw = snap
+//! let tier = store.get(id).aggregate(1, window.0, window.1); // 60 s tier
+//! let raw = store
 //!     .get(id)
 //!     .aggregate_raw(SimDuration::from_secs(60), window.0, window.1);
 //! assert_eq!(tier, raw); // rollups are exact, bit for bit
@@ -56,7 +45,6 @@
 use crate::series::Sample;
 use crate::time::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 /// One rollup tier: bins of `width` in a ring of at most `capacity` bins.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,8 +101,8 @@ impl StoreConfig {
 /// Handle to one series of the [`TsStore`] that issued it.
 ///
 /// Ids are dense (`0..store.len()`), assigned in first-registration order,
-/// and remain valid in every snapshot taken from the same store — but are
-/// meaningless in any other store.
+/// and remain valid in every clone of the same store — but are meaningless
+/// in any other store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SeriesId(u32);
 
@@ -297,9 +285,6 @@ pub struct StoreStats {
 }
 
 /// One series: raw ring, rollup tiers, and lifetime accounting.
-///
-/// All query methods live here so [`TsStore`] (the writer) and
-/// [`StoreSnapshot`] (concurrent readers) answer through the same code.
 #[derive(Clone, Debug)]
 pub struct SeriesData {
     raw: VecDeque<Sample>,
@@ -448,32 +433,17 @@ impl SeriesData {
     }
 }
 
-/// Series names in id order plus the name → id index, shared by every
-/// snapshot and copied only when a series registers while one is alive.
-#[derive(Clone, Debug, Default)]
-struct Catalog {
-    names: Vec<String>,
-    index: HashMap<String, u32>,
-}
-
-impl Catalog {
-    fn find(&self, name: &str) -> Option<SeriesId> {
-        self.index.get(name).map(|&i| SeriesId(i))
-    }
-}
-
-/// The writer half: an appendable store of named series.
+/// An appendable store of named series.
 ///
-/// Single-writer by construction (`record` takes `&mut self`); readers
-/// work from [`StoreSnapshot`]s, which share series storage with the
-/// writer copy-on-write. See the module docs for the concurrency model.
+/// Single-writer by construction (`record` takes `&mut self`). See the
+/// module docs for how a daemon shares it with readers.
 #[derive(Clone, Debug)]
 pub struct TsStore {
     cfg: StoreConfig,
-    catalog: Arc<Catalog>,
-    series: Vec<Arc<SeriesData>>,
+    names: Vec<String>,
+    index: HashMap<String, u32>,
+    series: Vec<SeriesData>,
     stats: StoreStats,
-    cow_copies: u64,
 }
 
 impl TsStore {
@@ -485,10 +455,10 @@ impl TsStore {
         cfg.validate();
         TsStore {
             cfg,
-            catalog: Arc::default(),
+            names: Vec::new(),
+            index: HashMap::new(),
             series: Vec::new(),
             stats: StoreStats::default(),
-            cow_copies: 0,
         }
     }
 
@@ -512,30 +482,21 @@ impl TsStore {
         self.stats
     }
 
-    /// Series copied on write so far: each time a `record` found its
-    /// series still shared with a live snapshot and cloned its whole
-    /// history before appending. Zero for a writer whose snapshots are
-    /// all released before it records again.
-    pub fn cow_copies(&self) -> u64 {
-        self.cow_copies
-    }
-
     /// The id for `name`, registering an empty series on first use.
     pub fn series(&mut self, name: &str) -> SeriesId {
-        if let Some(id) = self.catalog.find(name) {
+        if let Some(id) = self.find(name) {
             return id;
         }
         let i = u32::try_from(self.series.len()).expect("more than u32::MAX series");
-        let catalog = Arc::make_mut(&mut self.catalog);
-        catalog.names.push(name.to_owned());
-        catalog.index.insert(name.to_owned(), i);
-        self.series.push(Arc::new(SeriesData::new(&self.cfg)));
+        self.names.push(name.to_owned());
+        self.index.insert(name.to_owned(), i);
+        self.series.push(SeriesData::new(&self.cfg));
         SeriesId(i)
     }
 
     /// Look up a series by name without registering it.
     pub fn find(&self, name: &str) -> Option<SeriesId> {
-        self.catalog.find(name)
+        self.index.get(name).map(|&i| SeriesId(i))
     }
 
     /// The name `id` was registered under.
@@ -543,7 +504,7 @@ impl TsStore {
     /// # Panics
     /// Panics if `id` came from a different store.
     pub fn name(&self, id: SeriesId) -> &str {
-        &self.catalog.names[id.index()]
+        &self.names[id.index()]
     }
 
     /// Read access to one series.
@@ -572,96 +533,14 @@ impl TsStore {
             self.stats.rejected_nonfinite += 1;
             return false;
         }
-        let slot = &mut self.series[id.index()];
-        if slot.last.is_some_and(|l| at < l.at) {
+        let series = &mut self.series[id.index()];
+        if series.last.is_some_and(|l| at < l.at) {
             self.stats.rejected_late += 1;
             return false;
         }
-        if Arc::get_mut(slot).is_none() {
-            self.cow_copies += 1;
-        }
-        Arc::make_mut(slot).record(at, value, &mut self.stats);
+        series.record(at, value, &mut self.stats);
         self.stats.recorded += 1;
         true
-    }
-
-    /// Publish an immutable view of the store as of virtual time `at`.
-    ///
-    /// Cost is one `Arc` clone per series — no sample data is copied
-    /// here. While the view is alive, the writer's next `record` on each
-    /// series it shares clones that series' full history (counted by
-    /// [`TsStore::cow_copies`]) and then appends in place.
-    pub fn snapshot(&self, at: SimTime) -> StoreSnapshot {
-        StoreSnapshot {
-            at,
-            catalog: Arc::clone(&self.catalog),
-            series: self.series.clone(),
-            stats: self.stats,
-        }
-    }
-}
-
-/// The reader half: an immutable, internally consistent view of a
-/// [`TsStore`] as of one publish instant.
-///
-/// Cloning is cheap (`Arc` spine only), so one snapshot can be handed to
-/// any number of reader threads; every reader sees identical data, and
-/// answers depend only on store contents — never on writer progress —
-/// which is what makes concurrent reads reproduce serial reads byte for
-/// byte.
-#[derive(Clone, Debug)]
-pub struct StoreSnapshot {
-    at: SimTime,
-    catalog: Arc<Catalog>,
-    series: Vec<Arc<SeriesData>>,
-    stats: StoreStats,
-}
-
-impl StoreSnapshot {
-    /// The virtual instant the writer published this view.
-    pub fn at(&self) -> SimTime {
-        self.at
-    }
-
-    /// Number of series registered at publish time.
-    pub fn len(&self) -> usize {
-        self.series.len()
-    }
-
-    /// `true` when the snapshot holds no series.
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
-    }
-
-    /// Ingest counters as of publish time.
-    pub fn stats(&self) -> StoreStats {
-        self.stats
-    }
-
-    /// Look up a series by name.
-    pub fn find(&self, name: &str) -> Option<SeriesId> {
-        self.catalog.find(name)
-    }
-
-    /// The name `id` was registered under.
-    ///
-    /// # Panics
-    /// Panics if `id` came from a different store.
-    pub fn name(&self, id: SeriesId) -> &str {
-        &self.catalog.names[id.index()]
-    }
-
-    /// Read access to one series.
-    ///
-    /// # Panics
-    /// Panics if `id` came from a different store.
-    pub fn get(&self, id: SeriesId) -> &SeriesData {
-        &self.series[id.index()]
-    }
-
-    /// All series ids in registration order.
-    pub fn ids(&self) -> impl Iterator<Item = SeriesId> + '_ {
-        (0..self.series.len()).map(|i| SeriesId(i as u32))
     }
 }
 
@@ -748,40 +627,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_are_frozen_while_writer_advances() {
-        let mut store = TsStore::new(tiny());
-        let id = store.series("a/dev/dom");
-        for i in 0..10 {
-            store.record(id, SimTime::from_secs(i), value(i));
-        }
-        let snap = store.snapshot(SimTime::from_secs(10));
-        let frozen: Vec<Sample> = snap
-            .get(id)
-            .raw_range(SimTime::ZERO, SimTime::from_secs(100))
-            .collect();
-        for i in 10..20 {
-            store.record(id, SimTime::from_secs(i), value(i));
-        }
-        let b = store.series("b/dev/dom");
-        store.record(b, SimTime::from_secs(19), 1.0);
-        // The snapshot still answers exactly as at publish time.
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap.at(), SimTime::from_secs(10));
-        assert_eq!(snap.stats().recorded, 10);
-        assert!(snap.find("b/dev/dom").is_none());
-        let again: Vec<Sample> = snap
-            .get(id)
-            .raw_range(SimTime::ZERO, SimTime::from_secs(100))
-            .collect();
-        assert_eq!(frozen, again);
-        assert_eq!(frozen.len(), 8); // ring capacity
-        assert_eq!(
-            store.get(id).last().map(|s| s.at),
-            Some(SimTime::from_secs(19))
-        );
-    }
-
-    #[test]
     fn late_samples_are_rejected_and_counted() {
         let mut store = TsStore::new(tiny());
         let id = store.series("a/dev/dom");
@@ -815,25 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn cow_copies_count_series_shared_with_a_live_snapshot() {
-        let mut store = TsStore::new(tiny());
-        let a = store.series("a/dev/dom");
-        let b = store.series("b/dev/dom");
-        store.record(a, SimTime::ZERO, 1.0);
-        store.record(b, SimTime::ZERO, 1.0);
-        assert_eq!(store.cow_copies(), 0);
-        let snap = store.snapshot(SimTime::ZERO);
-        // The first write to a shared series copies it; later writes
-        // append to the now-private copy.
-        store.record(a, SimTime::from_secs(1), 2.0);
-        store.record(a, SimTime::from_secs(2), 3.0);
-        assert_eq!(store.cow_copies(), 1);
-        drop(snap);
-        store.record(b, SimTime::from_secs(1), 2.0);
-        assert_eq!(store.cow_copies(), 1);
-    }
-
-    #[test]
     fn series_ids_are_stable_and_named() {
         let mut store = TsStore::new(tiny());
         let a = store.series("alpha");
@@ -844,10 +670,7 @@ mod tests {
         assert_eq!(store.find("beta"), Some(b));
         assert_eq!(store.find("gamma"), None);
         assert_eq!(store.len(), 2);
-        let snap = store.snapshot(SimTime::ZERO);
-        assert_eq!(snap.find("alpha"), Some(a));
-        assert_eq!(snap.name(a), "alpha");
-        assert_eq!(snap.ids().collect::<Vec<_>>(), vec![a, b]);
+        assert_eq!(store.ids().collect::<Vec<_>>(), vec![a, b]);
     }
 
     #[test]
