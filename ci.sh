@@ -136,6 +136,26 @@ else
     skipped "--quick" "cargo build --release"
 fi
 
+# The examples are also documentation that asserts: the telemetry example
+# checks the 1.10 ms EMON latency floor, the observer property and merged ==
+# sum over ranks, and fault_injection, monitoring_daemon, multi_device_node
+# and power_aware_scheduling check their own claims. Run every one and fail
+# on a non-zero exit: release binaries in full mode, debug in quick mode.
+run_examples() {
+    local flag="" ex
+    if [[ $quick -eq 0 ]]; then
+        flag=--release
+    fi
+    for ex in examples/*.rs; do
+        ex="$(basename "$ex" .rs)"
+        echo "    $ex"
+        cargo run -q ${flag:+"$flag"} --example "$ex" > /dev/null
+    done
+}
+
+stage "examples: run every one" \
+    "run_examples"
+
 # The test suite, split so each class of test accounts its own time.
 # unit: every crate's #[cfg(test)] modules and bin self-tests.
 stage "tests: unit (libs, bins)" \

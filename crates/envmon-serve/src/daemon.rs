@@ -33,7 +33,8 @@
 //! `Arc::make_mut` copy the whole store ([`Daemon::cow_copies`]).
 
 use crate::query::{Published, QueryFront, SeriesMeta};
-use moneq::{ClusterResult, ClusterRun, Completeness};
+use moneq::completeness::merge_by_device;
+use moneq::{ClusterResult, ClusterRun, MonEq};
 use simkit::store::{SeriesId, StoreConfig, StoreStats, TsStore};
 use simkit::{SimDuration, SimTime};
 use std::collections::HashMap;
@@ -271,15 +272,7 @@ impl Daemon {
     /// and merge the live completeness ledgers by device.
     fn publish(&mut self) {
         self.seq += 1;
-        let mut merged: Vec<Completeness> = Vec::new();
-        for session in self.run.sessions() {
-            for c in session.completeness_so_far() {
-                match merged.iter_mut().find(|m| m.device == c.device) {
-                    Some(m) => m.absorb(&c),
-                    None => merged.push(c),
-                }
-            }
-        }
+        let merged = merge_by_device(self.run.sessions().iter().flat_map(MonEq::completeness));
         self.front.publish(Published {
             seq: self.seq,
             at: self.now,

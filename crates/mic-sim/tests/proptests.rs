@@ -96,6 +96,49 @@ proptest! {
         prop_assert!(core_w > 20.0 && core_w < 140.0, "core {}", core_w);
     }
 
+    /// Hostile text makes the power-file parser return `None` or a
+    /// reading, never panic: noise, a rendered file cut at any character
+    /// boundary, and a rendered file with one line swapped for noise. A
+    /// cut file that still parses agrees with the whole file on every
+    /// field the cut left whole.
+    #[test]
+    fn micras_power_file_parser_survives_hostile_text(
+        noise in prop::collection::vec(".{0,24}", 0..8),
+        junk in ".{0,24}",
+        cut in any::<prop::sample::Index>(),
+        line in any::<prop::sample::Index>(),
+        t_secs in 0u64..180,
+    ) {
+        let _ = PowerFileReading::parse(&noise.join("\n"));
+
+        let profile = hpc_workloads::Noop::figure7().profile();
+        let card = Arc::new(PhiCard::new(
+            PhiSpec::default(),
+            &profile,
+            DemandTrace::zero(),
+            SimTime::from_secs(200),
+        ));
+        let smc = Arc::new(Smc::new(NoiseStream::new(t_secs)));
+        let daemon = MicrasDaemon::start(card, smc, &profile);
+        let text = daemon.read_file(POWER_FILE, SimTime::from_secs(t_secs)).unwrap();
+        let whole = PowerFileReading::parse(&text).expect("rendered file parses");
+
+        let ends: Vec<usize> = text.char_indices().map(|(i, _)| i).chain([text.len()]).collect();
+        let end = ends[cut.index(ends.len())];
+        if let Some(r) = PowerFileReading::parse(&text[..end]) {
+            // Only the last number, the vccp current, can have been cut.
+            prop_assert_eq!(
+                (r.tot0_uw, r.tot1_uw, r.pcie_uw, r.vccp_uv),
+                (whole.tot0_uw, whole.tot1_uw, whole.pcie_uw, whole.vccp_uv)
+            );
+        }
+
+        let mut lines: Vec<&str> = text.lines().collect();
+        let k = line.index(lines.len());
+        lines[k] = &junk;
+        let _ = PowerFileReading::parse(&lines.join("\n"));
+    }
+
     #[test]
     fn smc_reading_is_stable_within_generation(
         t_ms in 0u64..120_000,

@@ -8,12 +8,13 @@
 //! Table III's scale sweep.
 
 use crate::backend::EnvBackend;
-use crate::completeness::Completeness;
+use crate::completeness::{merge_by_device, Completeness};
 use crate::output::OutputFile;
 use crate::overhead::OverheadReport;
 use crate::plan::{CollectionPlan, Deployment, SharedReadCache};
 use crate::session::{FinalizeResult, MonEq, MonEqConfig};
-use simkit::{CacheStats, SimDuration, SimTime, Telemetry, TelemetryReport, TimeSeries};
+use crate::telemetry::SessionTelemetry;
+use simkit::{CacheStats, SimDuration, SimTime, TelemetryReport, TimeSeries};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -124,15 +125,14 @@ pub struct ClusterResult {
     /// Per-rank completeness reports (rank → one entry per backend), in
     /// rank order like [`ClusterResult::files`].
     pub completeness: Vec<Vec<Completeness>>,
-    /// Per-rank telemetry registry shards, in rank order. Each is moved
-    /// whole out of its session at finalize; string-keyed
-    /// [`TelemetryReport`]s are materialized only on demand
-    /// ([`simkit::Telemetry::report`] per rank,
+    /// Per-rank telemetry, in rank order. Each is moved whole out of its
+    /// session at finalize; string-keyed [`TelemetryReport`]s are built
+    /// only on demand ([`SessionTelemetry::report`] per rank,
     /// [`ClusterResult::telemetry_merged`] run-wide), so the gather path
-    /// never pays for them. All empty unless the sessions were launched
+    /// never pays for them. All disabled unless the sessions were launched
     /// with [`MonEqConfig::telemetry`] set. Deterministic: serial and
-    /// parallel drives produce identical shards.
-    pub telemetry: Vec<Telemetry>,
+    /// parallel drives produce equal instruments.
+    pub telemetry: Vec<SessionTelemetry>,
     /// Exact shared-read cache ledger, folded over every sharing domain.
     /// All zero unless a collection plan was active
     /// ([`ClusterRun::with_collection_plan`]). Deterministic: domain
@@ -719,7 +719,7 @@ impl ClusterRun {
     /// The monitoring daemon walks this between [`ClusterRun::run_until`]
     /// steps to ingest each rank's newly appended records (see
     /// [`MonEq::collected`]) and to answer staleness queries from the live
-    /// ledgers (see [`MonEq::completeness_so_far`]).
+    /// ledgers (see [`MonEq::completeness`]).
     pub fn sessions(&self) -> &[MonEq] {
         &self.sessions
     }
@@ -835,24 +835,15 @@ impl ClusterResult {
     /// counters still reconcile after merging — sums of exact invariants
     /// are exact.
     pub fn completeness_by_device(&self) -> Vec<Completeness> {
-        let mut merged: Vec<Completeness> = Vec::new();
-        for per_rank in &self.completeness {
-            for c in per_rank {
-                match merged.iter_mut().find(|m| m.device == c.device) {
-                    Some(m) => m.absorb(c),
-                    None => merged.push(c.clone()),
-                }
-            }
-        }
-        merged
+        merge_by_device(self.completeness.iter().flatten())
     }
 
-    /// The run-wide telemetry report: every rank's shard snapshotted and
+    /// The run-wide telemetry report: every rank's report built and
     /// folded together with [`TelemetryReport::absorb`], exactly like
     /// [`ClusterResult::completeness_by_device`] — counters and histogram
     /// buckets are exact sums, so the merge is order-independent. This is
-    /// where per-rank reports are first materialized; the collection and
-    /// gather paths never build them.
+    /// where per-rank reports are first built; the collection and gather
+    /// paths never build them.
     pub fn telemetry_merged(&self) -> TelemetryReport {
         let mut merged = TelemetryReport::default();
         for t in &self.telemetry {
@@ -1029,7 +1020,7 @@ mod tests {
             overheads: vec![OverheadReport::default()],
             dropped_records: 0,
             completeness: vec![vec![]],
-            telemetry: vec![Telemetry::default()],
+            telemetry: vec![SessionTelemetry::default()],
             cache: CacheStats::default(),
             sched: SchedStats::default(),
         };
@@ -1263,9 +1254,9 @@ mod tests {
         let result = run.finalize(SimTime::from_secs(1));
         assert_eq!(result.telemetry.len(), 3);
         for t in &result.telemetry {
-            assert!(!t.is_empty());
+            let t = t.report();
             assert!(t.counter("polls.succeeded") > 0);
-            assert!(t.histogram("query_latency/fake").is_some());
+            assert!(t.histograms.contains_key("query_latency/fake"));
         }
         let merged = result.telemetry_merged();
         let scheduled: u64 = result.completeness.iter().map(|r| r[0].scheduled).sum();
@@ -1282,7 +1273,7 @@ mod tests {
         run.run_until(SimTime::from_secs(1));
         let result = run.finalize(SimTime::from_secs(1));
         assert_eq!(result.telemetry.len(), 2);
-        assert!(result.telemetry.iter().all(Telemetry::is_empty));
+        assert!(result.telemetry.iter().all(|t| t.report().is_empty()));
     }
 
     #[test]

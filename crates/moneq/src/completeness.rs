@@ -157,6 +157,22 @@ impl Completeness {
     }
 }
 
+/// Fold ledgers together by device (backend) name, in first-seen order.
+/// The counters still reconcile after merging — sums of exact invariants
+/// are exact.
+pub fn merge_by_device<'a>(
+    ledgers: impl IntoIterator<Item = &'a Completeness>,
+) -> Vec<Completeness> {
+    let mut merged: Vec<Completeness> = Vec::new();
+    for c in ledgers {
+        match merged.iter_mut().find(|m| m.device == c.device) {
+            Some(m) => m.absorb(c),
+            None => merged.push(c.clone()),
+        }
+    }
+    merged
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

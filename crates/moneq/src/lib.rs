@@ -51,11 +51,13 @@
 //! ([`completeness`]).
 //!
 //! With [`session::MonEqConfig::telemetry`] set, the same sessions also
-//! record a deterministic observability layer ([`simkit::telemetry`]):
-//! event counters, per-mechanism query-latency histograms, and
-//! simulated-time spans, gathered per rank and merged across a cluster
-//! exactly like [`Completeness`]. Disabled (the default), the layer costs
-//! one branch per event and allocates nothing.
+//! record deterministic telemetry ([`telemetry::SessionTelemetry`]): typed
+//! instruments for what no ledger holds (per-kind faults, retry backoff,
+//! per-mechanism query latency and cache decisions, simulated-time spans),
+//! read out as a named [`simkit::TelemetryReport`] together with the
+//! completeness, gate and link ledgers, and merged across a cluster
+//! exactly like [`Completeness`]. Disabled (the default), telemetry costs
+//! one branch per update and allocates nothing.
 //!
 //! A [`plan::CollectionPlan`] ([`cluster::ClusterRun::with_collection_plan`])
 //! adds cadence-aware shared collection: ranks behind one sensor elect a
@@ -89,6 +91,7 @@ pub mod records;
 pub mod remote;
 pub mod session;
 pub mod tags;
+pub mod telemetry;
 
 pub use backend::{
     EnvBackend, FaultGate, GateStats, Grant, Poll, ReadError, RetryPolicy, StatedLimitation,
@@ -104,3 +107,4 @@ pub use records::{DataPointRef, Records};
 pub use remote::{BackendServer, RemoteBackend, RemoteMeta};
 pub use session::{FinalizeResult, MonEq, MonEqConfig};
 pub use tags::{TagEvent, TagKind};
+pub use telemetry::SessionTelemetry;

@@ -28,8 +28,9 @@ use crate::plan::{SharedLookup, SharedRead, SharedReadCache};
 use crate::records::Records;
 use crate::remote::RemoteBackend;
 use crate::tags::{TagEvent, TagKind};
+use crate::telemetry::SessionTelemetry;
 use simkit::wire::LinkSpec;
-use simkit::{CounterId, HistogramId, SamplingPolicy, SimDuration, SimTime, SpanId, Telemetry};
+use simkit::{SamplingPolicy, SimDuration, SimTime};
 use std::sync::Arc;
 
 /// Session configuration.
@@ -69,7 +70,7 @@ pub struct MonEqConfig {
     /// How the session reacts to backend read failures.
     pub retry: RetryPolicy,
     /// Record telemetry (counters / histograms / spans) for this session.
-    /// Off by default: a disabled registry costs one branch per event and
+    /// Off by default: disabled telemetry costs one branch per update and
     /// allocates nothing, so existing runs are bit-for-bit unchanged.
     pub telemetry: bool,
     /// When the session polls, relative to its nominal interval grid.
@@ -115,111 +116,19 @@ pub struct FinalizeResult {
     /// Per-backend completeness counters (always populated; written into
     /// the output file only when some device was degraded).
     pub completeness: Vec<Completeness>,
-    /// The session's telemetry registry shard, moved out whole at finalize
-    /// (a pointer move — no string-keyed report is materialized on the
-    /// finalize path). Empty unless [`MonEqConfig::telemetry`] was set.
-    /// Snapshot it with [`Telemetry::report`] when a mergeable
-    /// [`simkit::TelemetryReport`] is wanted; derived exclusively from the virtual
+    /// The session's telemetry instruments, moved out whole at finalize
+    /// (a pointer move — no string-keyed report is built on the finalize
+    /// path). Disabled unless [`MonEqConfig::telemetry`] was set. Build a
+    /// mergeable [`simkit::TelemetryReport`] with
+    /// [`SessionTelemetry::report`]; derived exclusively from the virtual
     /// timeline, so serial and parallel drives of the same seed produce
-    /// identical shards.
-    pub telemetry: Telemetry,
-}
-
-/// Pre-interned IDs for the session-level telemetry vocabulary, resolved
-/// once at initialize so the poll hot path never constructs or looks up a
-/// metric name (see `simkit::telemetry`). On a disabled registry every ID
-/// is a dummy whose operations no-op.
-#[derive(Clone, Copy, Default)]
-struct SessionIds {
-    polls_fired: CounterId,
-    polls_scheduled: CounterId,
-    polls_missed: CounterId,
-    polls_succeeded: CounterId,
-    polls_retried: CounterId,
-    polls_stale_substituted: CounterId,
-    devices_disabled: CounterId,
-    records_fresh: CounterId,
-    records_stale: CounterId,
-    records_lost: CounterId,
-    records_dropped: CounterId,
-    faults_transient: CounterId,
-    faults_timeout: CounterId,
-    faults_no_data: CounterId,
-    faults_unavailable: CounterId,
-    /// Interned at setup even though it is only counted once, at finalize:
-    /// a string-keyed `count` there would intern a brand-new name per
-    /// session — map insert, string allocations, and a capacity growth of
-    /// all three counter arrays — inside the timed finalize path.
-    finalize_waves: CounterId,
-    retry_backoff: HistogramId,
-    session_span: SpanId,
-    poll_span: SpanId,
-}
-
-impl SessionIds {
-    fn intern(t: &mut Telemetry) -> Self {
-        // Disabled registries no-op on any ID, so skip the nineteen
-        // cross-crate intern calls — at 49k sessions per cluster launch
-        // they are a visible slice of wall clock for no effect.
-        if !t.is_enabled() {
-            return SessionIds::default();
-        }
-        SessionIds {
-            polls_fired: t.intern_counter("polls.fired"),
-            polls_scheduled: t.intern_counter("polls.scheduled"),
-            polls_missed: t.intern_counter("polls.missed"),
-            polls_succeeded: t.intern_counter("polls.succeeded"),
-            polls_retried: t.intern_counter("polls.retried"),
-            polls_stale_substituted: t.intern_counter("polls.stale_substituted"),
-            devices_disabled: t.intern_counter("devices.disabled"),
-            records_fresh: t.intern_counter("records.fresh"),
-            records_stale: t.intern_counter("records.stale"),
-            records_lost: t.intern_counter("records.lost"),
-            records_dropped: t.intern_counter("records.dropped"),
-            faults_transient: t.intern_counter("faults.transient"),
-            faults_timeout: t.intern_counter("faults.timeout"),
-            faults_no_data: t.intern_counter("faults.no_data"),
-            faults_unavailable: t.intern_counter("faults.unavailable"),
-            finalize_waves: t.intern_counter("finalize.waves"),
-            retry_backoff: t.intern_histogram("retry_backoff"),
-            session_span: t.intern_span("session"),
-            poll_span: t.intern_span("poll"),
-        }
-    }
-}
-
-/// Pre-interned IDs for one backend's per-mechanism metrics. The
-/// `format!`s here run once per slot at initialize (and only when
-/// telemetry is enabled) instead of once per poll.
-#[derive(Clone, Copy, Default)]
-struct SlotIds {
-    poll_span: SpanId,
-    query_latency: HistogramId,
-    cache_hit: CounterId,
-    cache_bypass: CounterId,
-    cache_miss: CounterId,
-}
-
-impl SlotIds {
-    fn intern(t: &mut Telemetry, name: &str) -> Self {
-        if !t.is_enabled() {
-            return SlotIds::default();
-        }
-        SlotIds {
-            poll_span: t.intern_span(&format!("poll/{name}")),
-            query_latency: t.intern_histogram(&format!("query_latency/{name}")),
-            cache_hit: t.intern_counter(&format!("cache.hit/{name}")),
-            cache_bypass: t.intern_counter(&format!("cache.bypass/{name}")),
-            cache_miss: t.intern_counter(&format!("cache.miss/{name}")),
-        }
-    }
+    /// equal instruments.
+    pub telemetry: SessionTelemetry,
 }
 
 /// One attached backend plus its degradation state.
 struct Slot {
     backend: Box<dyn EnvBackend>,
-    /// Pre-interned per-mechanism telemetry IDs.
-    ids: SlotIds,
     /// Indices into the session's record array of the most recent poll's
     /// fresh records — the substitution source when a later poll fails
     /// outright. Indices, not clones: the array is append-only, so they
@@ -254,13 +163,10 @@ pub struct MonEq {
     collection_cost: SimDuration,
     fault_recovery: SimDuration,
     polls: u64,
-    retries: u64,
     /// Nominal time of poll index 0 — the fixed point the sampling policy
     /// measures offsets from (grid policies never accumulate drift).
     sampling_anchor: SimTime,
-    telemetry: Telemetry,
-    /// Pre-interned session-level telemetry IDs.
-    ids: SessionIds,
+    telemetry: SessionTelemetry,
     /// The sharing domain's read cache, when a collection plan is active
     /// ([`MonEq::attach_shared_cache`]). `None` (the default) keeps the
     /// poll path bit-identical to builds that predate the planner.
@@ -299,15 +205,11 @@ impl MonEq {
         now: SimTime,
     ) -> Self {
         assert!(backends.len() > 0, "at least one backend required");
-        let mut telemetry = Telemetry::with(config.telemetry);
-        let ids = SessionIds::intern(&mut telemetry);
         let slots: Vec<Slot> = backends
             .map(|backend| {
                 let comp = Completeness::new(backend.name());
-                let ids = SlotIds::intern(&mut telemetry, backend.name());
                 Slot {
                     backend,
-                    ids,
                     last_good: Vec::new(),
                     consecutive_failures: 0,
                     disabled: false,
@@ -338,12 +240,12 @@ impl MonEq {
         let first = config
             .sampling
             .first_fire(sampling_anchor, interval, u64::from(rank));
-        telemetry.span_enter_id(ids.session_span, now);
+        let telemetry =
+            SessionTelemetry::new(config.telemetry, slots.iter().map(|s| s.backend.name()));
         MonEq {
             rank,
             slots,
             telemetry,
-            ids,
             // No up-front reservation: records live in columnar arenas
             // (`Records`), so growth is amortized per column and launching
             // tens of thousands of ranks in one process commits no
@@ -359,7 +261,6 @@ impl MonEq {
             collection_cost: SimDuration::ZERO,
             fault_recovery: SimDuration::ZERO,
             polls: 0,
-            retries: 0,
             sampling_anchor,
             shared_cache: None,
             control: None,
@@ -434,12 +335,12 @@ impl MonEq {
         &self.config.agent_name
     }
 
-    /// A point-in-time copy of every device's completeness ledger, in
-    /// backend order — the same counters [`MonEq::finalize`] returns, but
-    /// readable mid-run so a staleness endpoint can answer while the
-    /// session is still collecting.
-    pub fn completeness_so_far(&self) -> Vec<Completeness> {
-        self.slots.iter().map(|s| s.comp.clone()).collect()
+    /// Every device's completeness ledger as it stands, in backend order —
+    /// the same counters [`MonEq::finalize`] returns, but readable mid-run
+    /// so a staleness endpoint can answer while the session is still
+    /// collecting.
+    pub fn completeness(&self) -> impl Iterator<Item = &Completeness> {
+        self.slots.iter().map(|s| &s.comp)
     }
 
     /// Drive the timer up to `until` (the application calls this as virtual
@@ -452,14 +353,12 @@ impl MonEq {
         while self.next_fire <= until {
             let t = self.next_fire;
             let new_from = self.data.len();
-            self.telemetry.count_id(self.ids.polls_fired, 1);
-            self.telemetry.span_enter_id(self.ids.poll_span, t);
             let before = self.collection_cost + self.fault_recovery;
             for i in 0..self.slots.len() {
                 self.poll_slot(i, t);
             }
-            let spent = (self.collection_cost + self.fault_recovery) - before;
-            self.telemetry.span_exit(t + spent);
+            self.telemetry
+                .fire((self.collection_cost + self.fault_recovery) - before);
             // The control hook fires after every backend polled, on the
             // same timeline — a `None` hook is one untaken branch.
             if let Some(hook) = self.control.as_mut() {
@@ -482,28 +381,20 @@ impl MonEq {
     /// One backend's share of one timer fire: read with bounded retry,
     /// then record, substitute, or mark missed.
     ///
-    /// A live poll is wrapped in a `poll/{backend}` span and records one
+    /// A live poll is timed as one `poll/{backend}` span and one
     /// `query_latency/{backend}` sample covering the poll cost and any
     /// fault-recovery time it charged — all simulated time, so the sample
     /// is identical however the session is scheduled. Disabled devices
-    /// record neither (their polls do no mechanism work). On a disabled
-    /// registry every interned ID no-ops, so the same path serves both.
+    /// record neither (their polls do no mechanism work).
     fn poll_slot(&mut self, i: usize, t: SimTime) {
         let policy = self.config.retry;
-        let ids = self.ids;
         let slot = &mut self.slots[i];
-        let sids = slot.ids;
         slot.comp.scheduled += 1;
-        self.telemetry.count_id(ids.polls_scheduled, 1);
         if slot.disabled {
             slot.comp.missed_polls += 1;
             slot.comp.records_lost += slot.backend.records_per_poll() as u64;
-            self.telemetry.count_id(ids.polls_missed, 1);
-            self.telemetry
-                .count_id(ids.records_lost, slot.backend.records_per_poll() as u64);
             return;
         }
-        self.telemetry.span_enter_id(sids.poll_span, t);
         let before = self.collection_cost + self.fault_recovery;
         // Collection-plan consult: when a sharing domain's cache is
         // attached, ask whether this generation was already fetched by
@@ -516,21 +407,17 @@ impl MonEq {
         let mut leader = false;
         let mut replay: Option<Poll> = None;
         if let Some(cache) = &self.shared_cache {
-            match cache.consult(name, slot.backend.read_cadence(), t) {
+            let found = cache.consult(name, slot.backend.read_cadence(), t);
+            self.telemetry.lookup(i, &found);
+            match found {
                 SharedLookup::Hit(read) => {
                     charged = false;
                     if slot.backend.replayable() && read.at == t {
                         replay = read.poll;
                     }
-                    self.telemetry.count_id(sids.cache_hit, 1);
                 }
-                SharedLookup::Failed => {
-                    self.telemetry.count_id(sids.cache_bypass, 1);
-                }
-                SharedLookup::Miss => {
-                    leader = true;
-                    self.telemetry.count_id(sids.cache_miss, 1);
-                }
+                SharedLookup::Failed => {}
+                SharedLookup::Miss => leader = true,
             }
         }
         let mut attempt = 0u32;
@@ -541,27 +428,17 @@ impl MonEq {
             match slot.backend.read(t) {
                 Ok(poll) => break Ok(poll),
                 Err(e) => {
-                    self.telemetry.count_id(
-                        match &e {
-                            ReadError::Transient(_) => ids.faults_transient,
-                            ReadError::Timeout { .. } => ids.faults_timeout,
-                            ReadError::NoData => ids.faults_no_data,
-                            ReadError::Unavailable(_) => ids.faults_unavailable,
-                        },
-                        1,
-                    );
+                    self.telemetry.fault(&e);
                     if let ReadError::Timeout { stalled } = &e {
                         self.fault_recovery += (*stalled).min(policy.timeout);
                     }
                     if e.is_retryable() && attempt < policy.max_retries {
                         attempt += 1;
-                        self.retries += 1;
                         slot.comp.retried += 1;
                         // Exponential backoff before retry n: base << (n-1).
                         let backoff = policy.base_backoff.saturating_mul(1u64 << (attempt - 1));
                         self.fault_recovery += backoff;
-                        self.telemetry.count_id(ids.polls_retried, 1);
-                        self.telemetry.record_id(ids.retry_backoff, backoff);
+                        self.telemetry.retry(backoff);
                         continue;
                     }
                     break Err(e);
@@ -579,9 +456,8 @@ impl MonEq {
         if charged {
             self.collection_cost += slot.backend.last_poll_cost();
         }
-        let spent = (self.collection_cost + self.fault_recovery) - before;
-        self.telemetry.span_exit(t + spent);
-        self.telemetry.record_id(sids.query_latency, spent);
+        self.telemetry
+            .backend_poll(i, (self.collection_cost + self.fault_recovery) - before);
         // The generation's leader publishes its outcome so co-resident
         // ranks share the fetch. Values are stored only for replayable
         // backends; otherwise a cost-only marker is published and
@@ -611,9 +487,6 @@ impl MonEq {
                 slot.consecutive_failures = 0;
                 slot.comp.succeeded += 1;
                 slot.comp.records_lost += u64::from(poll.missing);
-                self.telemetry.count_id(ids.polls_succeeded, 1);
-                self.telemetry
-                    .count_id(ids.records_lost, u64::from(poll.missing));
                 // The fresh-index list reuses a session-level scratch
                 // buffer (and, below, swaps with the slot's previous list)
                 // so the steady-state poll allocates nothing.
@@ -626,10 +499,8 @@ impl MonEq {
                     // "last good".
                     if p.stale {
                         slot.comp.records_stale += 1;
-                        self.telemetry.count_id(ids.records_stale, 1);
                     } else {
                         slot.comp.records_fresh += 1;
-                        self.telemetry.count_id(ids.records_fresh, 1);
                         if self.data.len() < self.config.max_samples {
                             fresh.push(self.data.len());
                         }
@@ -638,7 +509,6 @@ impl MonEq {
                         self.data.push(p);
                     } else {
                         self.dropped += 1;
-                        self.telemetry.count_id(ids.records_dropped, 1);
                     }
                 }
                 if fresh.is_empty() {
@@ -652,29 +522,22 @@ impl MonEq {
                 if slot.last_good.is_empty() {
                     slot.comp.missed_polls += 1;
                     slot.comp.records_lost += slot.backend.records_per_poll() as u64;
-                    self.telemetry.count_id(ids.polls_missed, 1);
-                    self.telemetry
-                        .count_id(ids.records_lost, slot.backend.records_per_poll() as u64);
                 } else {
                     slot.comp.stale_polls += 1;
-                    self.telemetry.count_id(ids.polls_stale_substituted, 1);
                     for k in 0..slot.last_good.len() {
                         slot.comp.records_stale += 1;
-                        self.telemetry.count_id(ids.records_stale, 1);
                         if self.data.len() < self.config.max_samples {
                             // Columnar last-good substitution: copies the
                             // row in place, allocation-free.
                             self.data.push_stale_copy(slot.last_good[k], t);
                         } else {
                             self.dropped += 1;
-                            self.telemetry.count_id(ids.records_dropped, 1);
                         }
                     }
                 }
                 if slot.consecutive_failures >= policy.disable_after {
                     slot.disabled = true;
                     slot.comp.mark_disabled(self.rank, t.as_nanos());
-                    self.telemetry.count_id(ids.devices_disabled, 1);
                 }
             }
         }
@@ -704,37 +567,19 @@ impl MonEq {
         assert_eq!(self.state, State::Running, "double finalize");
         self.run_until(now);
         self.state = State::Finalized;
-        if self.telemetry.is_enabled() {
-            // Per-mechanism fault-gate decision counters (how often each
-            // documented pathology actually fired), finalize I/O-wave
-            // occupancy, and the closing of the session span.
-            for i in 0..self.slots.len() {
-                let name = self.slots[i].backend.name();
-                if let Some(gs) = self.slots[i].backend.gate_stats() {
-                    for (kind, n) in gs.kinds() {
-                        if n > 0 {
-                            self.telemetry.count(&format!("gate.{kind}/{name}"), n);
-                        }
-                    }
-                }
-                // Remotely-deployed mechanisms also fold their link's
-                // transfer ledger: wire.{tx,rx,…}/{mechanism} counters
-                // plus the round-trip histogram.
-                if let Some(ws) = self.slots[i].backend.wire_stats() {
-                    for (kind, n) in ws.kinds() {
-                        if n > 0 {
-                            self.telemetry.count(&format!("wire.{kind}/{name}"), n);
-                        }
-                    }
-                    self.telemetry
-                        .merge_histogram(&format!("wire.rtt/{name}"), &ws.rtt);
-                }
-            }
-            let waves = self.config.total_agents.max(1).div_ceil(IO_STRIPE_WIDTH) as u64;
-            self.telemetry.count_id(self.ids.finalize_waves, waves);
-            self.telemetry.span_exit(now);
-        }
         let app_runtime = now.saturating_since(self.started_at);
+        let waves = self.config.total_agents.max(1).div_ceil(IO_STRIPE_WIDTH) as u64;
+        // Disabled telemetry never pulls the iterator, so no gate or link
+        // ledger is copied unless someone will read it.
+        self.telemetry.finalize(
+            self.slots
+                .iter()
+                .map(|s| (&s.comp, s.backend.gate_stats(), s.backend.wire_stats())),
+            self.polls,
+            self.dropped,
+            waves,
+            app_runtime,
+        );
         let overhead = OverheadReport {
             app_runtime,
             init: self.init_cost,
@@ -742,7 +587,7 @@ impl MonEq {
             collection: self.collection_cost,
             fault_recovery: self.fault_recovery,
             polls: self.polls,
-            retries: self.retries,
+            retries: self.slots.iter().map(|s| s.comp.retried).sum(),
         };
         let completeness: Vec<Completeness> = self.slots.iter().map(|s| s.comp.clone()).collect();
         // Clean runs omit the report entirely so un-faulted output is
@@ -1181,8 +1026,8 @@ mod tests {
         };
         let off = mk(false);
         let on = mk(true);
-        assert!(off.telemetry.is_empty());
-        assert!(!on.telemetry.is_empty());
+        assert!(off.telemetry.report().is_empty());
+        assert!(!on.telemetry.report().is_empty());
         // Telemetry must never change what the session produces.
         assert_eq!(off.file.render(), on.file.render());
         assert_eq!(off.overhead, on.overhead);

@@ -30,9 +30,9 @@
 //!   clock;
 //! * [`store`] — the in-memory time-series store ([`TsStore`]): fixed-
 //!   capacity raw rings per series plus exact rollup tiers;
-//! * [`telemetry`] — zero-cost-when-disabled observability ([`Telemetry`]):
-//!   named counters, simulated-time log₂ histograms, hierarchical spans,
-//!   and mergeable [`TelemetryReport`] snapshots;
+//! * [`telemetry`] — the value types of deterministic observability:
+//!   simulated-time log₂ histograms ([`LogHistogram`]), span aggregates
+//!   ([`SpanStats`]), and the mergeable named [`TelemetryReport`];
 //! * [`wire`] — a framed binary protocol ([`Frame`]/[`WireError`]) plus a
 //!   deterministic simulated link ([`SimTransport`] over a [`LinkSpec`])
 //!   so mechanisms can be served remotely with exact latency/fault
@@ -69,8 +69,6 @@ pub use stats::{welch_t_test, BoxplotSummary, Histogram, RunningStats, WelchResu
 pub use store::{
     Aggregate, RollupBin, SeriesData, SeriesId, StoreConfig, StoreStats, TierSpec, TsStore,
 };
-pub use telemetry::{
-    CounterId, HistogramId, LogHistogram, SpanId, SpanStats, Telemetry, TelemetryReport,
-};
+pub use telemetry::{LogHistogram, SpanStats, TelemetryReport};
 pub use time::{SimDuration, SimTime};
 pub use wire::{Frame, LinkSpec, LinkStats, SimTransport, WireError};

@@ -1,51 +1,34 @@
-//! Deterministic observability: named counters, simulated-time log₂
-//! histograms, and hierarchical spans.
+//! Deterministic observability: simulated-time log₂ histograms, span
+//! aggregates, and the mergeable report they are read through.
 //!
 //! The paper's whole contribution is *measuring the measurers*; this module
-//! turns the same discipline on the harness itself. A [`Telemetry`] registry
-//! is threaded through a profiling session and records
+//! turns the same discipline on the harness itself. It holds the value
+//! types a producer records into and the report it is read through:
 //!
-//! * **counters** — named monotonic event counts (polls scheduled, retries,
-//!   stale substitutions, per-fault-kind gate decisions, …);
-//! * **histograms** — [`LogHistogram`], distributions of *simulated-time*
-//!   durations in log₂ buckets (per-mechanism query latency, backoff);
-//! * **spans** — nested named sections of simulated time, aggregated on
-//!   close into per-name [`SpanStats`] so memory stays bounded at any scale.
+//! * [`LogHistogram`] — distributions of *simulated-time* durations in
+//!   log₂ buckets (per-mechanism query latency, backoff);
+//! * [`SpanStats`] — per-name aggregates of closed sections of simulated
+//!   time (count, total, longest), so memory stays bounded at any scale;
+//! * [`TelemetryReport`] — named counters, histograms, and spans.
 //!
-//! Two properties are load-bearing:
+//! A producer owns its instruments as typed fields and spells metric names
+//! only when someone asks for a report; a MonEQ session does exactly that
+//! (`moneq::telemetry`). Two properties are load-bearing:
 //!
-//! 1. **Zero cost when disabled.** A disabled registry is a `None`; every
-//!    operation is a single branch, no allocation, no formatting. Callers
-//!    gate any name construction on [`Telemetry::is_enabled`], so a
-//!    telemetry-off run executes the same instruction stream it did before
-//!    this module existed (`BENCH_telemetry.json` holds the measurement).
+//! 1. **Zero cost when disabled.** The producer keeps its instruments
+//!    behind an `Option<Box<…>>`: disabled, every update is one untaken
+//!    branch and nothing is allocated (`BENCH_telemetry.json` holds the
+//!    measurement).
 //! 2. **Determinism.** Everything recorded is derived from the virtual
 //!    timeline (simulated clocks, indexed draws) — never from wall clock or
 //!    scheduling order. Serial and parallel drives of the same seed produce
 //!    byte-identical [`TelemetryReport`]s, which is property-tested.
 //!
-//! # Interned metric IDs
-//!
-//! The string-keyed API (`count("polls.scheduled", 1)`) pays a `BTreeMap`
-//! lookup — and, for per-backend metrics, a `format!` — on every call.
-//! Hot paths instead **intern** each name once at setup
-//! ([`Telemetry::intern_counter`] / [`intern_histogram`](Telemetry::intern_histogram) /
-//! [`intern_span`](Telemetry::intern_span)) and then hit dense vectors
-//! through copyable [`CounterId`] / [`HistogramId`] / [`SpanId`] handles:
-//! one bounds-checked index, no string hashing, no allocation. The string
-//! API remains for cold paths and delegates through the intern table, so
-//! both APIs observe the same metric. Interning alone does not create a
-//! report entry: a counter appears only once it has been added to (even
-//! with `n = 0`, mirroring the string API), a histogram once it has an
-//! observation, a span once one has closed.
-//!
-//! Registries are **sharded by construction**: each session/worker owns its
-//! own `Telemetry`, so recording takes no shared locks. Reports from many
-//! ranks merge with [`TelemetryReport::absorb`] exactly like per-device
-//! completeness ledgers: counters and histogram buckets are exact sums, so
-//! aggregation is associative and order-independent.
+//! Reports from many ranks merge with [`TelemetryReport::absorb`] exactly
+//! like per-device completeness ledgers: counters and histogram buckets are
+//! exact sums, so aggregation is associative and order-independent.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use std::collections::BTreeMap;
 
 /// Number of buckets in a [`LogHistogram`]: one zero bucket plus one per
@@ -217,325 +200,16 @@ pub struct SpanStats {
     pub depth: u16,
 }
 
-/// A pre-resolved handle to one named counter (see the module docs on
-/// interning). Valid only for the registry that issued it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CounterId(u32);
-
-/// A pre-resolved handle to one named histogram. Valid only for the
-/// registry that issued it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HistogramId(u32);
-
-/// A pre-resolved handle to one named span. Valid only for the registry
-/// that issued it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpanId(u32);
-
-/// A telemetry registry: disabled (`None` inside, every operation a single
-/// branch) or enabled (owning counters, histograms, and span aggregates).
-///
-/// Sessions own one registry each — registries are per-worker shards, never
-/// shared. A finished shard is *moved* out of its session (a few pointer
-/// copies, no allocation) and snapshotted into a mergeable
-/// [`TelemetryReport`] only when a consumer asks ([`Telemetry::report`]):
-/// materializing the string-keyed maps is deferred to read time, so the
-/// per-session finalize path never pays for it.
-///
-/// Equality compares full registry state — interned names (in intern
-/// order), values, and open spans — so it is strictly stronger than
-/// comparing reports.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Telemetry {
-    inner: Option<Box<Inner>>,
-}
-
-/// Dense interned storage. The `*_index` maps are consulted only while
-/// interning (setup) and by the delegating string API (cold paths); the
-/// hot ID paths index straight into the vectors.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct Inner {
-    counter_index: BTreeMap<String, u32>,
-    counter_names: Vec<String>,
-    counter_vals: Vec<u64>,
-    /// Interning alone must not create a report entry; only counters that
-    /// have actually been added to (even with `n = 0`, matching the string
-    /// API of old) appear in [`Telemetry::report`].
-    counter_touched: Vec<bool>,
-    hist_index: BTreeMap<String, u32>,
-    hist_names: Vec<String>,
-    hists: Vec<LogHistogram>,
-    span_index: BTreeMap<String, u32>,
-    span_names: Vec<String>,
-    span_stats: Vec<SpanStats>,
-    open: Vec<(u32, SimTime)>,
-}
-
-impl Inner {
-    fn intern_counter(&mut self, name: &str) -> u32 {
-        if let Some(&i) = self.counter_index.get(name) {
-            return i;
-        }
-        let i = u32::try_from(self.counter_names.len()).unwrap_or(u32::MAX);
-        self.counter_index.insert(name.to_owned(), i);
-        self.counter_names.push(name.to_owned());
-        self.counter_vals.push(0);
-        self.counter_touched.push(false);
-        i
-    }
-
-    fn intern_hist(&mut self, name: &str) -> u32 {
-        if let Some(&i) = self.hist_index.get(name) {
-            return i;
-        }
-        let i = u32::try_from(self.hist_names.len()).unwrap_or(u32::MAX);
-        self.hist_index.insert(name.to_owned(), i);
-        self.hist_names.push(name.to_owned());
-        self.hists.push(LogHistogram::default());
-        i
-    }
-
-    fn intern_span(&mut self, name: &str) -> u32 {
-        if let Some(&i) = self.span_index.get(name) {
-            return i;
-        }
-        let i = u32::try_from(self.span_names.len()).unwrap_or(u32::MAX);
-        self.span_index.insert(name.to_owned(), i);
-        self.span_names.push(name.to_owned());
-        self.span_stats.push(SpanStats::default());
-        i
+impl SpanStats {
+    /// Fold one closed span of length `d`.
+    pub fn record(&mut self, d: SimDuration) {
+        self.count += 1;
+        self.total += d;
+        self.max = self.max.max(d);
     }
 }
 
-impl Telemetry {
-    /// The zero-cost disabled registry (the default).
-    pub fn disabled() -> Self {
-        Telemetry { inner: None }
-    }
-
-    /// An enabled, empty registry.
-    pub fn enabled() -> Self {
-        Telemetry {
-            inner: Some(Box::default()),
-        }
-    }
-
-    /// Enabled or disabled per `on`.
-    pub fn with(on: bool) -> Self {
-        if on {
-            Telemetry::enabled()
-        } else {
-            Telemetry::disabled()
-        }
-    }
-
-    /// Is this registry recording? Callers use this to gate any work spent
-    /// *constructing* names (formatting), keeping the disabled path free of
-    /// allocation entirely.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Resolve (creating on first use) the ID of the named counter. On a
-    /// disabled registry returns a dummy ID whose operations no-op. Intern
-    /// once at setup; the returned ID is valid only for this registry.
-    pub fn intern_counter(&mut self, name: &str) -> CounterId {
-        match self.inner.as_deref_mut() {
-            None => CounterId(0),
-            Some(inner) => CounterId(inner.intern_counter(name)),
-        }
-    }
-
-    /// Resolve (creating on first use) the ID of the named histogram. See
-    /// [`Telemetry::intern_counter`].
-    pub fn intern_histogram(&mut self, name: &str) -> HistogramId {
-        match self.inner.as_deref_mut() {
-            None => HistogramId(0),
-            Some(inner) => HistogramId(inner.intern_hist(name)),
-        }
-    }
-
-    /// Resolve (creating on first use) the ID of the named span. See
-    /// [`Telemetry::intern_counter`].
-    pub fn intern_span(&mut self, name: &str) -> SpanId {
-        match self.inner.as_deref_mut() {
-            None => SpanId(0),
-            Some(inner) => SpanId(inner.intern_span(name)),
-        }
-    }
-
-    /// Add `n` to an interned counter: one branch and one vector index, no
-    /// string work.
-    ///
-    /// # Panics
-    /// Panics if `id` was interned by a different (enabled) registry and is
-    /// out of range for this one.
-    #[inline]
-    pub fn count_id(&mut self, id: CounterId, n: u64) {
-        let Some(inner) = self.inner.as_deref_mut() else {
-            return;
-        };
-        let i = id.0 as usize;
-        inner.counter_vals[i] += n;
-        inner.counter_touched[i] = true;
-    }
-
-    /// Record one observation into an interned histogram.
-    ///
-    /// # Panics
-    /// Panics if `id` was interned by a different (enabled) registry and is
-    /// out of range for this one.
-    #[inline]
-    pub fn record_id(&mut self, id: HistogramId, d: SimDuration) {
-        let Some(inner) = self.inner.as_deref_mut() else {
-            return;
-        };
-        inner.hists[id.0 as usize].record(d);
-    }
-
-    /// Open an interned span at simulated instant `at`. Spans nest: a span
-    /// opened while another is open is its child (depth + 1). No
-    /// allocation: the open stack holds `(id, start)` pairs.
-    #[inline]
-    pub fn span_enter_id(&mut self, id: SpanId, at: SimTime) {
-        let Some(inner) = self.inner.as_deref_mut() else {
-            return;
-        };
-        inner.open.push((id.0, at));
-    }
-
-    /// Add `n` to the named counter (cold-path string API; delegates
-    /// through the intern table).
-    #[inline]
-    pub fn count(&mut self, name: &str, n: u64) {
-        let Some(inner) = self.inner.as_deref_mut() else {
-            return;
-        };
-        let i = inner.intern_counter(name) as usize;
-        inner.counter_vals[i] += n;
-        inner.counter_touched[i] = true;
-    }
-
-    /// Record one observation into the named histogram (cold-path string
-    /// API; delegates through the intern table).
-    #[inline]
-    pub fn record(&mut self, name: &str, d: SimDuration) {
-        let Some(inner) = self.inner.as_deref_mut() else {
-            return;
-        };
-        let i = inner.intern_hist(name) as usize;
-        inner.hists[i].record(d);
-    }
-
-    /// Fold a whole pre-built histogram into the named histogram (used to
-    /// import per-link round-trip ledgers at finalize). Empty histograms
-    /// are skipped so they do not intern a name that was never observed.
-    #[inline]
-    pub fn merge_histogram(&mut self, name: &str, h: &LogHistogram) {
-        if h.is_empty() {
-            return;
-        }
-        let Some(inner) = self.inner.as_deref_mut() else {
-            return;
-        };
-        let i = inner.intern_hist(name) as usize;
-        inner.hists[i].merge(h);
-    }
-
-    /// Close the innermost open span at simulated instant `at`, folding its
-    /// duration into that name's [`SpanStats`]. An exit with no open span
-    /// is ignored (a caller bug, but never a panic source mid-run).
-    #[inline]
-    pub fn span_exit(&mut self, at: SimTime) {
-        let Some(inner) = self.inner.as_deref_mut() else {
-            return;
-        };
-        let Some((id, start)) = inner.open.pop() else {
-            return;
-        };
-        let d = at.saturating_since(start);
-        let depth = u16::try_from(inner.open.len()).unwrap_or(u16::MAX);
-        let s = &mut inner.span_stats[id as usize];
-        if s.count == 0 {
-            s.depth = depth;
-        } else {
-            s.depth = s.depth.min(depth);
-        }
-        s.count += 1;
-        s.total += d;
-        s.max = s.max.max(d);
-    }
-
-    /// `true` when nothing has been recorded: the registry is disabled, or
-    /// every interned metric is still untouched (interning alone never
-    /// counts as recording — see the module docs).
-    pub fn is_empty(&self) -> bool {
-        let Some(inner) = self.inner.as_deref() else {
-            return true;
-        };
-        !inner.counter_touched.iter().any(|&t| t)
-            && inner.hists.iter().all(LogHistogram::is_empty)
-            && inner.span_stats.iter().all(|s| s.count == 0)
-    }
-
-    /// The named counter's current value (0 when unknown or untouched) —
-    /// the registry-side equivalent of [`TelemetryReport::counter`].
-    pub fn counter(&self, name: &str) -> u64 {
-        let Some(inner) = self.inner.as_deref() else {
-            return 0;
-        };
-        inner
-            .counter_index
-            .get(name)
-            .map_or(0, |&i| inner.counter_vals[i as usize])
-    }
-
-    /// The named histogram, if interned and non-empty (mirrors which
-    /// histograms [`Telemetry::report`] would include).
-    pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
-        let inner = self.inner.as_deref()?;
-        let &i = inner.hist_index.get(name)?;
-        let h = &inner.hists[i as usize];
-        (!h.is_empty()).then_some(h)
-    }
-
-    /// Snapshot the registry into a mergeable report. Open spans are not
-    /// included (close them first); interned-but-never-recorded metrics are
-    /// not included (see the module docs). Disabled registries report
-    /// empty.
-    pub fn report(&self) -> TelemetryReport {
-        let Some(inner) = self.inner.as_deref() else {
-            return TelemetryReport::default();
-        };
-        TelemetryReport {
-            counters: inner
-                .counter_names
-                .iter()
-                .zip(&inner.counter_vals)
-                .zip(&inner.counter_touched)
-                .filter(|(_, &touched)| touched)
-                .map(|((k, &v), _)| (k.clone(), v))
-                .collect(),
-            histograms: inner
-                .hist_names
-                .iter()
-                .zip(&inner.hists)
-                .filter(|(_, h)| !h.is_empty())
-                .map(|(k, h)| (k.clone(), h.clone()))
-                .collect(),
-            spans: inner
-                .span_names
-                .iter()
-                .zip(&inner.span_stats)
-                .filter(|(_, s)| s.count > 0)
-                .map(|(k, &s)| (k.clone(), s))
-                .collect(),
-        }
-    }
-}
-
-/// A snapshot of one registry — or the exact merge of many.
+/// One producer's named metrics — or the exact merge of many.
 ///
 /// Merging ([`TelemetryReport::absorb`]) sums counters and histogram
 /// buckets and folds span aggregates, so a cluster-wide report is
@@ -649,85 +323,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let mut t = Telemetry::disabled();
-        assert!(!t.is_enabled());
-        t.count("x", 3);
-        t.record("h", SimDuration::from_millis(1));
-        let c = t.intern_counter("x");
-        let h = t.intern_histogram("h");
-        let s = t.intern_span("s");
-        t.count_id(c, 3);
-        t.record_id(h, SimDuration::from_millis(1));
-        t.span_enter_id(s, SimTime::ZERO);
-        t.span_exit(SimTime::from_secs(1));
-        assert!(t.report().is_empty());
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut t = Telemetry::enabled();
-        t.count("polls", 1);
-        t.count("polls", 2);
-        t.count("retries", 5);
-        let r = t.report();
-        assert_eq!(r.counter("polls"), 3);
-        assert_eq!(r.counter("retries"), 5);
-        assert_eq!(r.counter("absent"), 0);
-    }
-
-    #[test]
-    fn interned_ids_alias_the_string_api() {
-        // Both APIs must observe the same metric: a per-name report built
-        // through IDs is indistinguishable from one built through strings.
-        let mut by_id = Telemetry::enabled();
-        let polls = by_id.intern_counter("polls");
-        let lat = by_id.intern_histogram("lat");
-        let span = by_id.intern_span("s");
-        by_id.count_id(polls, 2);
-        by_id.count("polls", 1); // string delegate hits the same slot
-        by_id.record_id(lat, SimDuration::from_micros(7));
-        by_id.span_enter_id(span, SimTime::ZERO);
-        by_id.span_exit(SimTime::from_secs(1));
-
-        let mut by_name = Telemetry::enabled();
-        by_name.count("polls", 3);
-        by_name.record("lat", SimDuration::from_micros(7));
-        let span = by_name.intern_span("s");
-        by_name.span_enter_id(span, SimTime::ZERO);
-        by_name.span_exit(SimTime::from_secs(1));
-
-        assert_eq!(by_id.report(), by_name.report());
-        // Re-interning resolves to the same handle.
-        assert_eq!(by_id.intern_counter("polls"), polls);
-        assert_eq!(by_id.intern_histogram("lat"), lat);
-        assert_eq!(by_id.intern_span("s"), span);
-    }
-
-    #[test]
-    fn interning_alone_creates_no_report_entries() {
-        // A session pre-interns its whole vocabulary at setup; names never
-        // actually hit (e.g. fault counters on a clean run) must not leak
-        // into the report. A counter *added to* with n = 0 does appear,
-        // matching the string API.
-        let mut t = Telemetry::enabled();
-        let silent = t.intern_counter("faults.transient");
-        let zeroed = t.intern_counter("records.lost");
-        t.intern_histogram("retry_backoff");
-        t.intern_span("poll");
-        let _ = silent;
-        t.count_id(zeroed, 0);
-        let r = t.report();
-        assert_eq!(
-            r.counters.keys().collect::<Vec<_>>(),
-            vec!["records.lost"],
-            "{r:?}"
-        );
-        assert!(r.histograms.is_empty());
-        assert!(r.spans.is_empty());
-    }
-
-    #[test]
     fn histogram_buckets_and_exact_moments() {
         let mut h = LogHistogram::new();
         for ns in [0u64, 1, 1, 7, 8, 1_000_000] {
@@ -766,9 +361,11 @@ mod tests {
         report.histograms.insert("big".into(), merged);
         assert!(report.render().contains("[sum saturated]"));
         // An unsaturated report never mentions it.
-        let mut t = Telemetry::enabled();
-        t.record("small", SimDuration::from_millis(1));
-        assert!(!t.report().render().contains("saturated"));
+        let mut small = LogHistogram::new();
+        small.record(SimDuration::from_millis(1));
+        let mut report = TelemetryReport::default();
+        report.histograms.insert("small".into(), small);
+        assert!(!report.render().contains("saturated"));
     }
 
     #[test]
@@ -819,48 +416,17 @@ mod tests {
     }
 
     #[test]
-    fn spans_nest_and_aggregate() {
-        let mut t = Telemetry::enabled();
-        let [session_id, poll_id, child_id] =
-            ["session", "poll", "poll/bgq-emon"].map(|name| t.intern_span(name));
-        t.span_enter_id(session_id, SimTime::ZERO);
-        for k in 0..3u64 {
-            let at = SimTime::from_secs(k);
-            t.span_enter_id(poll_id, at);
-            t.span_enter_id(child_id, at);
-            t.span_exit(at + SimDuration::from_micros(1_100));
-            t.span_exit(at + SimDuration::from_millis(2));
-        }
-        t.span_exit(SimTime::from_secs(10));
-        let r = t.report();
-        let session = r.spans["session"];
-        assert_eq!((session.count, session.depth), (1, 0));
-        assert_eq!(session.total, SimDuration::from_secs(10));
-        let poll = r.spans["poll"];
-        assert_eq!((poll.count, poll.depth), (3, 1));
-        assert_eq!(poll.total, SimDuration::from_millis(6));
-        let child = r.spans["poll/bgq-emon"];
-        assert_eq!((child.count, child.depth), (3, 2));
-        assert_eq!(child.max, SimDuration::from_micros(1_100));
-    }
-
-    #[test]
-    fn unbalanced_span_exit_is_ignored() {
-        let mut t = Telemetry::enabled();
-        t.span_exit(SimTime::from_secs(1));
-        assert!(t.report().spans.is_empty());
-    }
-
-    #[test]
     fn report_absorb_is_order_independent() {
         let mk = |seed: u64| {
-            let mut t = Telemetry::enabled();
-            t.count("polls", seed);
-            t.record("lat", SimDuration::from_nanos(seed * 37));
-            let s = t.intern_span("s");
-            t.span_enter_id(s, SimTime::ZERO);
-            t.span_exit(SimTime::from_nanos(seed));
-            t.report()
+            let mut r = TelemetryReport::default();
+            r.counters.insert("polls".into(), seed);
+            let mut lat = LogHistogram::new();
+            lat.record(SimDuration::from_nanos(seed * 37));
+            r.histograms.insert("lat".into(), lat);
+            let mut s = SpanStats::default();
+            s.record(SimDuration::from_nanos(seed));
+            r.spans.insert("s".into(), s);
+            r
         };
         let parts: Vec<TelemetryReport> = (1..=5).map(mk).collect();
         let mut fwd = TelemetryReport::default();
@@ -873,18 +439,22 @@ mod tests {
         }
         assert_eq!(fwd, rev);
         assert_eq!(fwd.counter("polls"), 15);
-        assert_eq!(fwd.spans["s"].count, 5);
+        let s = fwd.spans["s"];
+        assert_eq!((s.count, s.max), (5, SimDuration::from_nanos(5)));
+        assert_eq!(s.total, SimDuration::from_nanos(15));
     }
 
     #[test]
     fn render_mentions_every_section() {
-        let mut t = Telemetry::enabled();
-        t.count("polls", 2);
-        t.record("query_latency/x", SimDuration::from_millis(1));
-        let session = t.intern_span("session");
-        t.span_enter_id(session, SimTime::ZERO);
-        t.span_exit(SimTime::from_secs(1));
-        let text = t.report().render();
+        let mut r = TelemetryReport::default();
+        r.counters.insert("polls".into(), 2);
+        let mut lat = LogHistogram::new();
+        lat.record(SimDuration::from_millis(1));
+        r.histograms.insert("query_latency/x".into(), lat);
+        let mut session = SpanStats::default();
+        session.record(SimDuration::from_secs(1));
+        r.spans.insert("session".into(), session);
+        let text = r.render();
         for needle in [
             "counters:",
             "histograms",

@@ -29,8 +29,8 @@ fn main() {
     let backend = BgqBackend::new(machine.clone(), 0).with_faults(&plan, "rank0/nodecard");
     let session = MonEq::initialize(0, vec![Box::new(backend)], config.clone(), SimTime::ZERO);
     let result = session.finalize(horizon);
-    // Finalize hands back the registry shard itself; the string-keyed
-    // report is materialized only here, at read time.
+    // Finalize hands back the session's typed instruments; the named
+    // report is built only here, at read time.
     let report = result.telemetry.report();
 
     println!("== one instrumented session ==");
@@ -114,7 +114,7 @@ fn main() {
     let per_rank: u64 = cluster
         .telemetry
         .iter()
-        .map(|r| r.counter("polls.scheduled"))
+        .map(|r| r.report().counter("polls.scheduled"))
         .sum();
     assert_eq!(merged.counter("polls.scheduled"), per_rank);
     println!(

@@ -197,3 +197,86 @@ fn golden_occ_remote_over_ideal_link() {
     let backend = OccBackend::new(chip, Arc::new(Occ::new()));
     check("p9-occ", &render_remote_session(Box::new(backend), 30));
 }
+
+// ---- Telemetry reports ----------------------------------------------------
+//
+// The rendered `TelemetryReport` is pinned the same way: its metric names,
+// the rule for when a row appears, and every value. The goldens live under
+// `tests/golden/telemetry/`.
+
+/// The faulted BG/Q session of `examples/telemetry.rs`.
+#[test]
+fn golden_telemetry_faulted_bgq_session() {
+    let mut machine = BgqMachine::new(BgqConfig::default(), 2015);
+    machine.assign_job(&[0], &Mmps::figure1().profile());
+    let plan = FaultPlan::mechanism(2015, 1.5);
+    let backend = BgqBackend::new(Arc::new(machine), 0).with_faults(&plan, "rank0/nodecard");
+    let config = MonEqConfig {
+        telemetry: true,
+        ..MonEqConfig::default()
+    };
+    let session = MonEq::initialize(0, vec![Box::new(backend)], config, SimTime::ZERO);
+    let report = session.finalize(SimTime::from_secs(120)).telemetry.report();
+    check("telemetry/bgq-faulted", &report.render());
+}
+
+/// Two backends with one name in one session, both driven to disable
+/// under heavy faults: their rows sum into one.
+#[test]
+fn golden_telemetry_same_name_backends() {
+    let mut machine = BgqMachine::new(BgqConfig::default(), 7);
+    machine.assign_job(&[0, 1], &Mmps::figure1().profile());
+    let machine = Arc::new(machine);
+    let plan = FaultPlan::mechanism(7, 6.0);
+    let backends: Vec<Box<dyn EnvBackend>> = (0..2)
+        .map(|card| {
+            Box::new(
+                BgqBackend::new(machine.clone(), card)
+                    .with_faults(&plan, &format!("rank0/nodecard{card}")),
+            ) as Box<dyn EnvBackend>
+        })
+        .collect();
+    let config = MonEqConfig {
+        telemetry: true,
+        retry: RetryPolicy {
+            disable_after: 2,
+            ..RetryPolicy::default()
+        },
+        ..MonEqConfig::default()
+    };
+    let session = MonEq::initialize(0, backends, config, SimTime::ZERO);
+    let result = session.finalize(SimTime::from_secs(60));
+    check("telemetry/same-name", &result.telemetry.report().render());
+}
+
+/// A 48-agent cluster over all six registry mechanisms (eight ranks
+/// each), sharing reads in domains of four, deployed over a faulty LAN:
+/// rank 0's report and the run-wide merge.
+#[test]
+fn golden_telemetry_cluster_over_faulty_lan() {
+    let horizon = SimTime::from_secs(4);
+    let mechs = envmon::analysis::registry::mechanisms(2015, horizon);
+    let mut factories: Vec<_> = mechs.iter().map(|m| m.factory()).collect();
+    let link = LinkSpec::lan().with_faults(0.05, 0.02, 0.02);
+    let mut run = ClusterRun::launch_with(
+        48,
+        |rank| factories[rank / 8](rank),
+        |rank| format!("agent{rank:02}"),
+        SimTime::ZERO,
+        MonEqConfig {
+            telemetry: true,
+            ..MonEqConfig::default()
+        },
+    )
+    .with_collection_plan(CollectionPlan::shared(4).deployed(Deployment::Remote(link)));
+    run.run_until(horizon);
+    let result = run.finalize(horizon);
+    check(
+        "telemetry/cluster-rank0",
+        &result.telemetry[0].report().render(),
+    );
+    check(
+        "telemetry/cluster-merged",
+        &result.telemetry_merged().render(),
+    );
+}

@@ -13,7 +13,7 @@
 //!    the per-rank counters, and merged histograms carry every sample.
 
 use envmon::prelude::*;
-use moneq::{ClusterResult, ClusterRun};
+use moneq::{ClusterResult, ClusterRun, SessionTelemetry};
 use proptest::prelude::*;
 use simkit::TelemetryReport;
 use std::sync::Arc;
@@ -107,8 +107,8 @@ proptest! {
         prop_assert_eq!(&off.completeness, &on.completeness);
         // The off run records nothing at all; the on run records per rank.
         prop_assert!(off.telemetry_merged().is_empty());
-        for shard in &off.telemetry {
-            prop_assert!(shard.is_empty());
+        for rank in &off.telemetry {
+            prop_assert!(rank.report().is_empty());
         }
         prop_assert!(on.telemetry_merged().counter("polls.scheduled") > 0);
     }
@@ -141,68 +141,28 @@ proptest! {
         let result = run_cluster(seed, plan, agents, 4, 1, 1, true);
         prop_assert_eq!(result.telemetry.len(), agents);
         let merged = result.telemetry_merged();
+        let ranks: Vec<TelemetryReport> =
+            result.telemetry.iter().map(SessionTelemetry::report).collect();
         // Counters: merged value == sum over ranks, key by key.
         for (key, total) in &merged.counters {
-            let sum: u64 = result.telemetry.iter().map(|r| r.counter(key)).sum();
+            let sum: u64 = ranks.iter().map(|r| r.counter(key)).sum();
             prop_assert_eq!(*total, sum, "counter {}", key);
         }
         // Histograms: merged count and sum carry every per-rank sample.
         for (key, h) in &merged.histograms {
-            let count: u64 = result
-                .telemetry
+            let count: u64 = ranks
                 .iter()
-                .filter_map(|r| r.histogram(key))
+                .filter_map(|r| r.histograms.get(key))
                 .map(|h| h.count())
                 .sum();
             prop_assert_eq!(h.count(), count, "histogram {}", key);
         }
         // Re-folding by hand gives the same report (order independence).
         let mut refold = TelemetryReport::default();
-        for r in result.telemetry.iter().rev() {
-            refold.absorb(&r.report());
+        for r in ranks.iter().rev() {
+            refold.absorb(r);
         }
         prop_assert_eq!(refold, merged);
-    }
-
-    /// (4) Sharding: the same event stream distributed round-robin over
-    /// per-worker registries folds to exactly the single-registry report —
-    /// the invariant behind per-session interned shards (each session's
-    /// registry is one shard, merged only at gather time, so the poll hot
-    /// path never takes a shared lock).
-    #[test]
-    fn sharded_registries_fold_to_single_registry(
-        events in prop::collection::vec(
-            (0usize..4, 1u64..1_000, 0u64..5_000_000), 1..200),
-        shards in 1usize..8,
-    ) {
-        use simkit::Telemetry;
-        const NAMES: [&str; 4] =
-            ["polls.fired", "records.fresh", "faults.transient", "cache.hits"];
-        let mut single = Telemetry::with(true);
-        // Pre-resolve every metric once, as sessions do at initialize;
-        // interning alone must never surface entries in any report.
-        let single_ids: Vec<_> = NAMES.iter().map(|n| single.intern_counter(n)).collect();
-        let single_hist = single.intern_histogram("query_latency/prop");
-        let mut shard_regs: Vec<_> = (0..shards)
-            .map(|_| {
-                let mut t = Telemetry::with(true);
-                let ids: Vec<_> = NAMES.iter().map(|n| t.intern_counter(n)).collect();
-                let hist = t.intern_histogram("query_latency/prop");
-                (t, ids, hist)
-            })
-            .collect();
-        for (i, &(which, n, ns)) in events.iter().enumerate() {
-            single.count_id(single_ids[which], n);
-            single.record_id(single_hist, SimDuration::from_nanos(ns));
-            let (t, ids, hist) = &mut shard_regs[i % shards];
-            t.count_id(ids[which], n);
-            t.record_id(*hist, SimDuration::from_nanos(ns));
-        }
-        let mut folded = TelemetryReport::default();
-        for (t, _, _) in &shard_regs {
-            folded.absorb(&t.report());
-        }
-        prop_assert_eq!(folded, single.report());
     }
 }
 
