@@ -91,11 +91,15 @@ stage "cargo clippy --workspace --exclude proptest --lib -- -D clippy::unwrap_us
 # crate map. A crate that slips any of the three is half-integrated: it
 # builds on someone's machine but ducks the doc lint and the reader's map.
 # The vendored offline shim is exempt (it mirrors an external API).
+# Every integration-test target (tests/*.rs, crates/*/tests/*.rs) must also
+# run in some stage: a `cargo test` command in this script names it with
+# `--test <target>` and, outside the facade crate, with `-p <crate>` in the
+# same command. A target no stage names compiles under clippy but never runs.
 workspace_coverage() {
     local vendored='proptest'
-    local members crate ok=0
-    members="$(cargo metadata --no-deps --format-version 1 --offline \
-        | jq -r '.packages[].name')"
+    local metadata members crate ok=0 cmds targets pkg name in_crates hits
+    metadata="$(cargo metadata --no-deps --format-version 1 --offline)"
+    members="$(jq -r '.packages[].name' <<<"$metadata")"
     for dir in crates/*/; do
         crate="$(basename "$dir")"
         [[ "$crate" =~ ^($vendored)$ ]] && continue
@@ -112,10 +116,27 @@ workspace_coverage() {
             ok=1
         fi
     done
+    # One line per `cargo test` command: continuation lines joined.
+    cmds="$(sed -e ':a' -e '/\\$/N; s/\\\n//; ta' "$(basename "$0")" | grep 'cargo test')"
+    targets="$(jq -r '.packages[]
+        | .name as $p
+        | (.manifest_path | test("/crates/[^/]+/Cargo[.]toml$")) as $in_crates
+        | .targets[] | select(.kind == ["test"])
+        | "\($p) \(.name) \($in_crates)"' <<<"$metadata")"
+    while read -r pkg name in_crates; do
+        hits="$(grep -E -- "--test $name([^[:alnum:]_-]|$)" <<<"$cmds" || true)"
+        if [[ "$in_crates" == true ]]; then
+            hits="$(grep -E -- "-p $pkg([^[:alnum:]_-]|$)" <<<"$hits" || true)"
+        fi
+        if [[ -z "$hits" ]]; then
+            echo "    $pkg: test target $name runs in no stage" >&2
+            ok=1
+        fi
+    done <<<"$targets"
     return $ok
 }
 
-stage "workspace coverage (membership, missing_docs, README map)" \
+stage "workspace coverage (membership, missing_docs, README map, test targets)" \
     "workspace_coverage"
 
 if [[ $quick -eq 0 ]]; then

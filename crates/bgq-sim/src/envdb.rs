@@ -20,7 +20,7 @@ use crate::bpm::BpmGroup;
 use crate::coolant::CoolantLoop;
 use crate::machine::BgqMachine;
 use crate::topology::MIDPLANES_PER_RACK;
-use simkit::{DetRng, EventQueue, SimDuration, SimTime, TimeSeries};
+use simkit::{DetRng, SimDuration, SimTime, TimeSeries};
 
 /// Kinds of rows the environmental database stores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -199,11 +199,11 @@ impl PollingDaemon {
         let capacity_per_cycle =
             (self.config.capacity_rows_per_sec * self.config.poll_interval.as_secs_f64()) as u64;
 
-        let mut q: EventQueue<u64> = EventQueue::new();
-        q.schedule(SimTime::ZERO + self.config.poll_interval, 0);
-        while let Some(ev) = q.pop_until(horizon) {
-            let cycle = ev.payload;
-            let poll_t = ev.at;
+        // Cycle k polls at (k+1) intervals; a cycle due exactly at the
+        // horizon runs.
+        let mut poll_t = SimTime::ZERO + self.config.poll_interval;
+        let mut cycle = 0u64;
+        while poll_t <= horizon {
             let mut inserted_this_cycle = 0u64;
             let mut push = |db: &mut EnvDatabase,
                             timestamp: SimTime,
@@ -285,7 +285,7 @@ impl PollingDaemon {
             }
             // Node-board temperatures: water-cooled boards sit a few
             // degrees above the coolant, scaled by their own dissipation.
-            for (i, card) in machine.cards().iter().enumerate() {
+            for card in machine.cards() {
                 let skew = SimDuration::from_micros(skew_rng.below(20_000));
                 let ts = poll_t + skew;
                 let rack = card.location.rack as usize;
@@ -298,12 +298,9 @@ impl PollingDaemon {
                     SensorKind::BoardTempC,
                     temp,
                 );
-                let _ = i;
             }
-            let next = poll_t + self.config.poll_interval;
-            if next <= horizon {
-                q.schedule(next, cycle + 1);
-            }
+            poll_t += self.config.poll_interval;
+            cycle += 1;
         }
         // Rows within a cycle were appended group-by-group with independent
         // skews; restore global time order for query sanity.
@@ -349,9 +346,19 @@ mod tests {
         // 3600/240 = 15 cycles; one rack: 32 BPMs * 4 rows + 3 coolant
         // rows + 32 board-temperature rows.
         let cycles: std::collections::BTreeSet<u64> = db.rows().iter().map(|r| r.cycle).collect();
-        assert_eq!(cycles.len(), 15);
+        assert_eq!(cycles, (0..15).collect());
         assert_eq!(db.rows().len(), 15 * (32 * 4 + 3 + 32));
         assert_eq!(db.dropped_rows, 0);
+        // Cycle k polls at 240·(k+1) s; each row adds under 20 ms of skew.
+        for r in db.rows() {
+            let poll_t = SimTime::from_secs(240 * (r.cycle + 1));
+            assert!(
+                r.timestamp >= poll_t && r.timestamp < poll_t + SimDuration::from_millis(20),
+                "cycle {} row at {}",
+                r.cycle,
+                r.timestamp
+            );
+        }
     }
 
     #[test]

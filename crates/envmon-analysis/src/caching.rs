@@ -19,8 +19,8 @@
 //! changes cost, never data).
 
 use crate::registry::{mechanisms, Mechanism};
-use moneq::{ClusterResult, ClusterRun, CollectionPlan, EnvBackend};
-use simkit::{CacheStats, SimDuration, SimTime};
+use moneq::{CacheStats, ClusterResult, ClusterRun, CollectionPlan, EnvBackend};
+use simkit::{SimDuration, SimTime};
 
 /// One mechanism's naive-vs-cached showing.
 #[derive(Clone, Debug)]

@@ -107,7 +107,6 @@ pub fn figure2(seed: u64) -> Figure2 {
         .collect();
     let mut total = TimeSeries::new("Node Card");
     let mut acc = 0.0;
-    let mut count = 0;
     let mut current_t = None;
     for p in &result.file.points {
         let idx = bgq_sim::Domain::ALL
@@ -121,14 +120,12 @@ pub fn figure2(seed: u64) -> Figure2 {
             }
             current_t = Some(p.timestamp);
             acc = 0.0;
-            count += 1;
         }
         acc += p.watts;
     }
     if let Some(t) = current_t {
         total.push(t, acc);
     }
-    let _ = count;
     Figure2 {
         domains,
         total,

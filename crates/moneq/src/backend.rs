@@ -88,11 +88,13 @@ impl Poll {
 pub struct RetryPolicy {
     /// Retry attempts after the first failure (retryable errors only).
     pub max_retries: u32,
-    /// Backoff before retry `n` (1-based) is `base_backoff << (n-1)`:
-    /// exponential, charged to fault recovery on the virtual timeline.
+    /// Backoff before retry `n` (1-based) is `base_backoff << (n-1)`,
+    /// capped at [`RetryPolicy::timeout`]: exponential up to the cap,
+    /// charged to fault recovery on the virtual timeline.
     pub base_backoff: SimDuration,
-    /// Per-backend cap on how long one stalled read may charge; a
-    /// mechanism that hangs longer is abandoned at this bound.
+    /// Per-backend cap on how long one stalled read, or one backoff wait,
+    /// may charge; a mechanism that hangs longer is abandoned at this
+    /// bound.
     pub timeout: SimDuration,
     /// Consecutive failed polls after which the device is disabled for the
     /// rest of the run (its polls then count as missed).
@@ -346,7 +348,7 @@ pub trait EnvBackend: Send {
     /// ~60 ms NVML register refresh, the RAPL counters' ~1 ms tick, the
     /// SMC's 50 ms sampling window). Two reads inside one grid period can
     /// only observe the same generation, which is what makes shared-read
-    /// caching sound; [`simkit::CadenceCache`] keys on this grid.
+    /// caching sound; [`crate::SharedReadCache`] keys on this grid.
     ///
     /// Defaults to [`EnvBackend::min_interval`] (a reliable, conservative
     /// grid); each adapter overrides it with the mechanism's actual

@@ -18,17 +18,14 @@ use std::sync::Arc;
 /// timeline (contention), not to a host-side thread.
 pub struct MicDaemonBackend {
     daemon: MicrasDaemon,
-    card: Arc<PhiCard>,
     gate: FaultGate,
 }
 
 impl MicDaemonBackend {
     /// Start the daemon for `card` and attach.
     pub fn new(card: Arc<PhiCard>, smc: Arc<Smc>, profile: &WorkloadProfile) -> Self {
-        let daemon = MicrasDaemon::start(card.clone(), smc, profile);
         MicDaemonBackend {
-            daemon,
-            card,
+            daemon: MicrasDaemon::start(card, smc, profile),
             gate: FaultGate::none(),
         }
     }
@@ -89,7 +86,6 @@ impl EnvBackend for MicDaemonBackend {
             .read_file(POWER_FILE, t)
             .expect("daemon running");
         let r = PowerFileReading::parse(&text).expect("well-formed pseudo-file");
-        let _ = &self.card;
         let point = DataPoint {
             timestamp: t,
             device: "mic0".into(),

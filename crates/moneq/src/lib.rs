@@ -101,10 +101,10 @@ pub use completeness::Completeness;
 pub use control::ControlHook;
 pub use output::{OutputError, OutputFile, ParseError};
 pub use overhead::{finalize_time, init_time, OverheadReport};
-pub use plan::{CollectionPlan, Deployment, SharedLookup, SharedRead, SharedReadCache};
+pub use plan::{CacheStats, CollectionPlan, Deployment, SharedLookup, SharedRead, SharedReadCache};
 pub use reading::DataPoint;
 pub use records::{DataPointRef, Records};
-pub use remote::{BackendServer, RemoteBackend, RemoteMeta};
+pub use remote::{BackendServer, RemoteBackend};
 pub use session::{FinalizeResult, MonEq, MonEqConfig};
 pub use tags::{TagEvent, TagKind};
 pub use telemetry::SessionTelemetry;

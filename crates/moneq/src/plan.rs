@@ -28,7 +28,7 @@
 
 use crate::backend::Poll;
 use simkit::wire::LinkSpec;
-use simkit::{CacheLookup, CacheStats, CadenceCache, SimDuration, SimTime};
+use simkit::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -144,9 +144,8 @@ pub struct SharedRead {
     pub poll: Option<Poll>,
 }
 
-/// What a [`SharedReadCache::consult`] found (the owned counterpart of
-/// [`simkit::CacheLookup`], so the cache lock is never held across the
-/// caller's read).
+/// What a [`SharedReadCache::consult`] found: an owned answer, so the
+/// cache lock is never held across the caller's read.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SharedLookup {
     /// A leader already fetched this generation; the access-path cost is
@@ -160,8 +159,61 @@ pub enum SharedLookup {
     Miss,
 }
 
-/// One sharing domain's cache: a [`CadenceCache`] per mechanism, behind a
-/// mutex so a domain's ranks can share it across cluster worker threads.
+/// Exact shared-cache decision counters, mergeable like every other
+/// ledger in the workspace (sums of exact counts are exact).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups served by a stored generation (the access-path cost was
+    /// not paid again).
+    pub hits: u64,
+    /// Lookups for a generation nobody had fetched yet; the caller
+    /// performed the live read and published its outcome.
+    pub misses: u64,
+    /// Lookups that found a *failure marker*: the generation's first
+    /// reader faulted, so the caller bypassed the cache and paid for its
+    /// own live read rather than inherit a failure or serve stale data.
+    pub bypasses: u64,
+}
+
+impl CacheStats {
+    /// Total lookups decided (every lookup lands in exactly one bucket).
+    pub fn lookups(&self) -> u64 {
+        self.hits + self.misses + self.bypasses
+    }
+
+    /// Fold another ledger into this one.
+    pub(crate) fn absorb(&mut self, other: &CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.bypasses += other.bypasses;
+    }
+
+    /// The counters as `(kind, count)` pairs, for folding into telemetry.
+    pub(crate) fn kinds(&self) -> [(&'static str, u64); 3] {
+        [
+            ("hit", self.hits),
+            ("miss", self.misses),
+            ("bypass", self.bypasses),
+        ]
+    }
+
+    /// Tally one consult's decision.
+    pub(crate) fn count(&mut self, found: &SharedLookup) {
+        match found {
+            SharedLookup::Hit(_) => self.hits += 1,
+            SharedLookup::Failed => self.bypasses += 1,
+            SharedLookup::Miss => self.misses += 1,
+        }
+    }
+}
+
+/// One sharing domain's cache, behind a mutex so a domain's ranks can
+/// share it across cluster worker threads.
+///
+/// Per mechanism it keys stored reads by *generation index* on the
+/// mechanism's update grid (anchored at [`SimTime::ZERO`], like every
+/// mechanism model in this workspace), so every instant inside one
+/// generation finds the same entry.
 ///
 /// The lock is uncontended by construction — [`crate::ClusterRun`] aligns
 /// its dispatch chunks on domain boundaries, so all ranks of a domain are
@@ -169,7 +221,31 @@ pub enum SharedLookup {
 /// (`PoisonError::into_inner`), per the crate's no-unwrap discipline.
 #[derive(Debug, Default)]
 pub struct SharedReadCache {
-    caches: Mutex<BTreeMap<&'static str, CadenceCache<SharedRead>>>,
+    inner: Mutex<Generations>,
+}
+
+#[derive(Debug, Default)]
+struct Generations {
+    /// Per mechanism name: the update grid its first call fixed, and
+    /// generation index → the leader's read (`None` marks a failed read).
+    mechanisms: BTreeMap<&'static str, (SimDuration, BTreeMap<u64, Option<SharedRead>>)>,
+    stats: CacheStats,
+}
+
+impl Generations {
+    /// Mechanism `name`'s stored generations and the index `t` falls in.
+    fn locate(
+        &mut self,
+        name: &'static str,
+        cadence: SimDuration,
+        t: SimTime,
+    ) -> (&mut BTreeMap<u64, Option<SharedRead>>, u64) {
+        let (grid, reads) = self
+            .mechanisms
+            .entry(name)
+            .or_insert_with(|| (cadence, BTreeMap::new()));
+        (reads, t.grid_index(SimTime::ZERO, *grid))
+    }
 }
 
 impl SharedReadCache {
@@ -178,60 +254,58 @@ impl SharedReadCache {
         SharedReadCache::default()
     }
 
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<&'static str, CadenceCache<SharedRead>>> {
-        self.caches.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, Generations> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Look up mechanism `name`'s generation at `t`, creating the
-    /// per-mechanism cache on first use with update grid `cadence`.
+    /// Look up mechanism `name`'s generation at `t`, tallying the
+    /// decision. The first call for a name fixes its update grid to
+    /// `cadence`.
+    ///
+    /// # Panics
+    ///
+    /// If the grid is zero: a zero cadence has no generations
+    /// ([`SimTime::grid_index`] panics).
     pub fn consult(&self, name: &'static str, cadence: SimDuration, t: SimTime) -> SharedLookup {
-        let mut caches = self.lock();
-        let cache = caches
-            .entry(name)
-            .or_insert_with(|| CadenceCache::new(cadence));
-        match cache.lookup(t) {
-            CacheLookup::Hit(read) => SharedLookup::Hit(read.clone()),
-            CacheLookup::Failed => SharedLookup::Failed,
-            CacheLookup::Miss => SharedLookup::Miss,
-        }
+        let mut cache = self.lock();
+        let (reads, generation) = cache.locate(name, cadence, t);
+        let found = match reads.get(&generation) {
+            Some(Some(read)) => SharedLookup::Hit(read.clone()),
+            Some(None) => SharedLookup::Failed,
+            None => SharedLookup::Miss,
+        };
+        cache.stats.count(&found);
+        found
     }
 
-    /// Publish a leader's successful read for `t`'s generation. First
-    /// writer wins, so a republish can never flip a stored outcome.
-    pub fn publish(&self, name: &'static str, cadence: SimDuration, t: SimTime, read: SharedRead) {
-        let mut caches = self.lock();
-        caches
-            .entry(name)
-            .or_insert_with(|| CadenceCache::new(cadence))
-            .insert(t, read);
-    }
-
-    /// Publish a leader's *failed* read for `t`'s generation: followers
-    /// will bypass the cache and read for themselves at full cost.
-    pub fn publish_failure(&self, name: &'static str, cadence: SimDuration, t: SimTime) {
-        let mut caches = self.lock();
-        caches
-            .entry(name)
-            .or_insert_with(|| CadenceCache::new(cadence))
-            .insert_failure(t);
+    /// Publish a leader's outcome for `t`'s generation: its read, or
+    /// `None` when the read failed, so followers bypass the cache and read
+    /// for themselves at full cost. First writer wins, so a republish can
+    /// never flip a stored outcome.
+    pub fn publish(
+        &self,
+        name: &'static str,
+        cadence: SimDuration,
+        t: SimTime,
+        read: Option<SharedRead>,
+    ) {
+        let mut cache = self.lock();
+        let (reads, generation) = cache.locate(name, cadence, t);
+        reads.entry(generation).or_insert(read);
     }
 
     /// Drop generations every rank has been driven past (called by the
     /// cluster at window boundaries so Mira-scale sweeps don't accumulate
-    /// a whole run's generations).
+    /// a whole run's generations). The generation `t` falls in stays.
     pub fn prune_before(&self, t: SimTime) {
-        for cache in self.lock().values_mut() {
-            cache.prune_before(t);
+        for (grid, reads) in self.lock().mechanisms.values_mut() {
+            *reads = reads.split_off(&t.grid_index(SimTime::ZERO, *grid));
         }
     }
 
-    /// The exact hit/miss/bypass ledger, folded over every mechanism.
+    /// The exact hit/miss/bypass ledger, over every mechanism.
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for cache in self.lock().values() {
-            total.absorb(&cache.stats());
-        }
-        total
+        self.lock().stats
     }
 }
 
@@ -270,10 +344,10 @@ mod tests {
             "bgq-emon",
             CADENCE,
             t,
-            SharedRead {
+            Some(SharedRead {
                 at: t,
                 poll: Some(poll_at(t)),
-            },
+            }),
         );
         // Any instant in the same 560 ms generation hits.
         let later = SimTime::from_millis(1_100);
@@ -286,6 +360,26 @@ mod tests {
         }
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.bypasses), (1, 1, 0));
+        // First write wins: neither a later read nor a failure marker for
+        // the same generation replaces the stored read.
+        let again = SimTime::from_millis(700);
+        cache.publish(
+            "bgq-emon",
+            CADENCE,
+            again,
+            Some(SharedRead {
+                at: again,
+                poll: None,
+            }),
+        );
+        cache.publish("bgq-emon", CADENCE, again, None);
+        match cache.consult("bgq-emon", CADENCE, later) {
+            SharedLookup::Hit(read) => {
+                assert_eq!(read.at, t);
+                assert_eq!(read.poll, Some(poll_at(t)));
+            }
+            other => panic!("expected hit, got {other:?}"),
+        }
     }
 
     #[test]
@@ -293,7 +387,19 @@ mod tests {
         let cache = SharedReadCache::new();
         let t = SimTime::from_millis(600);
         assert_eq!(cache.consult("bgq-emon", CADENCE, t), SharedLookup::Miss);
-        cache.publish_failure("bgq-emon", CADENCE, t);
+        cache.publish("bgq-emon", CADENCE, t, None);
+        // First write wins: a read published later for the same
+        // generation does not clear the failure marker.
+        let late = SimTime::from_millis(650);
+        cache.publish(
+            "bgq-emon",
+            CADENCE,
+            late,
+            Some(SharedRead {
+                at: late,
+                poll: Some(poll_at(late)),
+            }),
+        );
         assert_eq!(
             cache.consult("bgq-emon", CADENCE, SimTime::from_millis(700)),
             SharedLookup::Failed
@@ -314,7 +420,7 @@ mod tests {
             "mic-micras",
             SimDuration::from_millis(50),
             t,
-            SharedRead { at: t, poll: None },
+            Some(SharedRead { at: t, poll: None }),
         );
         // A different mechanism at the same instant is still a miss.
         assert_eq!(
@@ -348,7 +454,8 @@ mod tests {
         let cache = SharedReadCache::new();
         for k in 0..4u64 {
             let t = SimTime::from_millis(k * 560);
-            cache.publish("bgq-emon", CADENCE, t, SharedRead { at: t, poll: None });
+            let read = SharedRead { at: t, poll: None };
+            cache.publish("bgq-emon", CADENCE, t, Some(read));
         }
         // 1120 ms is exactly where generation 2 begins: 0 and 1 go, 2 stays.
         cache.prune_before(SimTime::from_millis(1_120));
@@ -367,7 +474,8 @@ mod tests {
         let cache = SharedReadCache::new();
         for k in 0..8u64 {
             let t = SimTime::from_millis(k * 560 + 10);
-            cache.publish("bgq-emon", CADENCE, t, SharedRead { at: t, poll: None });
+            let read = SharedRead { at: t, poll: None };
+            cache.publish("bgq-emon", CADENCE, t, Some(read));
         }
         cache.prune_before(SimTime::from_millis(4 * 560));
         // Generations 0-3 are gone (misses again), 4+ still hit.

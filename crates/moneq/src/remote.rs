@@ -12,15 +12,15 @@
 //! and any nonzero link latency shows up *exactly* in the overhead and
 //! staleness ledgers, nowhere else.
 //!
-//! Protocol opcodes (responses echo the opcode with [`RESP_FLAG`] set and
-//! the same sequence number):
-//!
-//! | kind | request payload | response payload |
-//! |------|-----------------|------------------|
-//! | [`REQ_META`] | empty | min_interval, poll_cost, cadence, replayable, records/poll |
-//! | [`REQ_READ`] | empty (poll instant = arrival time) | result tag + [`Poll`] or [`ReadError`] |
-//!
-//! Any other kind is dropped like a bad datagram.
+//! The protocol carries exactly the calls that cross the link: one
+//! opcode, [`REQ_READ`]. Its request payload is empty; the poll instant is
+//! the frame's arrival time. The response echoes the opcode with
+//! [`RESP_FLAG`] set and the same sequence number, and carries a result
+//! tag plus a [`Poll`] or a [`ReadError`]. Any other kind is dropped like
+//! a bad datagram. The client owns its server, so it reads the mechanism's
+//! description (name, interval, costs, cadence, replayability, records per
+//! poll, capabilities, limitations, gate counters) from the wrapped
+//! backend directly.
 //!
 //! Error mapping ([`WireError`] → [`ReadError`], DESIGN.md §14): a wire
 //! timeout becomes [`ReadError::Timeout`] carrying the exact accumulated
@@ -35,8 +35,6 @@ use simkit::rng::mix64;
 use simkit::wire::{Frame, LinkSpec, LinkStats, SimTransport, WireError, WireReader, WireWriter};
 use simkit::{SimDuration, SimTime};
 
-/// Request opcode: mechanism metadata (cadence, costs, replayability).
-pub const REQ_META: u8 = 0x01;
 /// Request opcode: one poll.
 pub const REQ_READ: u8 = 0x02;
 /// OR-ed into a request opcode to form its response opcode.
@@ -121,45 +119,6 @@ pub fn decode_read_error(r: &mut WireReader<'_>) -> Result<ReadError, WireError>
     }
 }
 
-/// Mechanism metadata exchanged once at connect (the `REQ_META` reply).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RemoteMeta {
-    /// The mechanism's minimum reliable polling interval.
-    pub min_interval: SimDuration,
-    /// Its per-poll access-path cost (the server charges this as
-    /// processing time on every read exchange).
-    pub poll_cost: SimDuration,
-    /// Its update-grid cadence (drives the shared-read cache).
-    pub read_cadence: SimDuration,
-    /// Whether a stored poll may be replayed at the same instant.
-    pub replayable: bool,
-    /// Upper bound on records per poll.
-    pub records_per_poll: u32,
-}
-
-fn encode_meta(m: &RemoteMeta) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u64(m.min_interval.as_nanos());
-    w.u64(m.poll_cost.as_nanos());
-    w.u64(m.read_cadence.as_nanos());
-    w.bool(m.replayable);
-    w.u32(m.records_per_poll);
-    w.finish()
-}
-
-fn decode_meta(payload: &[u8]) -> Result<RemoteMeta, WireError> {
-    let mut r = WireReader::new(payload);
-    let m = RemoteMeta {
-        min_interval: SimDuration::from_nanos(r.u64()?),
-        poll_cost: SimDuration::from_nanos(r.u64()?),
-        read_cadence: SimDuration::from_nanos(r.u64()?),
-        replayable: r.bool()?,
-        records_per_poll: r.u32()?,
-    };
-    r.expect_end()?;
-    Ok(m)
-}
-
 /// The server side: the wrapped mechanism plus the request dispatcher.
 ///
 /// [`BackendServer::handle`] is the `serve` hook a [`SimTransport`] calls
@@ -177,57 +136,34 @@ impl BackendServer {
         BackendServer { backend }
     }
 
-    /// The mechanism's metadata as served by `REQ_META`.
-    pub fn meta(&self) -> RemoteMeta {
-        RemoteMeta {
-            min_interval: self.backend.min_interval(),
-            poll_cost: self.backend.poll_cost(),
-            read_cadence: self.backend.read_cadence(),
-            replayable: self.backend.replayable(),
-            records_per_poll: u32::try_from(self.backend.records_per_poll())
-                .expect("records_per_poll fits u32"),
-        }
-    }
-
     /// Serve one request frame arriving at virtual time `at`. Returns the
-    /// server's processing time (the mechanism's access-path cost for
-    /// reads, zero for metadata) and the encoded response — or `None` for
-    /// an undecodable/unknown frame, which the server drops on the floor.
+    /// server's processing time (the mechanism's access-path cost) and the
+    /// encoded response — or `None` for an undecodable frame, a kind other
+    /// than [`REQ_READ`] or a non-empty request payload, which the server
+    /// drops on the floor.
     pub fn handle(&mut self, at: SimTime, bytes: &[u8]) -> Option<(SimDuration, Vec<u8>)> {
         let frame = Frame::decode(bytes).ok()?;
-        let (proc, payload) = match frame.kind {
-            REQ_META => {
-                if !frame.payload.is_empty() {
-                    return None;
-                }
-                (SimDuration::ZERO, encode_meta(&self.meta()))
+        if frame.kind != REQ_READ || !frame.payload.is_empty() {
+            return None;
+        }
+        let mut w = WireWriter::new();
+        // The poll instant is the frame's arrival time on the server
+        // clock: an ideal link reads at the client's own instant; a latent
+        // link reads later — that shift *is* the out-of-band staleness the
+        // ledgers must show.
+        match self.backend.read(at) {
+            Ok(poll) => {
+                w.u8(0);
+                encode_poll(&mut w, &poll);
             }
-            REQ_READ => {
-                if !frame.payload.is_empty() {
-                    return None;
-                }
-                let mut w = WireWriter::new();
-                // The poll instant is the frame's arrival time on the
-                // server clock: an ideal link reads at the client's own
-                // instant; a latent link reads later — that shift *is*
-                // the out-of-band staleness the ledgers must show.
-                match self.backend.read(at) {
-                    Ok(poll) => {
-                        w.u8(0);
-                        encode_poll(&mut w, &poll);
-                    }
-                    Err(e) => {
-                        w.u8(1);
-                        encode_read_error(&mut w, &e);
-                    }
-                }
-                (self.backend.poll_cost(), w.finish())
+            Err(e) => {
+                w.u8(1);
+                encode_read_error(&mut w, &e);
             }
-            _ => return None,
-        };
+        }
         Some((
-            proc,
-            Frame::new(frame.kind | RESP_FLAG, frame.seq, payload).encode(),
+            self.backend.poll_cost(),
+            Frame::new(REQ_READ | RESP_FLAG, frame.seq, w.finish()).encode(),
         ))
     }
 }
@@ -235,8 +171,8 @@ impl BackendServer {
 /// A mechanism served over a [`SimTransport`].
 ///
 /// Implements [`EnvBackend`] itself, so sessions, collection plans, the
-/// cadence cache, and telemetry all compose unchanged: a poll turns into
-/// a `REQ_READ` exchange whose round-trip time is charged through
+/// shared read cache, and telemetry all compose unchanged: a poll turns
+/// into a `REQ_READ` exchange whose round-trip time is charged through
 /// [`EnvBackend::last_poll_cost`], and whose wire failures map onto the
 /// [`ReadError`] taxonomy the session already degrades on.
 ///
@@ -249,7 +185,6 @@ impl BackendServer {
 pub struct RemoteBackend {
     server: BackendServer,
     transport: SimTransport,
-    meta: RemoteMeta,
     seq: u64,
     /// Last RPC instant and its exchange count, keying fault draws the
     /// same way [`crate::backend::FaultGate`] keys attempts: per
@@ -276,24 +211,10 @@ impl RemoteBackend {
     /// [`RemoteBackend::connect`] with the link's noise streams salted —
     /// the cluster salts by rank so every rank's link has independent
     /// weather from one shared [`LinkSpec`].
-    ///
-    /// The metadata hello (`REQ_META`) runs through the protocol against
-    /// the server directly — connect-time control traffic is not part of
-    /// the link's data-plane ledger, so it cannot pollute the round-trip
-    /// histogram or the byte-identity overhead accounting.
     pub fn connect_salted(inner: Box<dyn EnvBackend>, link: LinkSpec, salt: u64) -> Self {
-        let mut server = BackendServer::new(inner);
-        let hello = Frame::new(REQ_META, 0, Vec::new()).encode();
-        let (_, resp) = server
-            .handle(SimTime::ZERO, &hello)
-            .expect("metadata hello must decode");
-        let frame = Frame::decode(&resp).expect("metadata reply frames correctly");
-        assert_eq!(frame.kind, REQ_META | RESP_FLAG, "metadata reply opcode");
-        let meta = decode_meta(&frame.payload).expect("metadata reply decodes");
         RemoteBackend {
-            server,
+            server: BackendServer::new(inner),
             transport: SimTransport::with_salt(link, salt),
-            meta,
             seq: 0,
             rpc_at: None,
             ready_at: SimTime::ZERO,
@@ -379,11 +300,11 @@ impl EnvBackend for RemoteBackend {
     }
 
     fn min_interval(&self) -> SimDuration {
-        self.meta.min_interval
+        self.server.backend.min_interval()
     }
 
     fn poll_cost(&self) -> SimDuration {
-        self.meta.poll_cost
+        self.server.backend.poll_cost()
     }
 
     fn capabilities(&self) -> Vec<(Metric, Support)> {
@@ -396,18 +317,18 @@ impl EnvBackend for RemoteBackend {
     }
 
     fn read_cadence(&self) -> SimDuration {
-        self.meta.read_cadence
+        self.server.backend.read_cadence()
     }
 
     fn replayable(&self) -> bool {
         // A stored poll replays bit-exactly only when the wire can neither
         // delay nor damage it: any link cost shifts served timestamps, any
         // fault process is per-attempt state.
-        self.meta.replayable && self.transport.spec().is_free()
+        self.server.backend.replayable() && self.transport.spec().is_free()
     }
 
     fn records_per_poll(&self) -> usize {
-        self.meta.records_per_poll as usize
+        self.server.backend.records_per_poll()
     }
 
     fn limitations(&self) -> Vec<StatedLimitation> {
@@ -551,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn metadata_hello_mirrors_the_inner_backend() {
+    fn remote_mirrors_the_inner_backend() {
         let remote = RemoteBackend::connect(Bench::boxed(30), LinkSpec::ideal());
         assert_eq!(remote.name(), "bench");
         assert_eq!(remote.min_interval(), SimDuration::from_millis(60));
@@ -667,10 +588,13 @@ mod tests {
 
     #[test]
     fn server_drops_retired_opcodes() {
-        // The retired kinds 0x03 (batched read) and 0x04 (gate counters)
-        // are dropped like any unknown kind, even a checksum-valid batched
-        // read whose reply would overflow the frame limit.
+        // The retired kinds 0x01 (metadata), 0x03 (batched read) and 0x04
+        // (gate counters) are dropped like any unknown kind, even a
+        // checksum-valid batched read whose reply would overflow the frame
+        // limit.
         let mut server = BackendServer::new(Bench::boxed(30));
+        let meta = Frame::new(0x01, 0, Vec::new()).encode();
+        assert!(server.handle(SimTime::ZERO, &meta).is_none());
         let mut w = WireWriter::new();
         w.u32(200_000);
         let read_many = Frame::new(0x03, 1, w.finish()).encode();

@@ -154,9 +154,9 @@ pub struct MonEq {
     tags: Vec<TagEvent>,
     dropped: u64,
     /// SIGALRM-style timer: nominal due time of the next poll. MonEQ's
-    /// real timer is one `SIGALRM` registration per session, so the event
-    /// queue degenerates to a single armed deadline — stored inline, which
-    /// keeps a heap allocation per session out of the cluster launch path.
+    /// real timer is one `SIGALRM` registration per session, so a single
+    /// armed deadline stored inline is the whole timer, and no heap
+    /// allocation per session sits on the cluster launch path.
     next_fire: SimTime,
     started_at: SimTime,
     init_cost: SimDuration,
@@ -347,9 +347,8 @@ impl MonEq {
     /// time passes; each fire polls every backend and charges its cost).
     pub fn run_until(&mut self, until: SimTime) {
         assert_eq!(self.state, State::Running, "session already finalized");
-        // Same boundary as `EventQueue::pop_until`: a deadline exactly at
-        // `until` fires. `next_fire` always advances (policies fire strictly
-        // later), so the loop terminates.
+        // A deadline exactly at `until` fires. `next_fire` always advances
+        // (policies fire strictly later), so the loop terminates.
         while self.next_fire <= until {
             let t = self.next_fire;
             let new_from = self.data.len();
@@ -435,8 +434,12 @@ impl MonEq {
                     if e.is_retryable() && attempt < policy.max_retries {
                         attempt += 1;
                         slot.comp.retried += 1;
-                        // Exponential backoff before retry n: base << (n-1).
-                        let backoff = policy.base_backoff.saturating_mul(1u64 << (attempt - 1));
+                        // Exponential backoff before retry n: base << (n-1),
+                        // each wait capped at the per-backend timeout.
+                        let backoff = 1u64
+                            .checked_shl(attempt - 1)
+                            .map_or(policy.timeout, |m| policy.base_backoff.saturating_mul(m))
+                            .min(policy.timeout);
                         self.fault_recovery += backoff;
                         self.telemetry.retry(backoff);
                         continue;
@@ -459,27 +462,17 @@ impl MonEq {
         self.telemetry
             .backend_poll(i, (self.collection_cost + self.fault_recovery) - before);
         // The generation's leader publishes its outcome so co-resident
-        // ranks share the fetch. Values are stored only for replayable
+        // ranks share the fetch; a failed read publishes the failure
+        // marker (`None`). Values are stored only for replayable
         // backends; otherwise a cost-only marker is published and
         // followers recompute locally (deterministically identical).
         if leader {
             if let Some(cache) = &self.shared_cache {
-                let cadence = slot.backend.read_cadence();
-                match &outcome {
-                    Ok(poll) => {
-                        let stored = slot.backend.replayable().then(|| poll.clone());
-                        cache.publish(
-                            name,
-                            cadence,
-                            t,
-                            SharedRead {
-                                at: t,
-                                poll: stored,
-                            },
-                        );
-                    }
-                    Err(_) => cache.publish_failure(name, cadence, t),
-                }
+                let read = outcome.as_ref().ok().map(|poll| SharedRead {
+                    at: t,
+                    poll: slot.backend.replayable().then(|| poll.clone()),
+                });
+                cache.publish(name, slot.backend.read_cadence(), t, read);
             }
         }
         match outcome {
@@ -961,6 +954,47 @@ mod tests {
         // The 500 ms stall is capped at the 20 ms per-backend timeout.
         assert_eq!(result.overhead.fault_recovery, SimDuration::from_millis(20));
         assert!(result.overhead.total() > result.overhead.collection);
+    }
+
+    #[test]
+    fn long_retry_runs_cap_each_backoff_at_the_timeout() {
+        // A device that fails every attempt with a retryable error. With
+        // the 1 ms base, retries 1-6 wait 1..32 ms (63 ms) and retries
+        // 7-64 hit the 50 ms timeout cap; with a 1 ns base, retry 65
+        // would shift past 64 bits.
+        let cases = [
+            (
+                64,
+                SimDuration::from_millis(1),
+                63_000_000 + 58 * 50_000_000,
+            ),
+            (
+                70,
+                SimDuration::from_nanos(1),
+                (1 << 26) - 1 + 44 * 50_000_000,
+            ),
+        ];
+        for (max_retries, base_backoff, per_poll_ns) in cases {
+            let policy = RetryPolicy {
+                max_retries,
+                base_backoff,
+                ..RetryPolicy::default()
+            };
+            let script = (0..1_000)
+                .map(|_| Err(ReadError::Transient("dead".into())))
+                .collect();
+            let mut s = session_with(script, policy);
+            s.run_until(SimTime::from_millis(350));
+            let result = s.finalize(SimTime::from_millis(350));
+            let c = &result.completeness[0];
+            assert_eq!(c.scheduled, 3);
+            assert_eq!(c.missed_polls, 3);
+            assert_eq!(c.retried, 3 * u64::from(max_retries));
+            assert_eq!(
+                result.overhead.fault_recovery,
+                SimDuration::from_nanos(3 * per_poll_ns)
+            );
+        }
     }
 
     #[test]

@@ -26,9 +26,9 @@
 
 use crate::backend::{GateStats, ReadError};
 use crate::completeness::Completeness;
-use crate::plan::SharedLookup;
+use crate::plan::{CacheStats, SharedLookup};
 use simkit::wire::LinkStats;
-use simkit::{CacheStats, LogHistogram, SimDuration, SpanStats, TelemetryReport};
+use simkit::{LogHistogram, SimDuration, SpanStats, TelemetryReport};
 
 /// One session's telemetry: disabled, or the instruments it records into.
 ///
@@ -107,12 +107,7 @@ impl SessionTelemetry {
     /// What backend `slot`'s shared-cache consult found.
     pub(crate) fn lookup(&mut self, slot: usize, found: &SharedLookup) {
         if let Some(t) = self.0.as_deref_mut() {
-            let cache = &mut t.backends[slot].cache;
-            match found {
-                SharedLookup::Hit(_) => cache.hits += 1,
-                SharedLookup::Failed => cache.bypasses += 1,
-                SharedLookup::Miss => cache.misses += 1,
-            }
+            t.backends[slot].cache.count(found);
         }
     }
 

@@ -5,12 +5,10 @@
 //! yet every published per-query collection cost (1.10 ms for EMON, 0.03 ms
 //! for a RAPL MSR read, …) is charged faithfully on the virtual timeline.
 //!
-//! The crate provides four building blocks shared by all platform models:
+//! The crate provides the building blocks shared by all platform models:
 //!
 //! * [`time`] — nanosecond-resolution [`SimTime`]/[`SimDuration`] with total
 //!   ordering and saturating/checked arithmetic;
-//! * [`event`] — a deterministic discrete-event queue ([`EventQueue`]) with
-//!   stable FIFO ordering among simultaneous events;
 //! * [`rng`] — [`DetRng`], a splittable deterministic generator (SplitMix64 +
 //!   xoshiro256++) plus hash-indexed noise streams whose value at a given
 //!   sample index is independent of query order;
@@ -20,10 +18,6 @@
 //! * [`fault`] — seeded, order-independent per-device fault processes
 //!   ([`FaultPlan`] / [`FaultSpec`]) used to subject each vendor mechanism
 //!   to its documented failure modes deterministically;
-//! * [`cache`] — the cadence-aware generation cache ([`CadenceCache`]):
-//!   maps query times onto a mechanism's update grid so repeat reads
-//!   within one generation are served without re-paying the access path,
-//!   with exact hit/miss/bypass accounting ([`CacheStats`]);
 //! * [`control`] — deterministic controller/actuator primitives
 //!   ([`PiController`], [`Hysteresis`], [`CadenceGate`], [`ControlTrace`])
 //!   for the closed-loop scenario catalog, pure arithmetic on the virtual
@@ -45,9 +39,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod cache;
 pub mod control;
-pub mod event;
 pub mod fault;
 pub mod rng;
 pub mod sampling;
@@ -58,9 +50,7 @@ pub mod telemetry;
 pub mod time;
 pub mod wire;
 
-pub use cache::{CacheLookup, CacheStats, CadenceCache};
 pub use control::{CadenceGate, ControlRow, ControlTrace, Hysteresis, PiController};
-pub use event::{EventQueue, ScheduledEvent};
 pub use fault::{FaultOutcome, FaultPlan, FaultProcess, FaultSpec};
 pub use rng::{DetRng, NoiseStream};
 pub use sampling::SamplingPolicy;

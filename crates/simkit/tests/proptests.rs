@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 use simkit::stats::{quantile_sorted, regularized_incomplete_beta, BoxplotSummary, RunningStats};
 use simkit::{
-    DetRng, EventQueue, FaultOutcome, FaultPlan, FaultSpec, NoiseStream, SimDuration, SimTime,
-    TimeSeries,
+    DetRng, FaultOutcome, FaultPlan, FaultSpec, NoiseStream, SimDuration, SimTime, TimeSeries,
 };
 
 proptest! {
@@ -106,21 +105,6 @@ proptest! {
         for _ in 0..50 {
             let x = r.uniform(lo, hi);
             prop_assert!(x >= lo && (x < hi || width == 0.0));
-        }
-    }
-
-    #[test]
-    fn event_queue_total_order(times in prop::collection::vec(0u64..1_000_000u64, 1..100)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(t), i);
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some(ev) = q.pop() {
-            if let Some((lt, lseq)) = last {
-                prop_assert!(ev.at > lt || (ev.at == lt && ev.payload > lseq));
-            }
-            last = Some((ev.at, ev.payload));
         }
     }
 

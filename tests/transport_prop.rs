@@ -13,15 +13,15 @@
 //! * **Hostile input** — no byte string a link or a client can deliver
 //!   panics the frame decoders, the payload decoders or the server: each
 //!   returns a value or a typed error, and the server answers only the
-//!   protocol's two request kinds.
+//!   protocol's one request kind.
 //! * **Deployment** — a parallel `ClusterRun` of *remote* sessions is
 //!   byte-identical to a serial one: the wire layer must not introduce
 //!   any worker-pool-order dependence the local path doesn't have.
 
 use envmon::prelude::*;
 use moneq::remote::{
-    decode_poll, decode_read_error, encode_poll, encode_read_error, BackendServer, REQ_META,
-    REQ_READ, RESP_FLAG,
+    decode_poll, decode_read_error, encode_poll, encode_read_error, BackendServer, REQ_READ,
+    RESP_FLAG,
 };
 use moneq::{ClusterResult, ClusterRun, DataPoint, EnvBackend, Poll};
 use proptest::prelude::*;
@@ -298,12 +298,12 @@ proptest! {
         let _ = decode_read_error(&mut WireReader::new(&payload));
     }
 
-    /// The server answers exactly `META` and `READ` with an empty
-    /// payload. Every other checksum-valid frame, including the retired
-    /// kinds 0x03 and 0x04 with an agent-count payload, is dropped, and
-    /// none panics the server.
+    /// The server answers exactly `READ` with an empty payload. Every
+    /// other checksum-valid frame, including the retired kinds 0x01, 0x03
+    /// and 0x04 with an agent-count payload, is dropped, and none panics
+    /// the server.
     #[test]
-    fn server_answers_only_meta_and_read(
+    fn server_answers_only_read(
         pick in 0u8..6,
         other in any::<u8>(),
         seq in any::<u64>(),
@@ -322,7 +322,7 @@ proptest! {
             }
             _ => noise,
         };
-        let served = (kind == REQ_META || kind == REQ_READ) && payload.is_empty();
+        let served = kind == REQ_READ && payload.is_empty();
         let mut server = BackendServer::new(Box::new(Fixed));
         let request = Frame::new(kind, seq, payload).encode();
         let reply = server.handle(SimTime::from_millis(60), &request);
