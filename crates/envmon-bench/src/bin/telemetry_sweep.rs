@@ -11,10 +11,16 @@
 //! telemetry_sweep [--seed N] [--out FILE] [--quick | --smoke] [--gate PCT]
 //! ```
 //!
-//! `--smoke` runs the single full-Mira leg (1,536 agents) at full reps —
+//! `--smoke` runs the single full-Mira leg (1,536 agents) at full pairs —
 //! the CI perf-smoke stage. `--gate PCT` exits non-zero if any leg's
 //! telemetry overhead exceeds `PCT` percent, making the sweep a pass/fail
 //! regression gate instead of a recording run.
+//!
+//! A leg's overhead is the median of paired on/off wall-clock ratios. Each
+//! pair drives off and on back to back, flipping which goes first every
+//! pair, so a host slowdown lasting a drive or two skews one ratio, not
+//! the estimate; a best-of-N minimum per side would instead let one lucky
+//! drive on either side decide it.
 
 use envmon_bench::bench_file::{BenchFile, Fields};
 use envmon_bench::DEFAULT_SEED;
@@ -43,18 +49,30 @@ fn drive(seed: u64, agents: usize, virtual_secs: u64, telemetry: bool) -> (f64, 
     (t0.elapsed().as_secs_f64() * 1e3, result)
 }
 
-/// Best-of-N wall-clock of the off and on legs, run alternately (off, on,
-/// off, on, …): the minimum is the least noisy estimator for a
-/// deterministic workload under scheduler jitter, and alternating spreads
-/// a host slowdown that spans several drives over both legs instead of
-/// reading it as one leg's cost.
-fn best_of_alternating(reps: usize, mut f: impl FnMut(bool) -> f64) -> (f64, f64) {
-    let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        off = off.min(f(false));
-        on = on.min(f(true));
+/// The middle value of `v`, whose length is odd.
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// `pairs` off/on drives, off first in even pairs and on first in odd
+/// ones. Returns the median off and on wall clocks and the median of the
+/// per-pair on/off ratios.
+fn paired_medians(pairs: usize, mut f: impl FnMut(bool) -> f64) -> (f64, f64, f64) {
+    let (mut off, mut on, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..pairs {
+        let (a, b) = if i % 2 == 0 {
+            let a = f(false);
+            (a, f(true))
+        } else {
+            let b = f(true);
+            (f(false), b)
+        };
+        off.push(a);
+        on.push(b);
+        ratios.push(b / a);
     }
-    (off, on)
+    (median(off), median(on), median(ratios))
 }
 
 fn main() {
@@ -93,11 +111,11 @@ fn main() {
     } else {
         &[(256, 8), (1_536, 4)]
     };
-    // The on/off *ratio* is the product here, and a single slow rep on
-    // either leg skews it by more than the claim under test; five reps keep
-    // the best-of minimum tight against ~±5% VM jitter everywhere except
-    // quick mode, where wall clock is not the point.
-    let reps = if quick { 2 } else { 5 };
+    // The on/off *ratio* is the product here. A single pair's ratio
+    // spreads by ±30% on a shared 2-CPU host, far more than the claim under
+    // test, so a full leg reads the median of 61 pairs. Quick legs are a
+    // few milliseconds each, so 21 pairs cost little there.
+    let pairs = if quick { 21 } else { 61 };
 
     // Sanity: enabling telemetry must not change a single output byte.
     {
@@ -119,10 +137,10 @@ fn main() {
         let merged = result.telemetry_merged();
         let events: u64 = merged.counters.values().sum();
         drop(result);
-        let (off_ms, on_ms) = best_of_alternating(reps, |telemetry| {
+        let (off_ms, on_ms, ratio) = paired_medians(pairs, |telemetry| {
             drive(seed, agents, virtual_secs, telemetry).0
         });
-        let pct = (on_ms / off_ms - 1.0) * 100.0;
+        let pct = (ratio - 1.0) * 100.0;
         eprintln!(
             "agents {agents:>6}  off {off_ms:>8.1} ms  on {on_ms:>8.1} ms  \
              overhead {pct:+.1}%  ({events} events)"
@@ -148,7 +166,7 @@ fn main() {
             .text("bench", "telemetry_overhead_sweep")
             .num("seed", seed)
             .num("host_cpus", moneq::host_cpus())
-            .num("reps", reps),
+            .num("pairs", pairs),
         rows_key: "sweeps",
         rows,
         tail: Fields::default(),

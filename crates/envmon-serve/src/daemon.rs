@@ -133,6 +133,7 @@ impl Daemon {
             meta: Arc::clone(&meta),
             domains: Arc::clone(&domains),
             completeness: Arc::new(Vec::new()),
+            oldest: None,
         });
         Daemon {
             run,
@@ -269,10 +270,16 @@ impl Daemon {
     }
 
     /// Swap in a fresh immutable view: share the store and the meta table,
-    /// and merge the live completeness ledgers by device.
+    /// merge the live completeness ledgers by device, and find the stalest
+    /// series' newest sample, so a freshness answer only copies fields.
     fn publish(&mut self) {
         self.seq += 1;
         let merged = merge_by_device(self.run.sessions().iter().flat_map(MonEq::completeness));
+        let oldest = self
+            .store
+            .ids()
+            .filter_map(|id| self.store.get(id).last().map(|s| s.at))
+            .min();
         self.front.publish(Published {
             seq: self.seq,
             at: self.now,
@@ -280,6 +287,7 @@ impl Daemon {
             meta: Arc::clone(&self.meta),
             domains: Arc::clone(&self.domains),
             completeness: Arc::new(merged),
+            oldest,
         });
     }
 

@@ -53,6 +53,8 @@ pub struct Published {
     /// Completeness ledgers merged across ranks by device, in
     /// first-appearance order (the PR 2 ledger, readable mid-run).
     pub completeness: Arc<Vec<Completeness>>,
+    /// The stalest series' newest sample time, when any series has data.
+    pub oldest: Option<SimTime>,
 }
 
 /// A client request against the published view.
@@ -116,8 +118,9 @@ pub struct FreshnessReport {
     pub seq: u64,
     /// `true` when every merged ledger is clean (nothing degraded).
     pub clean: bool,
-    /// Merged per-device ledgers, first-appearance order.
-    pub devices: Vec<Completeness>,
+    /// Merged per-device ledgers, first-appearance order (the view's own
+    /// [`Published::completeness`], shared).
+    pub devices: Arc<Vec<Completeness>>,
     /// The stalest series' newest sample time, when any series has data:
     /// `at - oldest` is the worst-case staleness a client can observe.
     pub oldest: Option<SimTime>,
@@ -225,7 +228,7 @@ impl Response {
                 h = mix64(h, fr.at.as_nanos());
                 h = mix64(h, u64::from(fr.clean));
                 h = mix64(h, fr.oldest.map_or(u64::MAX, SimTime::as_nanos));
-                for c in &fr.devices {
+                for c in fr.devices.iter() {
                     h = mix_str(h, &c.device);
                     h = mix64(h, c.scheduled);
                     h = mix64(h, c.succeeded);
@@ -329,7 +332,7 @@ impl QueryFront {
                 let mut slot: Vec<Option<usize>> = Vec::new();
                 let mut sums: Vec<(u32, f64, SeriesId)> = Vec::new();
                 for id in view.store.ids() {
-                    let Some(mean) = view.store.get(id).aggregate(*tier, *from, *to).mean() else {
+                    let Some(mean) = view.store.get(id).mean(*tier, *from, *to) else {
                         continue;
                     };
                     let rank = view.meta[id.index()].rank;
@@ -361,20 +364,13 @@ impl QueryFront {
                         .collect(),
                 ))
             }
-            Query::Freshness => {
-                let oldest = view
-                    .store
-                    .ids()
-                    .filter_map(|id| view.store.get(id).last().map(|s| s.at))
-                    .min();
-                Ok(Response::Freshness(FreshnessReport {
-                    at: view.at,
-                    seq: view.seq,
-                    clean: view.completeness.iter().all(Completeness::is_clean),
-                    devices: view.completeness.as_ref().clone(),
-                    oldest,
-                }))
-            }
+            Query::Freshness => Ok(Response::Freshness(FreshnessReport {
+                at: view.at,
+                seq: view.seq,
+                clean: view.completeness.iter().all(Completeness::is_clean),
+                devices: Arc::clone(&view.completeness),
+                oldest: view.oldest,
+            })),
         }
     }
 }

@@ -97,13 +97,6 @@ impl Default for MonEqConfig {
     }
 }
 
-/// Session lifecycle state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum State {
-    Running,
-    Finalized,
-}
-
 /// What finalize returns.
 #[derive(Clone, Debug)]
 pub struct FinalizeResult {
@@ -175,7 +168,6 @@ pub struct MonEq {
     /// one ([`MonEq::attach_control`]). `None` (the default) keeps the
     /// fire loop bit-identical to builds that predate the hook.
     control: Option<Box<dyn ControlHook>>,
-    state: State,
 }
 
 impl MonEq {
@@ -266,7 +258,6 @@ impl MonEq {
             control: None,
             interval,
             config,
-            state: State::Running,
         }
     }
 
@@ -346,7 +337,6 @@ impl MonEq {
     /// Drive the timer up to `until` (the application calls this as virtual
     /// time passes; each fire polls every backend and charges its cost).
     pub fn run_until(&mut self, until: SimTime) {
-        assert_eq!(self.state, State::Running, "session already finalized");
         // A deadline exactly at `until` fires. `next_fire` always advances
         // (policies fire strictly later), so the loop terminates.
         while self.next_fire <= until {
@@ -557,9 +547,7 @@ impl MonEq {
     /// `MonEQ_Finalize`: stop polling, inject tag markers, render the
     /// output file, and account the scale-dependent finalize cost.
     pub fn finalize(mut self, now: SimTime) -> FinalizeResult {
-        assert_eq!(self.state, State::Running, "double finalize");
         self.run_until(now);
-        self.state = State::Finalized;
         let app_runtime = now.saturating_since(self.started_at);
         let waves = self.config.total_agents.max(1).div_ceil(IO_STRIPE_WIDTH) as u64;
         // Disabled telemetry never pulls the iterator, so no gate or link

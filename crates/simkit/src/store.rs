@@ -15,9 +15,23 @@
 //! Window semantics are **bin-granular**: a query window `[from, to)`
 //! widens to the enclosing bin boundaries (every bin whose start lies in
 //! `[floor(from), to)` is included whole). Aligned windows are therefore
-//! exact; unaligned ones are exact over the widened window. Bin grids are
-//! anchored at [`SimTime::ZERO`], so every store — and every reference
-//! fold — agrees on bin edges without coordination.
+//! exact; unaligned ones are exact over the widened window. A reversed
+//! window (`from > to`) holds no bin, even when both ends fall in one.
+//! Bin grids are anchored at [`SimTime::ZERO`], so every store — and
+//! every reference fold — agrees on bin edges without coordination.
+//!
+//! A tier keeps its closed bins as three columns that share one ring
+//! index: bin starts, `(count, sum)` and `(min, max)`. A window query
+//! never tests a bin start to decide what to fold. It finds the window's
+//! first and end ring positions by arithmetic on the grid, counting slots
+//! from the ring's oldest bin, and steps back only over grid slots no
+//! sample fell into; a ring without such gaps needs no step. It then folds
+//! that contiguous range (plus the open bin), reading only the columns the
+//! answer needs: [`SeriesData::mean`] reads counts and sums,
+//! [`SeriesData::aggregate`] all four fields. The bins are the same and
+//! are folded in the same order as a scan would, and min and max fold by
+//! a compare-select that is exact for the finite values the store holds,
+//! so answers keep their bits (DESIGN.md §13.2).
 //!
 //! The store is plain data with one writer (`record` takes `&mut self`).
 //! Sharing it with readers is the owner's decision: `envmon-serve`'s
@@ -40,11 +54,13 @@
 //!     .aggregate_raw(SimDuration::from_secs(60), window.0, window.1);
 //! assert_eq!(tier, raw); // rollups are exact, bit for bit
 //! assert_eq!(tier.count, 120);
+//! assert_eq!(store.get(id).mean(1, window.0, window.1), tier.mean());
 //! ```
 
 use crate::series::Sample;
 use crate::time::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 
 /// One rollup tier: bins of `width` in a ring of at most `capacity` bins.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,6 +129,31 @@ impl SeriesId {
     }
 }
 
+/// The lesser of `held` and `new` by compare and select: `new` only when
+/// it is strictly less, so of two equal values the one held stays.
+///
+/// Every value the store holds is finite (`record` rejects NaN and ±∞),
+/// so unlike `f64::min` this needs no NaN fixup and compiles to a single
+/// `minsd`, not an unordered-compare and mask chain per fold step. A
+/// maximum folds as the negated lesser of negations, which is exact.
+#[inline]
+fn lesser(held: f64, new: f64) -> f64 {
+    if new < held {
+        new
+    } else {
+        held
+    }
+}
+
+/// The window `[from, to)` widened onto the `width` grid, as
+/// `[floor(from), end)`, with the grid slot of `floor(from)`: `end` is
+/// `to`, or `floor(from)` for a reversed window, so that it holds no bin.
+fn bin_window(from: SimTime, to: SimTime, width: SimDuration) -> (u64, SimTime, SimTime) {
+    let slot = from.as_nanos() / width.as_nanos();
+    let floor = SimTime::from_nanos(slot * width.as_nanos());
+    (slot, floor, if to < from { floor } else { to })
+}
+
 /// One downsampled bin: exact `count/sum/min/max` of the raw samples whose
 /// timestamps fall in `[start, start + width)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -143,8 +184,8 @@ impl RollupBin {
     fn accumulate(&mut self, value: f64) {
         self.count += 1;
         self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
+        self.min = lesser(self.min, value);
+        self.max = -lesser(-self.max, -value);
     }
 }
 
@@ -153,7 +194,8 @@ impl RollupBin {
 /// An empty aggregate has `count == 0`, zero sum, and infinite min/max
 /// sentinels; [`Aggregate::mean`] returns `None` for it. Two aggregates
 /// built by folding the same bins in the same order are bitwise equal —
-/// the property the rollup-exactness gates compare with `==`.
+/// the property the rollup-exactness gates compare with `==`. Folded
+/// values are finite, as the store holds them.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Aggregate {
     /// Total samples covered.
@@ -178,13 +220,19 @@ impl Default for Aggregate {
 }
 
 impl Aggregate {
+    /// Fold in `count` samples summing to `sum` and spanning `[min, max]`.
+    #[inline]
+    fn add(&mut self, count: u64, sum: f64, min: f64, max: f64) {
+        self.count += count;
+        self.sum += sum;
+        self.min = lesser(self.min, min);
+        self.max = -lesser(-self.max, -max);
+    }
+
     /// Fold one bin in (bins must be supplied in time order for bitwise
     /// reproducibility).
     pub fn absorb_bin(&mut self, bin: &RollupBin) {
-        self.count += bin.count;
-        self.sum += bin.sum;
-        self.min = self.min.min(bin.min);
-        self.max = self.max.max(bin.max);
+        self.add(bin.count, bin.sum, bin.min, bin.max);
     }
 
     /// Fold another aggregate in (skips empty ones so their infinite
@@ -193,18 +241,12 @@ impl Aggregate {
         if other.is_empty() {
             return;
         }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.add(other.count, other.sum, other.min, other.max);
     }
 
     /// Fold one raw sample in.
     pub fn absorb_value(&mut self, value: f64) {
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
+        self.add(1, value, value, value);
     }
 
     /// `true` when nothing has been folded in.
@@ -219,12 +261,28 @@ impl Aggregate {
     }
 }
 
-/// One tier's ring of closed bins plus the bin currently accumulating.
+/// One tier: its closed bins as three columns sharing one ring index, plus
+/// the bin currently accumulating.
+///
+/// Ring position `i` (0 = oldest closed bin) lives at column index
+/// `(head + i) % len`. The columns grow to `capacity`; after that each
+/// closed bin overwrites the oldest in place and advances `head`.
 #[derive(Clone, Debug)]
 struct TierBuf {
     width: SimDuration,
     capacity: usize,
-    bins: VecDeque<RollupBin>,
+    head: usize,
+    /// Grid slots (`start / width`) of the oldest and the newest closed
+    /// bin. `last_slot - first_slot == len - 1` exactly when no slot
+    /// between them is empty.
+    first_slot: u64,
+    last_slot: u64,
+    /// Bin starts, grid-aligned, ascending in ring order.
+    starts: Vec<SimTime>,
+    /// `(count, sum)` per bin: all a mean reads.
+    sums: Vec<(u64, f64)>,
+    /// `(min, max)` per bin.
+    extremes: Vec<(f64, f64)>,
     open: Option<RollupBin>,
     evicted: u64,
 }
@@ -234,35 +292,131 @@ impl TierBuf {
         TierBuf {
             width: spec.width,
             capacity: spec.capacity,
-            bins: VecDeque::new(),
+            head: 0,
+            first_slot: 0,
+            last_slot: 0,
+            starts: Vec::new(),
+            sums: Vec::new(),
+            extremes: Vec::new(),
             open: None,
             evicted: 0,
         }
     }
 
-    /// Accumulate one sample (timestamps arrive non-decreasing; the store
-    /// rejects late samples before they reach a tier).
-    fn record(&mut self, at: SimTime, value: f64, stats: &mut StoreStats) {
-        let start = at.grid_floor(SimTime::ZERO, self.width);
-        match &mut self.open {
-            Some(bin) if bin.start == start => bin.accumulate(value),
-            Some(bin) => {
-                let closed = std::mem::replace(bin, RollupBin::open(start, value));
-                stats.bins_closed += 1;
-                if self.bins.len() == self.capacity {
-                    self.bins.pop_front();
-                    self.evicted += 1;
-                    stats.bins_evicted += 1;
-                }
-                self.bins.push_back(closed);
-            }
-            None => self.open = Some(RollupBin::open(start, value)),
+    /// Closed bins retained.
+    fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Column index of ring position `i < len`.
+    fn column(&self, i: usize) -> usize {
+        let c = self.head + i;
+        if c >= self.len() {
+            c - self.len()
+        } else {
+            c
         }
     }
 
-    /// Closed bins in time order, then the open bin when any.
-    fn iter(&self) -> impl Iterator<Item = &RollupBin> {
-        self.bins.iter().chain(self.open.as_ref())
+    /// Accumulate one sample (timestamps arrive non-decreasing; the store
+    /// rejects late samples before they reach a tier). So a sample less
+    /// than a width past the open bin's start falls in it, and only a
+    /// sample that opens a bin divides to find its start.
+    fn record(&mut self, at: SimTime, value: f64, stats: &mut StoreStats) {
+        let start = || at.grid_floor(SimTime::ZERO, self.width);
+        match &mut self.open {
+            Some(bin) if at.saturating_since(bin.start) < self.width => bin.accumulate(value),
+            Some(bin) => {
+                let closed = std::mem::replace(bin, RollupBin::open(start(), value));
+                stats.bins_closed += 1;
+                self.push(closed, stats);
+            }
+            None => self.open = Some(RollupBin::open(start(), value)),
+        }
+    }
+
+    /// Append a closed bin, evicting the oldest from a full ring.
+    fn push(&mut self, bin: RollupBin, stats: &mut StoreStats) {
+        let (start, sums, extremes) = (bin.start, (bin.count, bin.sum), (bin.min, bin.max));
+        self.last_slot = start.as_nanos() / self.width.as_nanos();
+        if self.len() < self.capacity {
+            if self.starts.is_empty() {
+                self.first_slot = self.last_slot;
+            }
+            self.starts.push(start);
+            self.sums.push(sums);
+            self.extremes.push(extremes);
+            return;
+        }
+        let c = self.head;
+        self.starts[c] = start;
+        self.sums[c] = sums;
+        self.extremes[c] = extremes;
+        self.head = if c + 1 == self.capacity { 0 } else { c + 1 };
+        self.first_slot = self.starts[self.head].as_nanos() / self.width.as_nanos();
+        self.evicted += 1;
+        stats.bins_evicted += 1;
+    }
+
+    /// The closed bin at column index `c`.
+    fn bin(&self, c: usize) -> RollupBin {
+        let ((count, sum), (min, max)) = (self.sums[c], self.extremes[c]);
+        RollupBin {
+            start: self.starts[c],
+            count,
+            sum,
+            min,
+            max,
+        }
+    }
+
+    /// Ring position of the first closed bin that starts at or after
+    /// `bound` (`len` when none does), where `slot` is the first grid slot
+    /// that starts at or after `bound`.
+    ///
+    /// Bin `i` sits at grid slot `first_slot + i` or later, later exactly
+    /// by the empty slots before it, so the slot arithmetic never lands
+    /// before the answer: it can only overshoot by the empty slots between
+    /// the ring's first bin and `bound`, and only those are stepped back
+    /// over. A ring with no empty slot needs no step, so it reads no start.
+    fn seek(&self, slot: u64, bound: SimTime) -> usize {
+        let n = self.len();
+        let mut i = usize::try_from(slot.saturating_sub(self.first_slot)).map_or(n, |s| s.min(n));
+        if self.last_slot - self.first_slot >= n as u64 {
+            while i > 0 && self.starts[self.column(i - 1)] >= bound {
+                i -= 1;
+            }
+        }
+        i
+    }
+
+    /// Ring positions `lo..hi` of the closed bins in the widened window
+    /// (see [`bin_window`]), and the open bin when it is in it too.
+    fn window(&self, from: SimTime, to: SimTime) -> (Range<usize>, Option<&RollupBin>) {
+        let (slot, floor, to) = bin_window(from, to, self.width);
+        let lo = self.seek(slot, floor);
+        let hi = self
+            .seek(to.as_nanos().div_ceil(self.width.as_nanos()), to)
+            .max(lo);
+        let open = self
+            .open
+            .as_ref()
+            .filter(|b| b.start >= floor && b.start < to);
+        (lo..hi, open)
+    }
+
+    /// The column-index ranges holding ring positions `lo..hi`, oldest
+    /// first: two when the range wraps past the end of the columns.
+    fn spans(&self, Range { start, end }: Range<usize>) -> [Range<usize>; 2] {
+        let n = self.len();
+        let (a, b) = (self.head + start, self.head + end);
+        if b <= n {
+            [a..b, 0..0]
+        } else if a >= n {
+            [a - n..b - n, 0..0]
+        } else {
+            [a..n, 0..b - n]
+        }
     }
 }
 
@@ -378,26 +532,61 @@ impl SeriesData {
     /// # Panics
     /// Panics if `tier` is out of range.
     pub fn tier_bins(&self, tier: usize) -> impl Iterator<Item = RollupBin> + '_ {
-        self.tiers[tier].iter().copied()
+        let t = &self.tiers[tier];
+        (0..t.len()).map(|i| t.bin(t.column(i))).chain(t.open)
     }
 
     /// Exact bin-granular aggregate of tier `tier` over `[from, to)`:
     /// folds every retained bin whose start lies in `[floor(from), to)`,
-    /// in time order. Bitwise equal to [`SeriesData::aggregate_raw`] with
+    /// in time order (none when `from > to`). Bitwise equal to [`SeriesData::aggregate_raw`] with
     /// the tier's width whenever the raw ring still covers the window.
     ///
     /// # Panics
     /// Panics if `tier` is out of range.
     pub fn aggregate(&self, tier: usize, from: SimTime, to: SimTime) -> Aggregate {
-        let width = self.tiers[tier].width;
-        let floor = from.grid_floor(SimTime::ZERO, width);
+        let t = &self.tiers[tier];
+        let (range, open) = t.window(from, to);
         let mut agg = Aggregate::default();
-        for bin in self.tiers[tier].iter() {
-            if bin.start >= floor && bin.start < to {
-                agg.absorb_bin(bin);
+        // The minimum and the negated maximum fold side by side through the
+        // same compare-select, which the compiler packs into one vector
+        // minimum per bin; a (min, max) pair packs into a compare-and-blend
+        // chain instead, which ran domain aggregates about 1.5x slower.
+        let mut low = (agg.min, -agg.max);
+        for cols in t.spans(range) {
+            for (&(count, sum), &(min, max)) in t.sums[cols.clone()].iter().zip(&t.extremes[cols]) {
+                agg.count += count;
+                agg.sum += sum;
+                low = (lesser(low.0, min), lesser(low.1, -max));
             }
         }
+        (agg.min, agg.max) = (low.0, -low.1);
+        if let Some(bin) = open {
+            agg.absorb_bin(bin);
+        }
         agg
+    }
+
+    /// The mean of tier `tier` over `[from, to)`: bitwise equal to
+    /// `self.aggregate(tier, from, to).mean()`, but it folds only the bins'
+    /// counts and sums.
+    ///
+    /// # Panics
+    /// Panics if `tier` is out of range.
+    pub fn mean(&self, tier: usize, from: SimTime, to: SimTime) -> Option<f64> {
+        let t = &self.tiers[tier];
+        let (range, open) = t.window(from, to);
+        let mut agg = Aggregate::default();
+        for cols in t.spans(range) {
+            for &(count, sum) in &t.sums[cols] {
+                agg.count += count;
+                agg.sum += sum;
+            }
+        }
+        if let Some(bin) = open {
+            agg.count += bin.count;
+            agg.sum += bin.sum;
+        }
+        agg.mean()
     }
 
     /// Reference implementation of [`SeriesData::aggregate`]: groups the
@@ -409,7 +598,7 @@ impl SeriesData {
     /// Only meaningful while the raw ring still covers `[from, to)`.
     pub fn aggregate_raw(&self, width: SimDuration, from: SimTime, to: SimTime) -> Aggregate {
         assert!(!width.is_zero(), "aggregate_raw width must be non-zero");
-        let floor = from.grid_floor(SimTime::ZERO, width);
+        let (_, floor, to) = bin_window(from, to, width);
         let mut agg = Aggregate::default();
         let mut open: Option<RollupBin> = None;
         for s in &self.raw {
@@ -624,6 +813,48 @@ mod tests {
         assert_eq!(stats.recorded, 100);
         assert_eq!(stats.raw_evicted, 92);
         assert_eq!(stats.bins_evicted, 20);
+    }
+
+    #[test]
+    fn gap_free_ring_locates_exactly_the_window_bins() {
+        // Four samples in every 1 s bin for 10 s: bins 0..=8 close, the
+        // ring of 6 keeps 3..=8 (so it has wrapped) and bin 9 stays open.
+        let mut cfg = tiny();
+        cfg.tiers[0].capacity = 6;
+        let mut store = TsStore::new(cfg);
+        let id = store.series("a/dev/dom");
+        for i in 0..40 {
+            store.record(id, SimTime::from_millis(250 * i), value(i));
+        }
+        let t = &store.get(id).tiers[0];
+        assert_eq!((t.len(), t.head, t.evicted), (6, 3, 3));
+        let starts: Vec<SimTime> = (0..t.len()).map(|i| t.starts[t.column(i)]).collect();
+        assert_eq!(starts, (3..9).map(SimTime::from_secs).collect::<Vec<_>>());
+        // Every window with ends on a 500 ms grid from 0 to 12 s: bin
+        // edges, bin middles, before the ring, past it and reversed.
+        let ends = || (0..=24).map(|h| SimTime::from_millis(500 * h));
+        for from in ends() {
+            for to in ends() {
+                let floor = from.grid_floor(SimTime::ZERO, t.width);
+                let want: Vec<usize> = (0..t.len())
+                    .filter(|&i| from <= to && starts[i] >= floor && starts[i] < to)
+                    .collect();
+                let (range, open) = t.window(from, to);
+                let got: Vec<usize> = range.clone().collect();
+                assert_eq!(got, want, "[{from}, {to})");
+                // The columns the fold reads hold exactly those bins.
+                let cols: Vec<SimTime> = t
+                    .spans(range)
+                    .into_iter()
+                    .flat_map(|r| t.starts[r].iter().copied())
+                    .collect();
+                let want_starts: Vec<SimTime> = want.iter().map(|&i| starts[i]).collect();
+                assert_eq!(cols, want_starts, "[{from}, {to})");
+                let open_in =
+                    from <= to && floor <= SimTime::from_secs(9) && SimTime::from_secs(9) < to;
+                assert_eq!(open.is_some(), open_in, "[{from}, {to})");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the monitoring daemon (DESIGN.md §13).
 //!
-//! Four guarantees:
+//! Seven guarantees:
 //!
 //! 1. *Ingest transparency*: driving a cluster incrementally through the
 //!    daemon and querying the store returns exactly the samples a batch
@@ -21,13 +21,20 @@
 //!    readers hold for a few ticks stay exactly as published — whichever
 //!    of the daemon's two stores served them, and whether or not the
 //!    daemon had to copy one.
+//! 6. *The window locator folds what a scan folds*: on tier rings of a
+//!    few bins that wrap and evict, over streams with long gaps, a window
+//!    anywhere folds exactly the bins a scan of the ring picks, bit for
+//!    bit, and equals the raw fold while both rings still hold it.
+//! 7. *No query panics the front*: any value of `Query` against a
+//!    ticking daemon's views is answered or refused with a `QueryError`,
+//!    and a reversed window answers like an empty one.
 
 use envmon::prelude::*;
-use envmon::serve::{clients, Published};
+use envmon::serve::{clients, Published, QueryError, Response};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use simkit::store::{StoreConfig, TierSpec, TsStore};
-use simkit::Sample;
+use simkit::store::{Aggregate, StoreConfig, TierSpec, TsStore};
+use simkit::{Sample, SeriesData};
 use std::sync::Arc;
 
 /// A small BG/Q cluster, every rank on its own node-card slice of one
@@ -143,8 +150,168 @@ fn feed(cfg: StoreConfig, stream: &[(u64, f64)]) -> TsStore {
     store
 }
 
+/// An aggregate's fields as bits, so a comparison tells `-0.0` from
+/// `0.0`.
+fn bits(a: Aggregate) -> (u64, u64, u64, u64) {
+    (a.count, a.sum.to_bits(), a.min.to_bits(), a.max.to_bits())
+}
+
+/// What a scan of tier `tier`'s retained bins folds for `[from, to)`:
+/// each bin `tier_bins` yields whose start lies in `[floor(from), to)`,
+/// in order, and nothing for a reversed window.
+fn scan(d: &SeriesData, tier: usize, from: SimTime, to: SimTime) -> Aggregate {
+    let floor = from.grid_floor(SimTime::ZERO, d.tier_width(tier));
+    let mut agg = Aggregate::default();
+    for bin in d.tier_bins(tier) {
+        if from <= to && bin.start >= floor && bin.start < to {
+            agg.absorb_bin(&bin);
+        }
+    }
+    agg
+}
+
+/// A window end near second `secs`: on the edge, `jitter` ns past it, or
+/// one nanosecond before the next edge.
+fn window_end((secs, place, jitter): (u64, u8, u64)) -> SimTime {
+    let edge = SimTime::from_secs(secs);
+    match place {
+        0 => edge,
+        1 => edge + SimDuration::from_nanos(jitter),
+        _ => edge + SimDuration::from_nanos(999_999_999),
+    }
+}
+
+/// A series name or domain label: one the view holds (when it holds
+/// any), or arbitrary text.
+fn label(view: &Published, known: bool, pick: u64, garbage: String, domain: bool) -> String {
+    match view
+        .meta
+        .get((pick % view.meta.len().max(1) as u64) as usize)
+    {
+        Some(m) if known && domain => m.domain.clone(),
+        Some(m) if known => format!("{}/{}/{}", m.agent, m.device, m.domain),
+        _ => garbage,
+    }
+}
+
+/// The same query over `[from, to)`; `None` for a query with no window.
+fn with_window(q: &Query, from: SimTime, to: SimTime) -> Option<Query> {
+    Some(match q.clone() {
+        Query::Range { series, .. } => Query::Range { series, from, to },
+        Query::DomainAggregate { domain, tier, .. } => Query::DomainAggregate {
+            domain,
+            tier,
+            from,
+            to,
+        },
+        Query::TopK { k, tier, .. } => Query::TopK { k, tier, from, to },
+        Query::Freshness => return None,
+    })
+}
+
+/// `answer` is what `q` may get from `view`: an unknown series and an
+/// out-of-plan tier are refused with the matching error, everything
+/// else is answered in kind.
+fn answer_fits(
+    view: &Published,
+    q: &Query,
+    answer: &Result<Response, QueryError>,
+) -> Result<(), TestCaseError> {
+    let tiers = view.store.config().tiers.len();
+    match (q, answer) {
+        (Query::Range { series, .. }, Ok(Response::Range { series: id, .. })) => {
+            prop_assert_eq!(view.store.find(series), Some(*id));
+        }
+        (Query::Range { series, .. }, Err(QueryError::UnknownSeries(name))) => {
+            prop_assert_eq!(view.store.find(series), None);
+            prop_assert_eq!(name, series);
+        }
+        (
+            Query::DomainAggregate { tier, .. } | Query::TopK { tier, .. },
+            Err(QueryError::BadTier { tier: t, tiers: n }),
+        ) => {
+            prop_assert!(*tier >= tiers);
+            prop_assert_eq!((*t, *n), (*tier, tiers));
+        }
+        (
+            Query::DomainAggregate { domain, tier, .. },
+            Ok(Response::DomainAggregate { series, .. }),
+        ) => {
+            prop_assert!(*tier < tiers);
+            let matched = view.meta.iter().filter(|m| m.domain == *domain).count();
+            prop_assert_eq!(*series, matched as u64);
+        }
+        (Query::TopK { k, tier, .. }, Ok(Response::TopK(top))) => {
+            prop_assert!(*tier < tiers);
+            prop_assert!(top.len() <= *k);
+        }
+        (Query::Freshness, Ok(Response::Freshness(fr))) => {
+            prop_assert_eq!((fr.seq, fr.at), (view.seq, view.at));
+        }
+        (q, answer) => prop_assert!(false, "{:?} answered {:?}", q, answer),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::scaled(10))]
+
+    /// (7) Any query against a ticking daemon's views is answered or
+    /// refused, never a panic: any `k` (0 and `usize::MAX` included), any
+    /// tier, windows in either order and far past `now`, series and
+    /// domains the view has never seen, and the empty seq-0 view. A
+    /// reversed window answers exactly like the empty window at zero.
+    #[test]
+    fn hostile_queries_are_answered_or_refused(
+        seed in 0u64..1_000,
+        agents in 1usize..4,
+        steps in prop::collection::vec(
+            (
+                0u64..3,
+                (0u8..4, any::<u64>(), any::<bool>(), "[a-z/ ]{0,12}"),
+                (any::<usize>(), 0usize..4, any::<bool>()),
+                (any::<bool>(), 0u64..12_000_000_000, any::<u64>()),
+                (any::<bool>(), 0u64..12_000_000_000, any::<u64>()),
+            ),
+            1..24,
+        ),
+    ) {
+        let secs: u64 = steps.iter().map(|s| s.0).sum();
+        let mut daemon = Daemon::new(
+            launch_run(seed, agents, secs),
+            SimTime::ZERO,
+            ServeConfig::default(),
+        );
+        let front = daemon.front();
+        let end = |(far, near, any): (bool, u64, u64)| SimTime::from_nanos(if far { any } else { near });
+        for (ticks, (kind, pick, known, garbage), (k, tier, any_tier), from, to) in steps {
+            for _ in 0..ticks {
+                daemon.tick();
+            }
+            let view = front.view();
+            let tier = if any_tier { pick as usize } else { tier };
+            let (from, to) = (end(from), end(to));
+            let q = match kind {
+                0 => Query::Range { series: label(&view, known, pick, garbage, false), from, to },
+                1 => Query::DomainAggregate {
+                    domain: label(&view, known, pick, garbage, true),
+                    tier,
+                    from,
+                    to,
+                },
+                2 => Query::TopK { k, tier, from, to },
+                _ => Query::Freshness,
+            };
+            let answer = QueryFront::answer(&view, &q);
+            answer_fits(&view, &q, &answer)?;
+            if from > to {
+                let empty = with_window(&q, SimTime::ZERO, SimTime::ZERO);
+                if let Some(empty) = empty {
+                    prop_assert_eq!(answer, QueryFront::answer(&view, &empty), "{:?}", q);
+                }
+            }
+        }
+    }
 
     /// (1) Ingest-then-query equals batch-session-then-scan, whatever the
     /// tick size. The daemon is pure plumbing: no record is lost,
@@ -355,5 +522,57 @@ proptest! {
         let all: Vec<_> = f.raw_range(SimTime::ZERO, horizon).collect();
         prop_assert_eq!(kept.len(), raw_capacity);
         prop_assert_eq!(&kept[..], &all[all.len() - raw_capacity..]);
+    }
+
+    /// (6) The window locator: tier rings of a few bins that wrap and
+    /// evict, streams with gaps of many empty bins, and windows anywhere —
+    /// before the ring, past it, reversed, on bin edges. `aggregate` and
+    /// `mean` fold exactly the bins a scan of the ring picks, bit for
+    /// bit, and equal the raw fold whenever the raw ring and the tier ring
+    /// still hold every sample and bin of the window.
+    #[test]
+    fn windows_anywhere_fold_what_a_scan_folds(
+        stream in prop::collection::vec(
+            (1u64..6_000_000_000, -1_000.0f64..1_000.0), 1..120),
+        raw_capacity in 1usize..80,
+        capacities in (1usize..6, 1usize..4),
+        windows in prop::collection::vec(
+            ((0u64..240, 0u8..3, 0u64..1_000_000_000), (0u64..240, 0u8..3, 0u64..1_000_000_000)),
+            1..24,
+        ),
+    ) {
+        let tiers = vec![
+            TierSpec { width: SimDuration::from_secs(1), capacity: capacities.0 },
+            TierSpec { width: SimDuration::from_secs(5), capacity: capacities.1 },
+        ];
+        let store = feed(StoreConfig { raw_capacity, tiers }, &stream);
+        let d = store.get(store.find("prop/device/domain").expect("registered"));
+        let oldest_raw = d.raw_range(SimTime::ZERO, SimTime::MAX).next().expect("non-empty");
+        for &(a, b) in &windows {
+            let (from, to) = (window_end(a), window_end(b));
+            for tier in 0..d.tier_count() {
+                let width = d.tier_width(tier);
+                let want = scan(d, tier, from, to);
+                prop_assert_eq!(
+                    bits(d.aggregate(tier, from, to)), bits(want),
+                    "tier {} [{}, {})", tier, from, to
+                );
+                prop_assert_eq!(
+                    d.mean(tier, from, to).map(f64::to_bits), want.mean().map(f64::to_bits),
+                    "tier {} [{}, {})", tier, from, to
+                );
+                let floor = from.grid_floor(SimTime::ZERO, width);
+                let raw_holds = d.raw_evicted() == 0
+                    || floor > oldest_raw.at.grid_floor(SimTime::ZERO, width);
+                let tier_holds = d.tier_evicted(tier) == 0
+                    || d.tier_bins(tier).next().is_some_and(|b| floor >= b.start);
+                if raw_holds && tier_holds {
+                    prop_assert_eq!(
+                        bits(want), bits(d.aggregate_raw(width, from, to)),
+                        "tier {} [{}, {})", tier, from, to
+                    );
+                }
+            }
+        }
     }
 }
