@@ -202,11 +202,14 @@ stage "tests: property (PROPTEST_CASES=$pt_cases)" \
         -p moneq --test cache_prop --test tags_prop"
 
 # golden: byte-exact conformance of the paper-facing output formats
-# (tests/golden/*.txt; GOLDEN_BLESS=1 re-blesses after intended changes).
+# (tests/golden/*.txt; GOLDEN_BLESS=1 re-blesses after intended changes),
+# including the full `repro` output (tests/golden/repro.txt), whose
+# TRANSPORT and SERVING sections drive the wire path and the daemon.
 stage "tests: golden (conformance)" \
     "cargo test -q --no-fail-fast \
         --test golden_conformance --test scenario_golden \
-        --test figure_shapes --test listing1_all_backends"
+        --test figure_shapes --test listing1_all_backends &&
+     cargo test -q --no-fail-fast -p envmon-bench --test repro_golden"
 
 # scenarios: the two catalog entry points (repro scenarios, scenario_sweep)
 # agree on replication seeds, and the examples' demonstration loops hold as

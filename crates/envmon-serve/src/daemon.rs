@@ -61,13 +61,14 @@ impl Default for ServeConfig {
 }
 
 /// Per-rank ingest state: how many records the daemon has consumed and
-/// where each `(device, domain)` pair files.
+/// where each `(device, domain)` pair files, keyed by the pair's label
+/// ids in the rank's arena ([`moneq::Records::label_ids`]).
 #[derive(Debug, Default)]
 struct RankCursor {
     seen: usize,
-    // A rank exposes a handful of device/domain pairs; a linear scan is
-    // cheaper than hashing two borrowed strings per record.
-    map: Vec<(String, String, SeriesId)>,
+    // A rank exposes a handful of device/domain pairs; a linear scan of
+    // integer pairs beats hashing, and never compares a string.
+    map: Vec<((u32, u32), SeriesId)>,
 }
 
 /// The long-running collection daemon (see module docs).
@@ -234,16 +235,13 @@ impl Daemon {
             let agent = session.agent_name();
             for i in cur.seen..data.len() {
                 let p = data.get(i).expect("cursor within arena");
-                let id = match cur
-                    .map
-                    .iter()
-                    .find(|(dev, dom, _)| dev == p.device && dom == p.domain)
-                {
-                    Some(&(_, _, id)) => id,
+                let labels = data.label_ids(i).expect("cursor within arena");
+                let id = match cur.map.iter().find(|(key, _)| *key == labels) {
+                    Some(&(_, id)) => id,
                     None => {
                         let name = format!("{agent}/{}/{}", p.device, p.domain);
                         let id = store.series(&name);
-                        cur.map.push((p.device.to_owned(), p.domain.to_owned(), id));
+                        cur.map.push((labels, id));
                         let meta = Arc::make_mut(&mut self.meta);
                         debug_assert_eq!(meta.len(), id.index());
                         meta.push(SeriesMeta {

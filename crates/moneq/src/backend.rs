@@ -554,7 +554,7 @@ mod tests {
         let mut gate = FaultGate::from_plan(&plan, "dev", FaultSpec::zero());
         let t = SimTime::from_secs(1);
         let pts: Vec<DataPoint> = (0..64)
-            .map(|i| DataPoint::power(t, &format!("d{i}"), "x", 1.0))
+            .map(|i| DataPoint::power(t, format!("d{i}"), "x", 1.0))
             .collect();
         let (kept_a, missing_a) = gate.filter(t, pts.clone());
         let (kept_b, missing_b) = gate.filter(t, pts.clone());

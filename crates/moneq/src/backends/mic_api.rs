@@ -82,7 +82,7 @@ impl EnvBackend for MicApiBackend {
         let (reading, _done) = self
             .session
             .query_power(&mut self.net, &self.card, &self.smc, t)
-            .expect("established session");
+            .map_err(|e| ReadError::Unavailable(e.to_string()))?;
         let point = DataPoint {
             timestamp: t,
             device: "mic0".into(),

@@ -81,11 +81,14 @@ impl EnvBackend for MicDaemonBackend {
 
     fn read(&mut self, t: SimTime) -> Result<Poll, ReadError> {
         let grant = self.gate.admit(t)?;
+        // A missing pseudo-file means the daemon is gone for good; a file
+        // that does not parse is a torn read, which a reread may clear.
         let text = self
             .daemon
             .read_file(POWER_FILE, t)
-            .expect("daemon running");
-        let r = PowerFileReading::parse(&text).expect("well-formed pseudo-file");
+            .map_err(|e| ReadError::Unavailable(e.to_string()))?;
+        let r = PowerFileReading::parse(&text)
+            .ok_or_else(|| ReadError::Transient("malformed MICRAS power file".into()))?;
         let point = DataPoint {
             timestamp: t,
             device: "mic0".into(),

@@ -7,7 +7,23 @@ use powermodel::{Metric, Platform, Support};
 use simkit::fault::FaultPlan;
 use simkit::wire::LinkSpec;
 use simkit::{SimDuration, SimTime};
+use std::borrow::Cow;
 use std::sync::Arc;
+
+/// Device labels of the first boards, lent to every record so a poll
+/// formats no label. A node with more boards than this names the rest on
+/// each read.
+const GPU_LABELS: [&str; 8] = [
+    "gpu0", "gpu1", "gpu2", "gpu3", "gpu4", "gpu5", "gpu6", "gpu7",
+];
+
+/// The device label of board `i`.
+fn gpu_label(i: usize) -> Cow<'static, str> {
+    match GPU_LABELS.get(i) {
+        Some(&label) => Cow::Borrowed(label),
+        None => Cow::Owned(format!("gpu{i}")),
+    }
+}
 
 /// MonEQ's NVML backend. "If a system has both a NVIDIA GPU as well as an
 /// Intel Xeon Phi, profiling is possible for both of these devices at the
@@ -96,14 +112,17 @@ impl EnvBackend for NvmlBackend {
         let mut out = Vec::with_capacity(self.nvml.device_count());
         self.unsupported_devices = 0;
         for i in 0..self.nvml.device_count() {
-            let dev = self.nvml.device_by_index(i).expect("index in range");
+            let dev = self
+                .nvml
+                .device_by_index(i)
+                .map_err(|e| ReadError::Unavailable(e.to_string()))?;
             if self.use_sample_buffer {
                 match dev.power_samples(self.last_drained, t) {
                     Ok(samples) => {
                         for (at, mw) in samples {
                             out.push(DataPoint::power(
                                 at,
-                                &format!("gpu{i}"),
+                                gpu_label(i),
                                 "board",
                                 f64::from(mw) / 1_000.0,
                             ));
@@ -118,7 +137,7 @@ impl EnvBackend for NvmlBackend {
                     let temp = dev.temperature(t).ok().map(f64::from);
                     out.push(DataPoint {
                         timestamp: t,
-                        device: format!("gpu{i}"),
+                        device: gpu_label(i),
                         domain: "board".into(),
                         watts: f64::from(mw) / 1_000.0,
                         volts: None,
@@ -256,6 +275,14 @@ mod tests {
         // No duplicate timestamps across consecutive drains.
         let last_of_first = first.last().unwrap().timestamp;
         assert!(second.iter().all(|p| p.timestamp > last_of_first));
+    }
+
+    #[test]
+    fn board_labels_are_lent_from_the_table() {
+        assert!(matches!(gpu_label(0), Cow::Borrowed("gpu0")));
+        assert!(matches!(gpu_label(7), Cow::Borrowed("gpu7")));
+        assert_eq!(gpu_label(8), "gpu8");
+        assert!(matches!(gpu_label(8), Cow::Owned(_)));
     }
 
     #[test]

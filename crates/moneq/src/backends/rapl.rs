@@ -52,12 +52,18 @@ impl RaplBackend {
         LinkSpec::lan()
     }
 
-    fn snapshots(&self, t: SimTime) -> [u64; 4] {
-        RaplDomain::ALL.map(|d| {
-            self.reader
+    /// The four energy-status registers at `t`. A register that refuses
+    /// the read (the device lost its access or its model) fails the poll
+    /// instead of the process.
+    fn snapshots(&self, t: SimTime) -> Result<[u64; 4], ReadError> {
+        let mut raw = [0; 4];
+        for (r, d) in raw.iter_mut().zip(RaplDomain::ALL) {
+            *r = self
+                .reader
                 .snapshot(d, t)
-                .expect("energy-status registers always readable once open")
-        })
+                .map_err(|e| ReadError::Unavailable(e.to_string()))?;
+        }
+        Ok(raw)
     }
 }
 
@@ -106,7 +112,7 @@ impl EnvBackend for RaplBackend {
             };
             return Ok(Poll::complete(out));
         }
-        let now = self.snapshots(t);
+        let now = self.snapshots(t)?;
         let out = match self.prev {
             None => Vec::new(),
             Some((pt, prev_raw)) => {

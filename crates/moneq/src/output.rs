@@ -374,8 +374,8 @@ impl OutputFile {
                 timestamp: SimTime::from_nanos(
                     fields[0].parse().map_err(|_| err(ln, "bad timestamp"))?,
                 ),
-                device: unescape(fields[1]).map_err(|m| err(ln, &m))?,
-                domain: unescape(fields[2]).map_err(|m| err(ln, &m))?,
+                device: unescape(fields[1]).map_err(|m| err(ln, &m))?.into(),
+                domain: unescape(fields[2]).map_err(|m| err(ln, &m))?.into(),
                 watts: fields[3].parse().map_err(|_| err(ln, "bad watts"))?,
                 volts: parse_opt(fields[4]).map_err(|m| err(ln, &m))?,
                 amps: parse_opt(fields[5]).map_err(|m| err(ln, &m))?,

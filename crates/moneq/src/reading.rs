@@ -7,18 +7,24 @@
 //! provide.
 
 use simkit::SimTime;
+use std::borrow::Cow;
 
 /// One collected record: a device/domain power sample with optional
 /// voltage/current/temperature companions.
+///
+/// The labels are `Cow<'static, str>`: a backend draws them from its own
+/// fixed vocabulary (`"nodecard"`, `"Chip Core"`, `"gpu0"`, …) and lends
+/// them, so a poll allocates no label; labels parsed back from an output
+/// file or off the wire that match no known vocabulary are owned.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DataPoint {
     /// When the poll fired (virtual time).
     pub timestamp: SimTime,
     /// Device within the node (e.g. `nodecard`, `pkg`, `gpu0`, `mic0`).
     /// Several accelerators on one node each report under their own name.
-    pub device: String,
+    pub device: Cow<'static, str>,
     /// Domain within the device (e.g. `Chip Core`, `DRAM`, `board`).
-    pub domain: String,
+    pub domain: Cow<'static, str>,
     /// Power, watts.
     pub watts: f64,
     /// Rail voltage, volts (platforms that expose it).
@@ -37,11 +43,16 @@ pub struct DataPoint {
 
 impl DataPoint {
     /// A power-only record.
-    pub fn power(timestamp: SimTime, device: &str, domain: &str, watts: f64) -> Self {
+    pub fn power(
+        timestamp: SimTime,
+        device: impl Into<Cow<'static, str>>,
+        domain: impl Into<Cow<'static, str>>,
+        watts: f64,
+    ) -> Self {
         DataPoint {
             timestamp,
-            device: device.to_owned(),
-            domain: domain.to_owned(),
+            device: device.into(),
+            domain: domain.into(),
             watts,
             volts: None,
             amps: None,

@@ -8,8 +8,13 @@
 //! into small per-file tables, and each record is a fixed-width row across
 //! dense columns — one timestamp, two label indices, four `f64` channels,
 //! and a flags byte carrying staleness plus per-channel presence bits.
-//! Appending a poll's records allocates nothing in steady state, and output
-//! rendering iterates the arenas zero-copy through [`DataPointRef`].
+//! The tables keep each label as it arrived: a backend's borrowed
+//! `&'static str` is stored as the same borrow, never copied. Appending a
+//! poll's records allocates nothing in steady state, and output rendering
+//! iterates the arenas zero-copy through [`DataPointRef`]. A label's table
+//! index is its id ([`Records::label_ids`]): within one arena, equal ids
+//! mean equal labels, which lets a consumer key per-label state by two
+//! integers instead of two strings.
 //!
 //! Label tables are filled in first-appearance order, so two [`Records`]
 //! built from the same logical sequence — serial or parallel, rendered or
@@ -18,6 +23,7 @@
 
 use crate::reading::DataPoint;
 use simkit::SimTime;
+use std::borrow::Cow;
 
 const STALE: u8 = 1 << 0;
 const HAS_VOLTS: u8 = 1 << 1;
@@ -41,8 +47,8 @@ pub struct Records {
 /// The dense column block of a non-empty [`Records`] arena.
 #[derive(Clone, Debug, Default, PartialEq)]
 struct Columns {
-    devices: Vec<String>,
-    domains: Vec<String>,
+    devices: Vec<Cow<'static, str>>,
+    domains: Vec<Cow<'static, str>>,
     timestamps: Vec<SimTime>,
     device_ids: Vec<u32>,
     domain_ids: Vec<u32>,
@@ -80,8 +86,8 @@ impl DataPointRef<'_> {
     pub fn to_point(&self) -> DataPoint {
         DataPoint {
             timestamp: self.timestamp,
-            device: self.device.to_owned(),
-            domain: self.domain.to_owned(),
+            device: self.device.to_owned().into(),
+            domain: self.domain.to_owned().into(),
             watts: self.watts,
             volts: self.volts,
             amps: self.amps,
@@ -91,8 +97,12 @@ impl DataPointRef<'_> {
     }
 }
 
-fn intern(table: &mut Vec<String>, label: String) -> u32 {
-    match table.iter().position(|t| *t == label) {
+/// The id of `label` in `table`, appending it on first appearance. A
+/// borrowed label usually meets the very same borrow in the table, so the
+/// address check settles most lookups without comparing bytes.
+fn intern(table: &mut Vec<Cow<'static, str>>, label: Cow<'static, str>) -> u32 {
+    let same = |t: &Cow<'static, str>| std::ptr::eq(t.as_ref(), label.as_ref()) || *t == label;
+    match table.iter().position(same) {
         Some(i) => i as u32,
         None => {
             table.push(label);
@@ -117,8 +127,8 @@ impl Records {
         self.cols.is_none()
     }
 
-    /// Append one record, interning its labels (moves the `String`s on a
-    /// label's first appearance; no allocation afterwards).
+    /// Append one record, interning its labels (moves the label in on its
+    /// first appearance; no allocation afterwards).
     pub fn push(&mut self, p: DataPoint) {
         let c = self.cols.get_or_insert_with(Default::default);
         let device = intern(&mut c.devices, p.device);
@@ -183,6 +193,15 @@ impl Records {
             temp_c: (flags & HAS_TEMP != 0).then(|| c.temp_c[i]),
             stale: flags & STALE != 0,
         })
+    }
+
+    /// The interned `(device, domain)` label ids of record `i`, or `None`
+    /// past the end. Ids are table indices in first-appearance order and
+    /// never change while the arena lives, so two records of one arena
+    /// carry equal ids exactly when their labels are equal.
+    pub fn label_ids(&self, i: usize) -> Option<(u32, u32)> {
+        let c = self.cols.as_deref()?;
+        Some((*c.device_ids.get(i)?, *c.domain_ids.get(i)?))
     }
 
     /// The first record, when any.
@@ -316,6 +335,28 @@ mod tests {
         let c = r.cols.as_deref().expect("non-empty");
         assert_eq!(c.devices, vec!["nodecard"]);
         assert_eq!(c.domains, vec!["Chip Core", "DRAM"]);
+    }
+
+    #[test]
+    fn lent_labels_are_stored_as_lent_and_keyed_by_id() {
+        let mut r = Records::new();
+        r.push(DataPoint::power(SimTime::ZERO, "nodecard", "DRAM", 1.0));
+        r.push(DataPoint::power(
+            SimTime::ZERO,
+            String::from("nodecard"),
+            "HSS",
+            2.0,
+        ));
+        r.push(DataPoint::power(SimTime::ZERO, "nodecard", "DRAM", 3.0));
+        let c = r.cols.as_deref().expect("non-empty");
+        // The lent label went in as the same borrow; an equal owned label
+        // later in the run interns onto it.
+        assert!(matches!(c.devices[..], [Cow::Borrowed("nodecard")]));
+        assert_eq!(r.label_ids(0), Some((0, 0)));
+        assert_eq!(r.label_ids(1), Some((0, 1)));
+        assert_eq!(r.label_ids(2), r.label_ids(0));
+        assert_eq!(r.label_ids(3), None);
+        assert_eq!(Records::new().label_ids(0), None);
     }
 
     #[test]

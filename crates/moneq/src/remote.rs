@@ -27,13 +27,26 @@
 //! stall (so the session's fault-recovery ledger charges it like any
 //! mechanism stall); every other wire failure is a retryable
 //! [`ReadError::Transient`].
+//!
+//! An exchange allocates nothing but the decoded [`Poll`]: the client
+//! encodes its request into a buffer it reuses, the server writes its
+//! response into the client's response buffer, and the client parses that
+//! buffer in place ([`FrameRef`]). Labels come back borrowed: the server
+//! learns every `&'static str` label its backend lends
+//! ([`BackendServer::labels`]), and the client, which owns the server,
+//! decodes each label onto that vocabulary ([`decode_poll_in`]). A label
+//! outside it decodes to an owned copy. The bytes on the wire are the same
+//! either way.
 
 use crate::backend::{EnvBackend, GateStats, Poll, ReadError, StatedLimitation};
 use crate::reading::DataPoint;
 use powermodel::{Metric, Platform, Support};
 use simkit::rng::mix64;
-use simkit::wire::{Frame, LinkSpec, LinkStats, SimTransport, WireError, WireReader, WireWriter};
+use simkit::wire::{
+    Frame, FrameRef, LinkSpec, LinkStats, SimTransport, WireError, WireReader, WireWriter,
+};
 use simkit::{SimDuration, SimTime};
+use std::borrow::Cow;
 
 /// Request opcode: one poll.
 pub const REQ_READ: u8 = 0x02;
@@ -52,17 +65,30 @@ pub fn encode_point(w: &mut WireWriter, p: &DataPoint) {
     w.bool(p.stale);
 }
 
-/// Decode one [`DataPoint`] written by [`encode_point`].
-pub fn decode_point(r: &mut WireReader<'_>) -> Result<DataPoint, WireError> {
+/// Decode one [`DataPoint`] written by [`encode_point`], borrowing each
+/// label from `labels` when it is there and owning it otherwise.
+fn decode_point(r: &mut WireReader<'_>, labels: &[&'static str]) -> Result<DataPoint, WireError> {
     Ok(DataPoint {
         timestamp: SimTime::from_nanos(r.u64()?),
-        device: r.str()?.to_owned(),
-        domain: r.str()?.to_owned(),
+        device: decode_label(r, labels)?,
+        domain: decode_label(r, labels)?,
         watts: r.f64()?,
         volts: r.opt_f64()?,
         amps: r.opt_f64()?,
         temp_c: r.opt_f64()?,
         stale: r.bool()?,
+    })
+}
+
+/// One length-prefixed label, borrowed from `labels` when it is there.
+fn decode_label(
+    r: &mut WireReader<'_>,
+    labels: &[&'static str],
+) -> Result<Cow<'static, str>, WireError> {
+    let s = r.str()?;
+    Ok(match labels.iter().find(|&&l| l == s) {
+        Some(&l) => Cow::Borrowed(l),
+        None => Cow::Owned(s.to_owned()),
     })
 }
 
@@ -75,14 +101,20 @@ pub fn encode_poll(w: &mut WireWriter, poll: &Poll) {
     }
 }
 
-/// Decode one [`Poll`] written by [`encode_poll`].
+/// Decode one [`Poll`] written by [`encode_poll`], its labels owned.
 pub fn decode_poll(r: &mut WireReader<'_>) -> Result<Poll, WireError> {
+    decode_poll_in(r, &[])
+}
+
+/// Decode one [`Poll`] written by [`encode_poll`], borrowing each label
+/// from `labels` when it is there and owning it otherwise.
+pub fn decode_poll_in(r: &mut WireReader<'_>, labels: &[&'static str]) -> Result<Poll, WireError> {
     let missing = r.u32()?;
     let count = r.u32()?;
     // Guarded preallocation: a corrupted count cannot OOM the decoder.
     let mut points = Vec::with_capacity(count.min(4096) as usize);
     for _ in 0..count {
-        points.push(decode_point(r)?);
+        points.push(decode_point(r, labels)?);
     }
     Ok(Poll { points, missing })
 }
@@ -121,50 +153,90 @@ pub fn decode_read_error(r: &mut WireReader<'_>) -> Result<ReadError, WireError>
 
 /// The server side: the wrapped mechanism plus the request dispatcher.
 ///
-/// [`BackendServer::handle`] is the `serve` hook a [`SimTransport`] calls
+/// [`BackendServer::serve`] is the `serve` hook a [`SimTransport`] calls
 /// at each request's virtual arrival time. A frame that fails to decode
 /// (truncated, corrupted in flight, unknown opcode) is silently discarded
 /// — the client sees a timeout and retransmits, exactly like a real
 /// collection daemon dropping a bad datagram.
 pub struct BackendServer {
     backend: Box<dyn EnvBackend>,
+    /// Every distinct borrowed label the server has encoded, in order of
+    /// first appearance.
+    labels: Vec<&'static str>,
 }
 
 impl BackendServer {
     /// Put a mechanism behind the protocol.
     pub fn new(backend: Box<dyn EnvBackend>) -> Self {
-        BackendServer { backend }
+        BackendServer {
+            backend,
+            labels: Vec::new(),
+        }
     }
 
-    /// Serve one request frame arriving at virtual time `at`. Returns the
-    /// server's processing time (the mechanism's access-path cost) and the
-    /// encoded response — or `None` for an undecodable frame, a kind other
-    /// than [`REQ_READ`] or a non-empty request payload, which the server
-    /// drops on the floor.
+    /// Serve one request frame arriving at virtual time `at`, allocating
+    /// the response. Returns the server's processing time (the
+    /// mechanism's access-path cost) and the encoded response — or `None`
+    /// for a frame [`BackendServer::serve`] drops.
     pub fn handle(&mut self, at: SimTime, bytes: &[u8]) -> Option<(SimDuration, Vec<u8>)> {
-        let frame = Frame::decode(bytes).ok()?;
+        let mut out = Vec::new();
+        let cost = self.serve(at, bytes, &mut out)?;
+        Some((cost, out))
+    }
+
+    /// Serve one request frame arriving at virtual time `at`, writing the
+    /// encoded response into `out` (its contents replaced). Returns the
+    /// server's processing time (the mechanism's access-path cost) — or
+    /// `None` for an undecodable frame, a kind other than [`REQ_READ`] or
+    /// a non-empty request payload, which the server drops on the floor.
+    pub fn serve(&mut self, at: SimTime, bytes: &[u8], out: &mut Vec<u8>) -> Option<SimDuration> {
+        let frame = FrameRef::decode(bytes).ok()?;
         if frame.kind != REQ_READ || !frame.payload.is_empty() {
             return None;
         }
-        let mut w = WireWriter::new();
         // The poll instant is the frame's arrival time on the server
         // clock: an ideal link reads at the client's own instant; a latent
         // link reads later — that shift *is* the out-of-band staleness the
         // ledgers must show.
-        match self.backend.read(at) {
+        let result = self.backend.read(at);
+        if let Ok(poll) = &result {
+            for p in &poll.points {
+                learn(&mut self.labels, p);
+            }
+        }
+        Frame::write(out, REQ_READ | RESP_FLAG, frame.seq, |w| match &result {
             Ok(poll) => {
                 w.u8(0);
-                encode_poll(&mut w, &poll);
+                encode_poll(w, poll);
             }
             Err(e) => {
                 w.u8(1);
-                encode_read_error(&mut w, &e);
+                encode_read_error(w, e);
+            }
+        });
+        Some(self.backend.poll_cost())
+    }
+
+    /// The borrowed labels this server has encoded so far: the vocabulary
+    /// its client decodes labels onto.
+    pub fn labels(&self) -> &[&'static str] {
+        &self.labels
+    }
+}
+
+/// Add each borrowed label of `p` to `labels` when it is not there yet. A
+/// backend lends the same few labels on every read, so the address check
+/// settles almost every lookup.
+fn learn(labels: &mut Vec<&'static str>, p: &DataPoint) {
+    for label in [&p.device, &p.domain] {
+        if let Cow::Borrowed(l) = *label {
+            if !labels
+                .iter()
+                .any(|&known| std::ptr::eq(known, l) || known == l)
+            {
+                labels.push(l);
             }
         }
-        Some((
-            self.backend.poll_cost(),
-            Frame::new(REQ_READ | RESP_FLAG, frame.seq, w.finish()).encode(),
-        ))
     }
 }
 
@@ -185,6 +257,10 @@ impl BackendServer {
 pub struct RemoteBackend {
     server: BackendServer,
     transport: SimTransport,
+    /// The latest request frame and the response delivered for it; both
+    /// grow on first use and are reused by every later exchange.
+    request: Vec<u8>,
+    response: Vec<u8>,
     seq: u64,
     /// Last RPC instant and its exchange count, keying fault draws the
     /// same way [`crate::backend::FaultGate`] keys attempts: per
@@ -215,6 +291,8 @@ impl RemoteBackend {
         RemoteBackend {
             server: BackendServer::new(inner),
             transport: SimTransport::with_salt(link, salt),
+            request: Vec::new(),
+            response: Vec::new(),
             seq: 0,
             rpc_at: None,
             ready_at: SimTime::ZERO,
@@ -223,9 +301,12 @@ impl RemoteBackend {
         }
     }
 
-    /// One `REQ_READ` exchange at instant `t`: frames the request, runs
-    /// it through the transport, validates the response envelope.
-    fn rpc(&mut self, t: SimTime) -> Result<Vec<u8>, ReadError> {
+    /// One `REQ_READ` exchange at instant `t`: frames the request into
+    /// the reused request buffer and runs it through the transport, which
+    /// leaves the delivered response frame in the response buffer.
+    /// Returns the send and completion instants and the request's
+    /// sequence number.
+    fn rpc(&mut self, t: SimTime) -> Result<(SimTime, SimTime, u64), ReadError> {
         let index = match self.rpc_at {
             Some((at, n)) if at == t => n + 1,
             _ => 0,
@@ -237,20 +318,24 @@ impl RemoteBackend {
         }
         self.seq += 1;
         let seq = self.seq;
-        let request = Frame::new(REQ_READ, seq, Vec::new()).encode();
+        Frame::write(&mut self.request, REQ_READ, seq, |_| {});
         let key = mix64(t.as_nanos(), u64::from(index));
         // Serialize exchanges: a retry (or a poll whose predecessor
         // overran its slot) transmits when the line is free, not in the
         // past. On a clean link that never retries, send == t exactly.
         let send = if t > self.ready_at { t } else { self.ready_at };
         let RemoteBackend {
-            server, transport, ..
+            server,
+            transport,
+            request,
+            response,
+            ..
         } = self;
-        let outcome = transport.round_trip(key, send, &request, &mut |at, bytes| {
-            server.handle(at, bytes)
+        let outcome = transport.round_trip(key, send, request, response, &mut |at, bytes, out| {
+            server.serve(at, bytes, out)
         });
-        let (done, resp) = match outcome {
-            Ok(ok) => ok,
+        let done = match outcome {
+            Ok(done) => done,
             Err(WireError::Timeout { stalled }) => {
                 self.ready_at = send.saturating_add(stalled);
                 return Err(ReadError::Timeout { stalled });
@@ -258,26 +343,16 @@ impl RemoteBackend {
             Err(other) => return Err(ReadError::Transient(format!("wire: {other}"))),
         };
         self.ready_at = done;
-        let frame = Frame::decode(&resp)
-            .map_err(|e| ReadError::Transient(format!("wire: response {e}")))?;
-        if frame.kind != REQ_READ | RESP_FLAG || frame.seq != seq {
-            return Err(ReadError::Transient("wire: response mismatch".into()));
-        }
-        // One access-path charge per poll instant: the first completed
-        // exchange sets it, session-level retries don't double-charge.
-        if self.cost.is_zero() {
-            self.cost = done.saturating_since(send);
-        }
-        Ok(frame.payload)
+        Ok((send, done, seq))
     }
 }
 
-fn decode_read_result(payload: &[u8]) -> Result<Poll, ReadError> {
+fn decode_read_result(payload: &[u8], labels: &[&'static str]) -> Result<Poll, ReadError> {
     let wire = |e: WireError| ReadError::Transient(format!("wire: read reply {e}"));
     let mut r = WireReader::new(payload);
     match r.u8().map_err(wire)? {
         0 => {
-            let poll = decode_poll(&mut r).map_err(wire)?;
+            let poll = decode_poll_in(&mut r, labels).map_err(wire)?;
             r.expect_end().map_err(wire)?;
             Ok(poll)
         }
@@ -312,8 +387,18 @@ impl EnvBackend for RemoteBackend {
     }
 
     fn read(&mut self, t: SimTime) -> Result<Poll, ReadError> {
-        let payload = self.rpc(t)?;
-        decode_read_result(&payload)
+        let (send, done, seq) = self.rpc(t)?;
+        let frame = FrameRef::decode(&self.response)
+            .map_err(|e| ReadError::Transient(format!("wire: response {e}")))?;
+        if frame.kind != REQ_READ | RESP_FLAG || frame.seq != seq {
+            return Err(ReadError::Transient("wire: response mismatch".into()));
+        }
+        // One access-path charge per poll instant: the first completed
+        // exchange sets it, session-level retries don't double-charge.
+        if self.cost.is_zero() {
+            self.cost = done.saturating_since(send);
+        }
+        decode_read_result(frame.payload, self.server.labels())
     }
 
     fn read_cadence(&self) -> SimDuration {
@@ -472,6 +557,20 @@ mod tests {
     }
 
     #[test]
+    fn server_learns_each_lent_label_once() {
+        let mut server = BackendServer::new(Bench::boxed(30));
+        let request = Frame::new(REQ_READ, 1, Vec::new()).encode();
+        let mut out = Vec::new();
+        for at in [60, 120] {
+            server.serve(SimTime::from_millis(at), &request, &mut out);
+        }
+        assert_eq!(server.labels(), ["dev0", "pkg", "dev1", "dram"]);
+        // `handle` allocates its response but encodes the same bytes.
+        let (_, bytes) = server.handle(SimTime::from_millis(120), &request).unwrap();
+        assert_eq!(bytes, out);
+    }
+
+    #[test]
     fn remote_mirrors_the_inner_backend() {
         let remote = RemoteBackend::connect(Bench::boxed(30), LinkSpec::ideal());
         assert_eq!(remote.name(), "bench");
@@ -615,7 +714,7 @@ mod tests {
             if tag < 2 && !payload.is_empty() {
                 payload[0] = tag;
             }
-            let _ = decode_read_result(&payload);
+            let _ = decode_read_result(&payload, &["dev0", "pkg"]);
         }
     }
 }

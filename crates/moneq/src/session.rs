@@ -370,11 +370,11 @@ impl MonEq {
     /// One backend's share of one timer fire: read with bounded retry,
     /// then record, substitute, or mark missed.
     ///
-    /// A live poll is timed as one `poll/{backend}` span and one
-    /// `query_latency/{backend}` sample covering the poll cost and any
-    /// fault-recovery time it charged — all simulated time, so the sample
-    /// is identical however the session is scheduled. Disabled devices
-    /// record neither (their polls do no mechanism work).
+    /// A live poll is timed as one `query_latency/{backend}` sample (the
+    /// report also reads it as the `poll/{backend}` span) covering the
+    /// poll cost and any fault-recovery time it charged — all simulated
+    /// time, so the sample is identical however the session is scheduled.
+    /// Disabled devices record none (their polls do no mechanism work).
     fn poll_slot(&mut self, i: usize, t: SimTime) {
         let policy = self.config.retry;
         let slot = &mut self.slots[i];
@@ -635,7 +635,7 @@ mod tests {
         fn read(&mut self, t: SimTime) -> Result<Poll, ReadError> {
             Ok(Poll::complete(
                 (0..self.devices)
-                    .map(|d| DataPoint::power(t, &format!("dev{d}"), "board", 50.0))
+                    .map(|d| DataPoint::power(t, format!("dev{d}"), "board", 50.0))
                     .collect(),
             ))
         }

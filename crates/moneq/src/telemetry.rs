@@ -4,8 +4,10 @@
 //! session records on its poll path only what no ledger already holds: the
 //! failed read attempts per error kind, each retry's backoff, the
 //! simulated-time `poll` span of every timer fire, and per backend its
-//! shared-cache decisions, its query latency and its `poll/{mechanism}`
-//! span. At finalize it copies in what the ledgers do hold: each backend's
+//! shared-cache decisions and its query latency. Each live poll is recorded
+//! once, into the latency histogram; the `poll/{mechanism}` span is that
+//! histogram's count, sum and maximum, derived when the report is built.
+//! At finalize it copies in what the ledgers do hold: each backend's
 //! [`Completeness`], fault-gate and link counters, the fired-poll and
 //! dropped-record counts, and the finalize write waves. A report's counts
 //! therefore reconcile with those ledgers by construction.
@@ -59,9 +61,8 @@ struct Instruments {
 #[derive(Clone, Debug, Default, PartialEq)]
 struct Backend {
     cache: CacheStats,
+    /// Live polls of this backend, by what each cost.
     query_latency: LogHistogram,
-    /// Live polls of this backend.
-    poll: SpanStats,
     /// The backend's ledger; holds its name until finalize copies it in.
     completeness: Completeness,
     gate: Option<GateStats>,
@@ -114,9 +115,7 @@ impl SessionTelemetry {
     /// One live poll of backend `slot`, which cost `spent`.
     pub(crate) fn backend_poll(&mut self, slot: usize, spent: SimDuration) {
         if let Some(t) = self.0.as_deref_mut() {
-            let b = &mut t.backends[slot];
-            b.poll.record(spent);
-            b.query_latency.record(spent);
+            t.backends[slot].query_latency.record(spent);
         }
     }
 
@@ -209,7 +208,15 @@ impl SessionTelemetry {
                 histogram(&mut rows, format!("wire.rtt/{name}"), &link.rtt);
             }
             histogram(&mut rows, format!("query_latency/{name}"), &b.query_latency);
-            span(&mut rows, format!("poll/{name}"), 2, b.poll);
+            // The span is the latency histogram seen as closed sections.
+            let h = &b.query_latency;
+            let poll = SpanStats {
+                count: h.count(),
+                total: h.sum(),
+                max: h.max().unwrap_or(SimDuration::ZERO),
+                ..SpanStats::default()
+            };
+            span(&mut rows, format!("poll/{name}"), 2, poll);
             r.absorb(&rows);
         }
         r

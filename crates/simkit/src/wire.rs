@@ -26,6 +26,13 @@
 //!
 //! Everything here is deterministic: the same `(LinkSpec, key, t)` triple
 //! reproduces the same fault pattern and the same virtual-time charges.
+//!
+//! The exchange path allocates nothing in steady state: [`Frame::write`]
+//! encodes a frame straight into a buffer the caller reuses,
+//! [`FrameRef`] parses one without copying its payload, and
+//! [`SimTransport::round_trip`] has the server write its response into the
+//! caller's buffer and keeps its corrupted-request copy in a buffer of its
+//! own. [`Frame`] is the owned form, for building and comparing frames.
 
 use crate::rng::{mix64, NoiseStream};
 use crate::telemetry::LogHistogram;
@@ -115,39 +122,92 @@ impl Frame {
         Frame { kind, seq, payload }
     }
 
-    /// Encode to bytes. Panics if the payload exceeds [`MAX_PAYLOAD`]
-    /// (a caller bug, not a wire condition).
+    /// Encode to bytes.
+    ///
+    /// # Panics
+    /// Panics if the payload exceeds [`MAX_PAYLOAD`] (a caller bug, not a
+    /// wire condition).
     pub fn encode(&self) -> Vec<u8> {
-        assert!(self.payload.len() <= MAX_PAYLOAD, "payload too large");
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len() + TRAILER_LEN);
-        out.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
-        out.push(WIRE_VERSION);
-        out.push(self.kind);
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        let sum = fnv1a32(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
+        Frame::write(&mut out, self.kind, self.seq, |w| {
+            w.buf.extend_from_slice(&self.payload)
+        });
         out
     }
 
-    /// Decode a buffer holding exactly one frame. Trailing bytes are a
-    /// [`WireError::BadLength`]; use [`Frame::decode_prefix`] on streams.
+    /// Encode a frame of `kind` and `seq` into `out`, replacing its
+    /// contents but keeping its capacity: `payload` writes the payload,
+    /// then the length is filled in and the checksum appended. The bytes
+    /// are exactly [`Frame::encode`]'s for the same payload.
+    ///
+    /// # Panics
+    /// Panics if the payload exceeds [`MAX_PAYLOAD`] (a caller bug, not a
+    /// wire condition).
+    pub fn write(out: &mut Vec<u8>, kind: u8, seq: u64, payload: impl FnOnce(&mut WireWriter)) {
+        let mut w = WireWriter {
+            buf: std::mem::take(out),
+        };
+        w.buf.clear();
+        w.buf.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
+        w.buf.push(WIRE_VERSION);
+        w.buf.push(kind);
+        w.buf.extend_from_slice(&seq.to_le_bytes());
+        w.buf.extend_from_slice(&[0; 4]);
+        payload(&mut w);
+        let len = w.buf.len() - HEADER_LEN;
+        assert!(len <= MAX_PAYLOAD, "payload too large");
+        w.buf[12..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+        let sum = fnv1a32(&w.buf);
+        w.buf.extend_from_slice(&sum.to_le_bytes());
+        *out = w.buf;
+    }
+
+    /// Decode a buffer holding exactly one frame, copying its payload.
+    /// Trailing bytes are a [`WireError::BadLength`]; use
+    /// [`Frame::decode_prefix`] on streams.
     pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
-        let (frame, used) = Frame::decode_prefix(bytes)?;
+        FrameRef::decode(bytes).map(FrameRef::to_frame)
+    }
+
+    /// Decode one frame from the front of a stream, copying its payload,
+    /// and return it with the number of bytes consumed.
+    pub fn decode_prefix(bytes: &[u8]) -> Result<(Frame, usize), WireError> {
+        FrameRef::decode_prefix(bytes).map(|(frame, used)| (frame.to_frame(), used))
+    }
+}
+
+/// One decoded frame whose payload borrows the bytes it was parsed from:
+/// reading a response costs no copy. [`Frame::decode`] and
+/// [`Frame::decode_prefix`] are this parser plus a payload copy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FrameRef<'a> {
+    /// Request/response opcode.
+    pub kind: u8,
+    /// Sequence number.
+    pub seq: u64,
+    /// The payload, borrowed from the parsed buffer.
+    pub payload: &'a [u8],
+}
+
+impl<'a> FrameRef<'a> {
+    /// Parse a buffer holding exactly one frame. Trailing bytes are a
+    /// [`WireError::BadLength`]; use [`FrameRef::decode_prefix`] on
+    /// streams.
+    pub fn decode(bytes: &'a [u8]) -> Result<FrameRef<'a>, WireError> {
+        let (frame, used) = FrameRef::decode_prefix(bytes)?;
         if used != bytes.len() {
             return Err(WireError::BadLength);
         }
         Ok(frame)
     }
 
-    /// Decode one frame from the front of a stream, returning the frame and
+    /// Parse one frame from the front of a stream, returning the frame and
     /// the number of bytes consumed.
     ///
     /// All offset arithmetic is checked: a corrupted length byte yields
     /// [`WireError::BadLength`] or [`WireError::Truncated`], never a wrapped
     /// slice index.
-    pub fn decode_prefix(bytes: &[u8]) -> Result<(Frame, usize), WireError> {
+    pub fn decode_prefix(bytes: &'a [u8]) -> Result<(FrameRef<'a>, usize), WireError> {
         if bytes.len() < HEADER_LEN + TRAILER_LEN {
             return Err(WireError::Truncated);
         }
@@ -178,13 +238,18 @@ impl Frame {
             return Err(WireError::BadChecksum);
         }
         Ok((
-            Frame {
+            FrameRef {
                 kind,
                 seq,
-                payload: bytes[HEADER_LEN..body_end].to_vec(),
+                payload: &bytes[HEADER_LEN..body_end],
             },
             total,
         ))
+    }
+
+    /// The owned frame, its payload copied.
+    pub fn to_frame(self) -> Frame {
+        Frame::new(self.kind, self.seq, self.payload.to_vec())
     }
 }
 
@@ -531,9 +596,10 @@ impl LinkStats {
 }
 
 /// The server half of one exchange: given the request's arrival time and
-/// bytes, produce the processing cost and the response bytes (or `None`
-/// to silently drop a malformed frame).
-pub type ServeFn<'a> = dyn FnMut(SimTime, &[u8]) -> Option<(SimDuration, Vec<u8>)> + 'a;
+/// bytes, write the response into the buffer (replacing its contents) and
+/// return the processing cost — or return `None` to silently drop a
+/// malformed frame.
+pub type ServeFn<'a> = dyn FnMut(SimTime, &[u8], &mut Vec<u8>) -> Option<SimDuration> + 'a;
 
 /// A request/response transport on the virtual clock: a deterministic
 /// simulated link.
@@ -549,6 +615,9 @@ pub struct SimTransport {
     corrupt: NoiseStream,
     reorder: NoiseStream,
     stats: LinkStats,
+    /// The corrupted copy of a request that the server receives instead of
+    /// the original; reused across exchanges.
+    garbled: Vec<u8>,
 }
 
 /// Leg index for fault draws: request leg.
@@ -573,12 +642,16 @@ impl SimTransport {
             corrupt: root.child("corrupt"),
             reorder: root.child("reorder"),
             stats: LinkStats::default(),
+            garbled: Vec::new(),
         }
     }
 
-    /// Flip one deterministic byte of `bytes` (never a no-op).
-    fn corrupt_bytes(&self, k: u64, bytes: &[u8]) -> Vec<u8> {
-        let mut out = bytes.to_vec();
+    /// `bytes` with one deterministic byte flipped (never a no-op), copied
+    /// into the reused `garbled` buffer.
+    fn corrupt_bytes(&mut self, k: u64, bytes: &[u8]) -> &[u8] {
+        let out = &mut self.garbled;
+        out.clear();
+        out.extend_from_slice(bytes);
         if !out.is_empty() {
             let i = (self.corrupt.raw(k.wrapping_add(1)) % out.len() as u64) as usize;
             out[i] ^= 0xFF;
@@ -591,18 +664,20 @@ impl SimTransport {
     /// fault draws are order-independent across devices and retries.
     ///
     /// `serve` is the server side: it receives the request bytes at their
-    /// virtual arrival time and returns `Some((processing_time, response))`,
-    /// or `None` if it discards the frame (e.g. a checksum failure after
-    /// in-flight corruption). Returns the virtual completion time and the
-    /// response bytes, or [`WireError::Timeout`] once every attempt is
-    /// exhausted.
+    /// virtual arrival time, writes its response into `response` and
+    /// returns `Some(processing_time)`, or `None` if it discards the frame
+    /// (e.g. a checksum failure after in-flight corruption). Returns the
+    /// virtual completion time, with the delivered response in `response`,
+    /// or [`WireError::Timeout`] once every attempt is exhausted (the
+    /// buffer then holds whatever the last attempt left there).
     pub fn round_trip(
         &mut self,
         key: u64,
         t: SimTime,
         request: &[u8],
+        response: &mut Vec<u8>,
         serve: &mut ServeFn<'_>,
-    ) -> Result<(SimTime, Vec<u8>), WireError> {
+    ) -> Result<SimTime, WireError> {
         let mut stalled = SimDuration::ZERO;
         let mut now = t;
         for attempt in 0..=u64::from(self.spec.max_retrans) {
@@ -624,15 +699,16 @@ impl SimTransport {
                 None
             } else {
                 let t_arrive = now + self.spec.leg_time(request.len());
-                if self.corrupt.uniform01(k_req) < self.spec.corrupt {
+                let delivered = if self.corrupt.uniform01(k_req) < self.spec.corrupt {
                     self.stats.corrupted += 1;
-                    serve(t_arrive, &self.corrupt_bytes(k_req, request)).map(|r| (t_arrive, r))
+                    self.corrupt_bytes(k_req, request)
                 } else {
-                    serve(t_arrive, request).map(|r| (t_arrive, r))
-                }
+                    request
+                };
+                serve(t_arrive, delivered, response).map(|proc| (t_arrive, proc))
             };
 
-            if let Some((t_arrive, (proc, resp))) = served {
+            if let Some((t_arrive, proc)) = served {
                 // Response leg.
                 let lost_resp = self.drop.uniform01(k_resp) < self.spec.drop;
                 let corrupt_resp = self.corrupt.uniform01(k_resp) < self.spec.corrupt;
@@ -643,7 +719,7 @@ impl SimTransport {
                     // timeout like a loss.
                     self.stats.corrupted += 1;
                 } else {
-                    let mut t_done = t_arrive + proc + self.spec.leg_time(resp.len());
+                    let mut t_done = t_arrive + proc + self.spec.leg_time(response.len());
                     if self.spec.reorder > 0.0 && self.reorder.uniform01(k_resp) < self.spec.reorder
                     {
                         let delayed = t_done + self.spec.reorder_delay;
@@ -659,9 +735,9 @@ impl SimTransport {
                         t_done = delayed;
                     }
                     self.stats.rx += 1;
-                    self.stats.bytes_rx += resp.len() as u64;
+                    self.stats.bytes_rx += response.len() as u64;
                     self.stats.rtt.record(t_done.saturating_since(t));
-                    return Ok((t_done, resp));
+                    return Ok(t_done);
                 }
             }
 
@@ -767,6 +843,27 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_parse_and_buffer_write_match_the_owned_forms() {
+        let f = frame(0x82, 41, b"reading");
+        let bytes = f.encode();
+        let view = FrameRef::decode(&bytes).unwrap();
+        assert_eq!(
+            (view.kind, view.seq, view.payload),
+            (0x82, 41, &b"reading"[..])
+        );
+        assert_eq!(view.to_frame(), f);
+        // Writing into a used buffer replaces its bytes and keeps its
+        // allocation.
+        let mut buf = vec![0xAA; 256];
+        let cap = buf.capacity();
+        Frame::write(&mut buf, 0x82, 41, |w| w.str("x"));
+        let mut w = WireWriter::new();
+        w.str("x");
+        assert_eq!(buf, frame(0x82, 41, &w.finish()).encode());
+        assert_eq!(buf.capacity(), cap);
+    }
+
+    #[test]
     fn writer_reader_roundtrip() {
         let mut w = WireWriter::new();
         w.u8(7);
@@ -806,11 +903,11 @@ mod tests {
         assert_eq!(r.str(), Err(WireError::Malformed("utf-8 string")));
     }
 
-    fn echo_serve(proc_us: u64) -> impl FnMut(SimTime, &[u8]) -> Option<(SimDuration, Vec<u8>)> {
-        move |_, req| {
-            Frame::decode(req)
-                .ok()
-                .map(|f| (SimDuration::from_micros(proc_us), f.encode()))
+    fn echo_serve(proc_us: u64) -> impl FnMut(SimTime, &[u8], &mut Vec<u8>) -> Option<SimDuration> {
+        move |_, req, out| {
+            let f = FrameRef::decode(req).ok()?;
+            Frame::write(out, f.kind, f.seq, |w| w.buf.extend_from_slice(f.payload));
+            Some(SimDuration::from_micros(proc_us))
         }
     }
 
@@ -819,8 +916,9 @@ mod tests {
         let mut tr = SimTransport::new(LinkSpec::ideal());
         let t = SimTime::from_secs(5);
         let req = frame(1, 1, b"ping").encode();
-        let (done, resp) = tr
-            .round_trip(1, t, &req, &mut echo_serve(100))
+        let mut resp = Vec::new();
+        let done = tr
+            .round_trip(1, t, &req, &mut resp, &mut echo_serve(100))
             .expect("clean link");
         assert_eq!(done, t + SimDuration::from_micros(100));
         assert_eq!(resp, req);
@@ -841,8 +939,9 @@ mod tests {
         let mut tr = SimTransport::new(spec);
         let t = SimTime::ZERO;
         let req = frame(1, 1, b"ping").encode();
-        let (done, resp) = tr
-            .round_trip(9, t, &req, &mut echo_serve(0))
+        let mut resp = Vec::new();
+        let done = tr
+            .round_trip(9, t, &req, &mut resp, &mut echo_serve(0))
             .expect("clean link");
         let expect = spec.leg_time(req.len()) + spec.leg_time(resp.len());
         assert_eq!(done.saturating_since(t), expect);
@@ -859,7 +958,7 @@ mod tests {
         let mut tr = SimTransport::new(spec);
         let req = frame(1, 1, b"ping").encode();
         let err = tr
-            .round_trip(3, SimTime::ZERO, &req, &mut echo_serve(0))
+            .round_trip(3, SimTime::ZERO, &req, &mut Vec::new(), &mut echo_serve(0))
             .unwrap_err();
         let attempts = u64::from(spec.max_retrans) + 1;
         assert_eq!(
@@ -880,13 +979,19 @@ mod tests {
         let mut tr = SimTransport::new(spec);
         let req = frame(1, 1, b"ping").encode();
         let mut served_garbage = 0u64;
-        let err = tr.round_trip(4, SimTime::ZERO, &req, &mut |_, bytes| {
-            // Every delivery must fail the checksum — that's the server
-            // rejecting the corrupted frame, not the transport hiding it.
-            assert!(Frame::decode(bytes).is_err());
-            served_garbage += 1;
-            None
-        });
+        let err = tr.round_trip(
+            4,
+            SimTime::ZERO,
+            &req,
+            &mut Vec::new(),
+            &mut |_, bytes, _| {
+                // Every delivery must fail the checksum — that's the server
+                // rejecting the corrupted frame, not the transport hiding it.
+                assert!(Frame::decode(bytes).is_err());
+                served_garbage += 1;
+                None
+            },
+        );
         assert!(matches!(err, Err(WireError::Timeout { .. })));
         assert_eq!(served_garbage, u64::from(spec.max_retrans) + 1);
         assert_eq!(tr.stats().corrupted, served_garbage);
@@ -903,6 +1008,7 @@ mod tests {
                 mix64(1234, i),
                 SimTime::from_secs(i),
                 &req,
+                &mut Vec::new(),
                 &mut echo_serve(10),
             ) {
                 Ok(_) => ok += 1,
@@ -926,8 +1032,14 @@ mod tests {
         let spec = LinkSpec::ideal().with_faults(0.5, 0.1, 0.0).with_seed(77);
         let req = frame(1, 1, b"ping").encode();
         let outcome = |tr: &mut SimTransport, key: u64| {
-            tr.round_trip(key, SimTime::ZERO, &req, &mut echo_serve(0))
-                .is_ok()
+            tr.round_trip(
+                key,
+                SimTime::ZERO,
+                &req,
+                &mut Vec::new(),
+                &mut echo_serve(0),
+            )
+            .is_ok()
         };
         let mut a = SimTransport::new(spec);
         let forward: Vec<bool> = (0..32).map(|k| outcome(&mut a, k)).collect();
@@ -950,8 +1062,8 @@ mod tests {
         };
         let mut tr = SimTransport::new(spec);
         let req = frame(1, 1, b"ping").encode();
-        let (done, _) = tr
-            .round_trip(5, SimTime::ZERO, &req, &mut echo_serve(0))
+        let done = tr
+            .round_trip(5, SimTime::ZERO, &req, &mut Vec::new(), &mut echo_serve(0))
             .expect("within budget");
         assert_eq!(done.saturating_since(SimTime::ZERO), spec.reorder_delay);
         assert_eq!(tr.stats().late, 0);
@@ -961,7 +1073,7 @@ mod tests {
             ..spec
         };
         let mut tr = SimTransport::new(spec);
-        let err = tr.round_trip(5, SimTime::ZERO, &req, &mut echo_serve(0));
+        let err = tr.round_trip(5, SimTime::ZERO, &req, &mut Vec::new(), &mut echo_serve(0));
         assert!(matches!(err, Err(WireError::Timeout { .. })));
         assert_eq!(tr.stats().late, u64::from(spec.max_retrans) + 1);
     }
@@ -973,7 +1085,13 @@ mod tests {
         let run = |keys: std::ops::Range<u64>| {
             let mut tr = SimTransport::new(spec);
             for k in keys {
-                let _ = tr.round_trip(mix64(9, k), SimTime::ZERO, &req, &mut echo_serve(1));
+                let _ = tr.round_trip(
+                    mix64(9, k),
+                    SimTime::ZERO,
+                    &req,
+                    &mut Vec::new(),
+                    &mut echo_serve(1),
+                );
             }
             tr.stats().clone()
         };

@@ -28,10 +28,10 @@ fn arb_point() -> impl Strategy<Value = DataPoint> {
         .prop_map(
             |(ns, device, domain, watts, volts, amps, temp_c, stale)| DataPoint {
                 timestamp: SimTime::from_nanos(ns),
-                device,
+                device: device.into(),
                 // The regex guarantees a leading letter, so trimming trailing
                 // spaces never empties the field.
-                domain: domain.trim_end().to_owned(),
+                domain: domain.trim_end().to_owned().into(),
                 watts,
                 volts,
                 amps,
@@ -126,7 +126,7 @@ proptest! {
             agent,
             backends,
             interval_ns: 560_000_000,
-            points: vec![DataPoint::power(t, &device, "d", 42.5)].into(),
+            points: vec![DataPoint::power(t, device.clone(), "d", 42.5)].into(),
             tags: vec![
                 TagEvent { label: label.clone(), kind: TagKind::Start, at: t },
                 TagEvent { label, kind: TagKind::End, at: t },

@@ -11,23 +11,30 @@
 //!   NaN (f64s travel as bit patterns, so even `-0.0` and subnormals
 //!   survive byte-exact).
 //! * **Hostile input** — no byte string a link or a client can deliver
-//!   panics the frame decoders, the payload decoders or the server: each
-//!   returns a value or a typed error, and the server answers only the
-//!   protocol's one request kind.
+//!   panics the frame decoders (the borrowed `FrameRef` parser and the
+//!   owned forms that wrap it), the payload decoders (with and without a
+//!   label vocabulary) or the server: each returns a value or a typed
+//!   error, and the server answers only the protocol's one request kind.
 //! * **Deployment** — a parallel `ClusterRun` of *remote* sessions is
 //!   byte-identical to a serial one: the wire layer must not introduce
-//!   any worker-pool-order dependence the local path doesn't have.
+//!   any worker-pool-order dependence the local path doesn't have. A
+//!   mechanism that lends some labels and builds others reads the same
+//!   remotely as locally, lent labels coming back borrowed.
 
 use envmon::prelude::*;
 use moneq::remote::{
-    decode_poll, decode_read_error, encode_poll, encode_read_error, BackendServer, REQ_READ,
-    RESP_FLAG,
+    decode_poll, decode_poll_in, decode_read_error, encode_poll, encode_read_error, BackendServer,
+    RemoteBackend, REQ_READ, RESP_FLAG,
 };
 use moneq::{ClusterResult, ClusterRun, DataPoint, EnvBackend, Poll};
 use proptest::prelude::*;
 use proptest::prop::sample::Index;
-use simkit::wire::{Frame, WireReader, WireWriter};
+use simkit::wire::{Frame, FrameRef, WireReader, WireWriter};
+use std::borrow::Cow;
 use std::sync::Arc;
+
+/// The labels [`Mixed`] lends: the vocabulary a server learns from it.
+const LENT: [&str; 3] = ["dev0", "pkg", "dram"];
 
 /// Any `f64` bit pattern except NaN (NaN breaks `==` comparison, not the
 /// codec), plus the edge values worth hitting every run.
@@ -59,8 +66,8 @@ fn point() -> impl Strategy<Value = DataPoint> {
         .prop_map(
             |(ts, device, domain, watts, volts, amps, temp_c, stale)| DataPoint {
                 timestamp: SimTime::from_nanos(ts),
-                device,
-                domain,
+                device: device.into(),
+                domain: domain.into(),
                 watts,
                 volts,
                 amps,
@@ -68,6 +75,23 @@ fn point() -> impl Strategy<Value = DataPoint> {
                 stale,
             },
         )
+}
+
+/// A lent label two times in five, any string otherwise.
+fn label() -> impl Strategy<Value = Cow<'static, str>> {
+    (0usize..5, ".{0,16}").prop_map(|(pick, any)| match LENT.get(pick) {
+        Some(&lent) => Cow::Borrowed(lent),
+        None => Cow::Owned(any),
+    })
+}
+
+/// A reading whose labels are sometimes lent ones.
+fn lent_point() -> impl Strategy<Value = DataPoint> {
+    (point(), label(), label()).prop_map(|(p, device, domain)| DataPoint {
+        device,
+        domain,
+        ..p
+    })
 }
 
 fn read_error() -> impl Strategy<Value = ReadError> {
@@ -120,7 +144,7 @@ fn hostile_frame() -> impl Strategy<Value = Vec<u8>> {
 fn hostile_payload() -> impl Strategy<Value = Vec<u8>> {
     (
         0u8..3,
-        prop::collection::vec(point(), 0..4),
+        prop::collection::vec(lent_point(), 0..4),
         read_error(),
         prop::collection::vec(any::<u8>(), 0..128),
         any::<Index>(),
@@ -165,6 +189,66 @@ impl EnvBackend for Fixed {
     fn records_per_poll(&self) -> usize {
         1
     }
+}
+
+/// A stateless mechanism that lends its device label and two domain labels
+/// and builds a third domain label on every read, outside any vocabulary.
+struct Mixed;
+
+impl EnvBackend for Mixed {
+    fn name(&self) -> &'static str {
+        "mixed"
+    }
+    fn platform(&self) -> Platform {
+        Platform::Rapl
+    }
+    fn min_interval(&self) -> SimDuration {
+        SimDuration::from_millis(60)
+    }
+    fn poll_cost(&self) -> SimDuration {
+        SimDuration::from_micros(30)
+    }
+    fn capabilities(&self) -> Vec<(Metric, Support)> {
+        Vec::new()
+    }
+    fn read(&mut self, t: SimTime) -> Result<Poll, ReadError> {
+        let ms = t.as_nanos() / 1_000_000;
+        Ok(Poll::complete(vec![
+            DataPoint::power(t, LENT[0], LENT[1], 40.0 + (ms % 7) as f64),
+            DataPoint::power(t, LENT[0], LENT[2], 7.25),
+            DataPoint::power(t, LENT[0], format!("zone{}", (ms / 60) % 3), 2.5),
+        ]))
+    }
+    fn records_per_poll(&self) -> usize {
+        3
+    }
+}
+
+/// `agents` sessions of [`Mixed`] for `secs` virtual seconds, local when
+/// `link` is `None` and deployed behind it otherwise.
+fn run_mixed_cluster(
+    agents: usize,
+    secs: u64,
+    par_agents: usize,
+    link: Option<LinkSpec>,
+) -> ClusterResult {
+    let mut run = ClusterRun::launch(
+        agents,
+        None,
+        |_| Box::new(Mixed),
+        |rank| format!("mixed{rank:02}"),
+        SimTime::ZERO,
+    );
+    if let Some(link) = link {
+        run = run
+            .with_collection_plan(CollectionPlan::per_agent().deployed(Deployment::Remote(link)));
+    }
+    let mut run = run
+        .with_par_agents(par_agents)
+        .with_host_cpus(par_agents.max(1));
+    let end = SimTime::from_secs(secs);
+    run.run_until(end);
+    run.finalize(end)
 }
 
 /// A BG/Q cluster with every session's backend deployed behind the given
@@ -273,6 +357,59 @@ proptest! {
             prop_assert_eq!(s.render(), p.render());
         }
     }
+
+    /// Lent and built labels alike read the same over the ideal link as
+    /// locally: mapping decoded labels onto the server's vocabulary
+    /// changes no value.
+    #[test]
+    fn mixed_labels_over_ideal_link_equal_local(agents in 1usize..6, secs in 1u64..4) {
+        let local = run_mixed_cluster(agents, secs, 1, None);
+        let remote = run_mixed_cluster(agents, secs, 1, Some(LinkSpec::ideal()));
+        prop_assert_eq!(&local.files, &remote.files);
+        prop_assert_eq!(&local.overheads, &remote.overheads);
+        for (l, r) in local.files.iter().zip(&remote.files) {
+            prop_assert_eq!(l.render(), r.render());
+        }
+    }
+
+    /// Over a faulty LAN, remote sessions of a mechanism with lent and
+    /// built labels are byte-identical at every pool width.
+    #[test]
+    fn mixed_labels_remote_parallel_equals_serial(
+        seed in 0u64..1_000,
+        agents in 4usize..12,
+        workers in 2usize..6,
+    ) {
+        let link = LinkSpec::lan().with_faults(0.05, 0.02, 0.02).with_seed(seed);
+        let serial = run_mixed_cluster(agents, 3, 1, Some(link));
+        let parallel = run_mixed_cluster(agents, 3, workers, Some(link));
+        prop_assert_eq!(&serial.files, &parallel.files);
+        prop_assert_eq!(&serial.overheads, &parallel.overheads);
+        prop_assert_eq!(serial.dropped_records, parallel.dropped_records);
+        for (s, p) in serial.files.iter().zip(&parallel.files) {
+            prop_assert_eq!(s.render(), p.render());
+        }
+    }
+}
+
+/// A remote read hands back the labels its server's backend lent as the
+/// same borrows, and every label the backend built as an owned copy.
+#[test]
+fn lent_labels_decode_borrowed_and_built_ones_owned() {
+    let mut remote = RemoteBackend::connect(Box::new(Mixed), LinkSpec::ideal());
+    let t = SimTime::from_millis(120);
+    let poll = remote.read(t).expect("ideal link");
+    assert_eq!(poll, Mixed.read(t).expect("local read"));
+    for label in poll.points.iter().flat_map(|p| [&p.device, &p.domain]) {
+        let lent = LENT.contains(&label.as_ref());
+        assert_eq!(matches!(label, Cow::Borrowed(_)), lent, "label {label}");
+    }
+    assert!(
+        poll.points
+            .iter()
+            .any(|p| matches!(p.domain, Cow::Owned(_))),
+        "no built label was read"
+    );
 }
 
 // The hostile-input properties are cheap, so they run at the full
@@ -288,13 +425,31 @@ proptest! {
             Ok((frame, used)) if used == bytes.len() => prop_assert_eq!(whole, Ok(frame)),
             _ => prop_assert!(whole.is_err()),
         }
+        // The borrowed parser keeps the same contract, and the owned
+        // forms are it plus a payload copy.
+        let view = FrameRef::decode(&bytes);
+        match FrameRef::decode_prefix(&bytes) {
+            Ok((frame, used)) if used == bytes.len() => prop_assert_eq!(view, Ok(frame)),
+            _ => prop_assert!(view.is_err()),
+        }
+        prop_assert_eq!(view.map(FrameRef::to_frame), Frame::decode(&bytes));
     }
 
     /// Any payload decodes to a poll, a read error or a typed
-    /// `WireError`, never a panic.
+    /// `WireError`, never a panic — with or without a label vocabulary,
+    /// and the vocabulary changes no decoded value: lent labels come back
+    /// borrowed, every other label owned.
     #[test]
     fn payload_decoders_never_panic(payload in hostile_payload()) {
-        let _ = decode_poll(&mut WireReader::new(&payload));
+        let owned = decode_poll(&mut WireReader::new(&payload));
+        let mapped = decode_poll_in(&mut WireReader::new(&payload), &LENT);
+        if let Ok(poll) = &mapped {
+            for label in poll.points.iter().flat_map(|p| [&p.device, &p.domain]) {
+                let lent = LENT.contains(&label.as_ref());
+                prop_assert_eq!(matches!(label, Cow::Borrowed(_)), lent);
+            }
+        }
+        prop_assert_eq!(mapped, owned);
         let _ = decode_read_error(&mut WireReader::new(&payload));
     }
 
