@@ -162,19 +162,32 @@ fi
 # sum over ranks, and fault_injection, monitoring_daemon, multi_device_node
 # and power_aware_scheduling check their own claims. Run every one and fail
 # on a non-zero exit: release binaries in full mode, debug in quick mode.
+# Each one's stdout is also a golden, tests/golden/examples/<name>.txt
+# (host wall-clock values go to stderr); GOLDEN_BLESS=1 rewrites them.
 run_examples() {
-    local flag="" ex
+    local flag="" ex golden out=target/examples-stdout
     if [[ $quick -eq 0 ]]; then
         flag=--release
     fi
+    mkdir -p "$out"
     for ex in examples/*.rs; do
         ex="$(basename "$ex" .rs)"
+        golden="tests/golden/examples/$ex.txt"
         echo "    $ex"
-        cargo run -q ${flag:+"$flag"} --example "$ex" > /dev/null
+        cargo run -q ${flag:+"$flag"} --example "$ex" > "$out/$ex.txt"
+        if [[ "${GOLDEN_BLESS:-}" == 1 ]]; then
+            mkdir -p "$(dirname "$golden")"
+            cp "$out/$ex.txt" "$golden"
+            echo "    [blessed $golden]"
+        elif ! diff -u "$golden" "$out/$ex.txt"; then
+            echo "    $ex: stdout differs from $golden; re-bless intentional" >&2
+            echo "    changes with GOLDEN_BLESS=1 ./ci.sh --quick (then review the diff)" >&2
+            return 1
+        fi
     done
 }
 
-stage "examples: run every one" \
+stage "examples: run every one, stdout against its golden" \
     "run_examples"
 
 # The test suite, split so each class of test accounts its own time.

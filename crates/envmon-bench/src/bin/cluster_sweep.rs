@@ -1,7 +1,8 @@
 //! `cluster_sweep` — wall-clock benchmark of the parallel [`ClusterRun`].
 //!
-//! Runs the Table III–style cluster fan-out serially and on the worker
-//! pool at Mira scales — 1,536 node-card agents (the paper's full-system
+//! Runs the Table III–style cluster fan-out serially and with parallel
+//! phases (one thread scope per `run_until`/`finalize`, `--workers` wide)
+//! at Mira scales — 1,536 node-card agents (the paper's full-system
 //! run), then 16k and 49k node-level agents — and a Figure 8–style
 //! machine-wide sum reduction. Wall-clock times and speedups are written
 //! as JSON (default `BENCH_cluster.json` in the working directory).
@@ -46,9 +47,9 @@ fn drive(
 fn main() {
     let mut seed = DEFAULT_SEED;
     let mut out = std::path::PathBuf::from("BENCH_cluster.json");
-    // Default pool width = physical CPUs: requesting more only adds
-    // scheduling overhead (ClusterRun caps internally regardless, and takes
-    // the serial path outright on a single-CPU host).
+    // Default phase width = physical CPUs: requesting more only adds
+    // scheduling overhead (ClusterRun caps internally regardless, and keeps
+    // every phase on the calling thread on a single-CPU host).
     let mut workers = moneq::host_cpus();
     let mut quick = false;
     let mut args = std::env::args().skip(1);

@@ -10,12 +10,14 @@
 //!   re-runs every sweep with `--quick` and checks the fresh files against
 //!   the committed ones.
 //!
-//! The library part only hosts helpers shared by those binaries.
+//! The library part only hosts helpers shared by those binaries, and the
+//! [`golden`] check every golden test in the workspace uses.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod bench_file;
+pub mod golden;
 
 use hpc_workloads::{Channel, WorkloadProfile};
 use simkit::SimDuration;

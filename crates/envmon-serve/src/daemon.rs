@@ -16,10 +16,10 @@
 //!                       publish: Arc<Published> swap → QueryFront
 //! ```
 //!
-//! Everything before the publish runs on the daemon's thread (or the
-//! cluster's worker pool, for the `run_until` phase); readers only ever
-//! touch published views, so ingest needs no locks and queries never
-//! block collection.
+//! Everything before the publish runs on the daemon's thread (the
+//! `run_until` phase also on the workers a wider cluster run spawns for
+//! that one call, inside its scope); readers only ever touch published
+//! views, so ingest needs no locks and queries never block collection.
 //!
 //! The store is double-buffered (left-right): two `Arc<TsStore>`s a tick
 //! apart. The front always holds the one published last, so the daemon

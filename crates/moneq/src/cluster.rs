@@ -17,7 +17,7 @@ use crate::telemetry::SessionTelemetry;
 use simkit::{SimDuration, SimTime, TelemetryReport, TimeSeries};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Number of CPUs the host actually has (1 when it cannot be determined —
@@ -38,33 +38,32 @@ pub const DEFAULT_CHUNK_SIZE: usize = 32;
 /// A whole-machine profiling run.
 ///
 /// Sessions never interact — every rank polls its own node's hardware — so
-/// the fan-out is embarrassingly parallel. With [`with_par_agents`] above 1,
-/// `run_until` and `finalize` drive the sessions on a **persistent worker
-/// pool**: threads are spawned once, on the first parallel phase, and
-/// reused across every subsequent `run_until` and the `finalize` (scoped
-/// per-phase thread launches used to dominate short phases). Results are
-/// still gathered in rank order, so a parallel run produces a
-/// [`ClusterResult`] identical to a serial run of the same seed and agents.
+/// the fan-out is embarrassingly parallel. Each `run_until` and the
+/// `finalize` is one **phase**: width 1 (the default) runs on the calling
+/// thread and spawns nothing, and a phase of width w > 1 (see
+/// [`with_par_agents`]) spawns w workers inside one [`std::thread::scope`],
+/// joined before the call returns. Workers claim chunks of consecutive
+/// ranks from one shared cursor, through the same loop at every width;
+/// `run_until` drives the sessions in place. Results are gathered in rank
+/// order, so a parallel run produces a [`ClusterResult`] identical to a
+/// serial run of the same seed and agents.
 ///
 /// [`with_par_agents`]: ClusterRun::with_par_agents
 pub struct ClusterRun {
     sessions: Vec<MonEq>,
     par_agents: usize,
     chunk_size: usize,
-    /// Host-CPU cap for the pool width (defaults to [`host_cpus`];
+    /// Host-CPU cap for a phase's width (defaults to [`host_cpus`];
     /// overridable via [`ClusterRun::with_host_cpus`] for tests/benches).
     cpus_cap: usize,
     plan: CollectionPlan,
     /// One shared read cache per sharing domain (empty for the per-agent
     /// plan). Arcs are shared with the domain's sessions.
     caches: Vec<Arc<SharedReadCache>>,
-    /// The persistent worker pool, spawned lazily by the first parallel
-    /// phase and kept (idle between phases) until the run is dropped.
-    pool: Option<WorkerPool>,
     sched: SchedStats,
 }
 
-/// Wall-clock worker-pool scheduling diagnostics for a cluster run.
+/// Wall-clock scheduling diagnostics for a cluster run's phases.
 ///
 /// Unlike everything in a [`TelemetryReport`], these numbers come from the
 /// *host* clock and the racy order in which workers claim chunks, so they
@@ -73,14 +72,17 @@ pub struct ClusterRun {
 /// counter and histogram but may divide chunks among workers differently.
 #[derive(Clone, Debug, Default)]
 pub struct SchedStats {
-    /// Widest worker pool used by any phase (1 = everything ran serial).
+    /// Most workers any one phase ran on (1 = every phase ran on the
+    /// calling thread alone).
     pub workers: usize,
     /// Dispatch units (chunks of consecutive ranks) processed, totalled
     /// over every `run_until`/`finalize` phase.
     pub chunks: usize,
-    /// Chunks each worker claimed off the shared index, per worker slot.
+    /// Chunks each worker claimed off the shared cursor, per worker slot,
+    /// totalled over every phase.
     pub claimed_per_worker: Vec<u64>,
-    /// Wall-clock time each worker spent driving sessions, per worker slot.
+    /// Wall-clock time each worker spent driving sessions, per worker
+    /// slot, totalled over every phase.
     pub busy_per_worker: Vec<Duration>,
 }
 
@@ -156,266 +158,85 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Re-raise the first (lowest-rank) caught rank panic, with the rank id
-/// attached. No-op when nothing panicked.
-fn reraise_rank_panics(mut panics: Vec<(u32, String)>, phase: &str) {
+/// One phase over `slots`, on `workers` threads. Width 1 runs the worker
+/// loop on the calling thread and spawns nothing; a wider phase spawns
+/// all `workers` inside one [`std::thread::scope`] and the calling thread
+/// only joins them (DESIGN.md §12.3 has the measurement behind that).
+/// Each worker claims slot indices from one atomic cursor and runs `drive`
+/// on the claimed slot; the slot mutexes are uncontended, since each index
+/// is claimed exactly once. `drive` catches each session's panic and
+/// returns it with the rank; the first one stops every worker, and after
+/// the phase the lowest-rank panic caught is re-raised as `rank N panicked
+/// during cluster {phase}: msg`.
+fn drive_phase<S: Send>(
+    slots: &[Mutex<S>],
+    workers: usize,
+    phase: &str,
+    sched: &mut SchedStats,
+    drive: impl Fn(&mut S) -> Result<(), (u32, String)> + Sync,
+) {
+    let next = AtomicUsize::new(0);
+    let abort = AtomicBool::new(false);
+    let panics = Mutex::new(Vec::new());
+    // Returns the worker's (chunks claimed, busy wall-clock).
+    let worker = || {
+        let (mut claimed, mut busy) = (0u64, Duration::ZERO);
+        while !abort.load(Ordering::Relaxed) {
+            let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                break;
+            };
+            let start = Instant::now();
+            let done = drive(&mut slot.lock().unwrap_or_else(PoisonError::into_inner));
+            busy += start.elapsed();
+            claimed += 1;
+            if let Err(panic) = done {
+                abort.store(true, Ordering::Relaxed);
+                panics
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(panic);
+            }
+        }
+        (claimed, busy)
+    };
+    let (claimed, busy) = if workers == 1 {
+        let (claimed, busy) = worker();
+        (vec![claimed], vec![busy])
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .unzip()
+        })
+    };
+    sched.absorb(&SchedStats {
+        workers,
+        chunks: slots.len(),
+        claimed_per_worker: claimed,
+        busy_per_worker: busy,
+    });
+    let mut panics = panics.into_inner().unwrap_or_else(PoisonError::into_inner);
     panics.sort();
     if let Some((rank, msg)) = panics.first() {
         panic!("rank {rank} panicked during cluster {phase}: {msg}");
     }
 }
 
-/// Which phase a [`PhaseJob`] drives.
-#[derive(Clone, Copy)]
-enum PhaseKind {
-    /// Advance every session to the instant.
-    Run(SimTime),
-    /// Finalize every session at the instant.
-    Finalize(SimTime),
-}
-
-impl PhaseKind {
-    fn name(self) -> &'static str {
-        match self {
-            PhaseKind::Run(_) => "run_until",
-            PhaseKind::Finalize(_) => "finalize",
-        }
-    }
-}
-
-/// One chunk of consecutive ranks, parked in a mutex so exactly one worker
-/// drives it. `results` is filled in rank order by finalize phases.
-struct PhaseSlot {
-    sessions: Vec<MonEq>,
-    results: Vec<FinalizeResult>,
-}
-
-/// One phase's worth of work, shared between the dispatcher and the pool
-/// workers for the duration of a single [`WorkerPool::run`].
-struct PhaseJob {
-    kind: PhaseKind,
-    /// Workers with `wid >= active_workers` sit this phase out: the pool
-    /// may be wider than the phase (left over from an earlier, wider
-    /// phase), and a phase must never exceed its own effective width.
-    active_workers: usize,
-    slots: Vec<Mutex<PhaseSlot>>,
-    /// Next unclaimed slot index.
-    next: AtomicUsize,
-    /// Set on the first caught rank panic; stops every worker early.
-    abort: AtomicBool,
-    /// Caught rank panics, re-raised by the dispatcher after gathering.
-    panics: Mutex<Vec<(u32, String)>>,
-    /// Per-worker (chunks claimed, busy wall-clock), indexed by worker id;
-    /// sized to the pool's width, so idle extras report zeros.
-    stats: Vec<Mutex<(u64, Duration)>>,
-}
-
-impl PhaseJob {
-    /// Worker body: claim chunk indices off `next` and drive each claimed
-    /// slot to completion, bailing out (and flagging `abort`) on the first
-    /// caught rank panic.
-    fn work(&self, wid: usize) {
-        if wid >= self.active_workers {
-            return;
-        }
-        loop {
-            if self.abort.load(Ordering::Relaxed) {
-                return;
-            }
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            let Some(slot) = self.slots.get(i) else {
-                return;
-            };
-            let start = Instant::now();
-            // Uncontended: each index is claimed exactly once, so
-            // recovering a poisoned guard cannot expose torn state from a
-            // concurrent writer — only this worker's own already-caught
-            // panic could have poisoned it.
-            let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-            let PhaseSlot { sessions, results } = &mut *guard;
-            match self.kind {
-                PhaseKind::Run(until) => {
-                    for s in sessions.iter_mut() {
-                        let rank = s.rank();
-                        if let Err(p) = catch_unwind(AssertUnwindSafe(|| s.run_until(until))) {
-                            self.record_panic(rank, p);
-                            return;
-                        }
-                    }
-                }
-                PhaseKind::Finalize(now) => {
-                    results.reserve_exact(sessions.len());
-                    for s in sessions.drain(..) {
-                        let rank = s.rank();
-                        match catch_unwind(AssertUnwindSafe(|| s.finalize(now))) {
-                            Ok(r) => results.push(r),
-                            Err(p) => {
-                                self.record_panic(rank, p);
-                                return;
-                            }
-                        }
-                    }
-                }
-            }
-            drop(guard);
-            let mut st = self.stats[wid]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            st.0 += 1;
-            st.1 += start.elapsed();
-        }
-    }
-
-    /// Record one caught rank panic and tell every worker to stop early.
-    fn record_panic(&self, rank: u32, payload: Box<dyn std::any::Any + Send>) {
-        self.abort.store(true, Ordering::Relaxed);
-        self.panics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push((rank, panic_message(payload)));
-    }
-}
-
-/// State a [`WorkerPool`] shares with its worker threads.
-struct PoolShared {
-    cell: Mutex<PoolCell>,
-    /// Signalled when a new job is posted (or on shutdown).
-    start: Condvar,
-    /// Signalled by the last worker to finish the current job.
-    done: Condvar,
-}
-
-/// The pool's condvar-guarded state.
-struct PoolCell {
-    /// Bumped once per posted job; workers track the last value they saw,
-    /// so a worker that re-checks after finishing cannot re-run a job or
-    /// miss one posted while it was still draining.
-    seq: u64,
-    /// The in-flight job, if any.
-    job: Option<Arc<PhaseJob>>,
-    /// Workers that have not yet finished the in-flight job.
-    active: usize,
-    /// Set once, by [`WorkerPool::drop`]; workers exit on seeing it.
-    shutdown: bool,
-}
-
-/// The persistent worker pool behind parallel cluster phases.
-///
-/// Threads are spawned once and parked on a condvar between phases;
-/// [`WorkerPool::run`] posts one [`PhaseJob`] and blocks until every
-/// worker has drained it. Dropping the pool joins the threads.
-struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-fn worker_main(shared: &PoolShared, wid: usize) {
-    let mut seen = 0u64;
-    loop {
-        let job = {
-            let mut cell = shared.cell.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if cell.shutdown {
-                    return;
-                }
-                if cell.seq != seen {
-                    break;
-                }
-                cell = shared
-                    .start
-                    .wait(cell)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            seen = cell.seq;
-            cell.job.clone()
-        };
-        if let Some(job) = job {
-            // Worker-level safety net: `work` already catches session
-            // panics, but nothing unexpected may leave `active` stuck with
-            // the dispatcher waiting forever. The job Arc is dropped
-            // before the decrement so the dispatcher's post-run teardown
-            // never races a worker still holding a reference.
-            let _ = catch_unwind(AssertUnwindSafe(|| job.work(wid)));
-            drop(job);
-        }
-        let mut cell = shared.cell.lock().unwrap_or_else(PoisonError::into_inner);
-        cell.active -= 1;
-        if cell.active == 0 {
-            shared.done.notify_all();
-        }
-    }
-}
-
-impl WorkerPool {
-    /// Spawn `width` parked worker threads.
-    fn spawn(width: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            cell: Mutex::new(PoolCell {
-                seq: 0,
-                job: None,
-                active: 0,
-                shutdown: false,
-            }),
-            start: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let handles = (0..width)
-            .map(|wid| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_main(&shared, wid))
-            })
-            .collect();
-        WorkerPool { shared, handles }
-    }
-
-    /// Number of worker threads.
-    fn width(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Post one job and block until every worker has finished it.
-    fn run(&self, job: &Arc<PhaseJob>) {
-        let mut cell = self
-            .shared
-            .cell
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        cell.job = Some(Arc::clone(job));
-        cell.seq = cell.seq.wrapping_add(1);
-        cell.active = self.handles.len();
-        self.shared.start.notify_all();
-        while cell.active > 0 {
-            cell = self
-                .shared
-                .done
-                .wait(cell)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        cell.job = None;
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut cell = self
-                .shared
-                .cell
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            cell.shutdown = true;
-            self.shared.start.notify_all();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
+/// Catch a session's panic, tagged with its rank, for [`drive_phase`].
+fn catch_rank<T>(rank: u32, f: impl FnOnce() -> T) -> Result<T, (u32, String)> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|p| (rank, panic_message(p)))
 }
 
 impl ClusterRun {
     /// Launch one session per backend factory. `make_backend(rank)` builds
     /// rank `rank`'s backend (each rank needs its own handle to its own
     /// node's hardware); `name(rank)` labels its output file.
+    ///
+    /// # Panics
+    ///
+    /// If `agents` is 0: a run has at least one rank.
     pub fn launch<B, N>(
         agents: usize,
         interval: Option<SimDuration>,
@@ -437,6 +258,10 @@ impl ClusterRun {
     /// Launch with an explicit base configuration (retry policy, record
     /// capacity, …). Per-rank `agent_name` and `total_agents` are still
     /// filled in here; the rest of `base` applies to every rank.
+    ///
+    /// # Panics
+    ///
+    /// If `agents` is 0, like [`ClusterRun::launch`].
     pub fn launch_with<B, N>(
         agents: usize,
         mut make_backend: B,
@@ -448,7 +273,7 @@ impl ClusterRun {
         B: FnMut(usize) -> Box<dyn EnvBackend>,
         N: FnMut(usize) -> String,
     {
-        assert!(agents >= 1);
+        assert!(agents >= 1, "a cluster run needs at least one agent");
         let sessions = (0..agents)
             .map(|rank| {
                 // `iter::once` instead of a one-element `Vec`: at 49k ranks
@@ -472,7 +297,6 @@ impl ClusterRun {
             cpus_cap: host_cpus(),
             plan: CollectionPlan::per_agent(),
             caches: Vec::new(),
-            pool: None,
             sched: SchedStats::default(),
         }
     }
@@ -531,13 +355,17 @@ impl ClusterRun {
         }
     }
 
-    /// Set the worker-pool width for `run_until`/`finalize`. `1` (the
-    /// default) keeps the run fully serial on the calling thread. The
-    /// effective pool is additionally capped by the host-CPU cap
-    /// ([`host_cpus`] unless [`ClusterRun::with_host_cpus`] overrode it) —
-    /// asking for more workers than the host has cores only adds
-    /// scheduling overhead (the 49k-agent regression this cap fixed), and
-    /// on a single-CPU host the run stays on the serial path entirely.
+    /// Set the phase width for `run_until`/`finalize`. `1` (the default)
+    /// keeps every phase on the calling thread. The effective width is
+    /// additionally capped by the host-CPU cap ([`host_cpus`] unless
+    /// [`ClusterRun::with_host_cpus`] overrode it) — asking for more
+    /// workers than the host has cores only adds scheduling overhead (the
+    /// 49k-agent regression this cap fixed), and on a single-CPU host
+    /// every phase stays on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// If `workers` is 0.
     pub fn with_par_agents(mut self, workers: usize) -> Self {
         assert!(workers >= 1, "at least one worker required");
         self.par_agents = workers;
@@ -545,27 +373,30 @@ impl ClusterRun {
     }
 
     /// Set how many consecutive ranks a worker claims per dispatch.
+    ///
+    /// # Panics
+    ///
+    /// If `ranks` is 0.
     pub fn with_chunk_size(mut self, ranks: usize) -> Self {
         assert!(ranks >= 1, "chunk size must be positive");
         self.chunk_size = ranks;
         self
     }
 
-    /// Override the host-CPU cap used when sizing the worker pool
-    /// (defaults to [`host_cpus`]). A testing and benchmarking hook: it
-    /// lets determinism suites exercise the real pool even on a
-    /// single-CPU host, where the default cap would route every phase
-    /// down the serial path. Production callers should leave it alone —
+    /// Override the host-CPU cap used when sizing a phase (defaults to
+    /// [`host_cpus`]). A testing and benchmarking hook: it lets
+    /// determinism suites run phases on several threads even on a
+    /// single-CPU host, where the default cap would keep every phase on
+    /// the calling thread. Production callers should leave it alone —
     /// oversubscribing the host only adds scheduling overhead.
+    ///
+    /// # Panics
+    ///
+    /// If `cpus` is 0.
     pub fn with_host_cpus(mut self, cpus: usize) -> Self {
         assert!(cpus >= 1, "at least one CPU required");
         self.cpus_cap = cpus;
         self
-    }
-
-    /// The configured worker-pool width.
-    pub fn par_agents(&self) -> usize {
-        self.par_agents
     }
 
     /// Number of agent ranks.
@@ -592,9 +423,9 @@ impl ClusterRun {
     /// Worker count actually used for `n_chunks` dispatch units: the
     /// requested width, capped by the chunk count and the host-CPU cap
     /// ([`host_cpus`] unless [`ClusterRun::with_host_cpus`] overrode it).
-    /// Returns 1 (serial path, no pool at all) when the cap is a single
-    /// CPU or there is at most one chunk — spawning workers then only adds
-    /// overhead with zero possible speedup.
+    /// Returns 1 (the calling thread alone, nothing spawned) when the cap
+    /// is a single CPU or there is at most one chunk — spawning workers
+    /// then only adds overhead with zero possible speedup.
     fn effective_workers(&self, n_chunks: usize) -> usize {
         if n_chunks < 2 {
             return 1;
@@ -602,106 +433,28 @@ impl ClusterRun {
         self.par_agents.min(n_chunks).min(self.cpus_cap)
     }
 
-    /// Drive one phase of the run on the persistent pool, spawning the
-    /// pool first (or replacing it with a wider one) if this phase needs
-    /// more workers than are parked. Sessions are drained into per-chunk
-    /// slots, processed by whichever worker claims each index, and
-    /// restored — with any finalize results — in chunk order, so rank
-    /// order survives and a rank panic re-raises only after every session
-    /// is back in place.
-    fn run_phase(
-        &mut self,
-        kind: PhaseKind,
-        chunk_size: usize,
-        workers: usize,
-    ) -> Vec<FinalizeResult> {
-        let mut slots = Vec::with_capacity(self.sessions.len().div_ceil(chunk_size));
-        {
-            let mut it = self.sessions.drain(..);
-            loop {
-                let chunk: Vec<MonEq> = it.by_ref().take(chunk_size).collect();
-                if chunk.is_empty() {
-                    break;
-                }
-                slots.push(Mutex::new(PhaseSlot {
-                    sessions: chunk,
-                    results: Vec::new(),
-                }));
-            }
-        }
-        let n_chunks = slots.len();
-        if self.pool.as_ref().is_none_or(|p| p.width() < workers) {
-            // Join the old (narrower) pool before spawning the wider one.
-            self.pool = None;
-            self.pool = Some(WorkerPool::spawn(workers));
-        }
-        let pool = self.pool.as_ref().expect("pool ensured above");
-        let job = Arc::new(PhaseJob {
-            kind,
-            active_workers: workers,
-            slots,
-            next: AtomicUsize::new(0),
-            abort: AtomicBool::new(false),
-            panics: Mutex::new(Vec::new()),
-            stats: (0..pool.width())
-                .map(|_| Mutex::new((0, Duration::ZERO)))
-                .collect(),
-        });
-        pool.run(&job);
-        // The pool has drained: every worker dropped its job Arc before
-        // reporting done, so all these locks are uncontended.
-        let (claimed, busy) = job
-            .stats
-            .iter()
-            .map(|m| *m.lock().unwrap_or_else(PoisonError::into_inner))
-            .unzip();
-        self.sched.absorb(&SchedStats {
-            workers,
-            chunks: n_chunks,
-            claimed_per_worker: claimed,
-            busy_per_worker: busy,
-        });
-        let mut results = Vec::new();
-        for slot in &job.slots {
-            let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-            self.sessions.append(&mut guard.sessions);
-            results.append(&mut guard.results);
-        }
-        let panics =
-            std::mem::take(&mut *job.panics.lock().unwrap_or_else(PoisonError::into_inner));
-        reraise_rank_panics(panics, kind.name());
-        results
-    }
-
     /// Advance every rank's timer to `until`.
     ///
-    /// With `par_agents > 1` the sessions advance concurrently on the
-    /// run's persistent worker pool (spawned on the first parallel phase,
-    /// reused by every later one); each session still observes exactly
-    /// the serial event sequence, because no state is shared between
-    /// ranks. A panic inside one rank is caught before it can unwind
-    /// through a chunk's mutex guard, recorded with its rank id, and
-    /// re-raised after the pool drains — so the caller sees the original
-    /// rank panic, never a sibling worker's opaque PoisonError.
+    /// The sessions are driven in place, chunk by chunk, by
+    /// `effective_workers` threads (the calling thread alone at width 1);
+    /// each session still observes exactly the serial event sequence,
+    /// because no state is shared between ranks outside a chunk.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a rank's panic, after the phase, as `rank N panicked
+    /// during cluster run_until: msg` (the lowest rank caught), at every
+    /// width.
     pub fn run_until(&mut self, until: SimTime) {
-        let chunk_size = self.effective_chunk_size();
-        let n_chunks = self.sessions.len().div_ceil(chunk_size);
-        let workers = self.effective_workers(n_chunks);
-        if workers <= 1 {
-            let start = Instant::now();
-            for s in &mut self.sessions {
-                s.run_until(until);
+        let chunk = self.effective_chunk_size();
+        let workers = self.effective_workers(self.sessions.len().div_ceil(chunk));
+        let slots: Vec<_> = self.sessions.chunks_mut(chunk).map(Mutex::new).collect();
+        drive_phase(&slots, workers, "run_until", &mut self.sched, |ranks| {
+            for s in ranks.iter_mut() {
+                catch_rank(s.rank(), || s.run_until(until))?;
             }
-            self.sched.absorb(&SchedStats {
-                workers: 1,
-                chunks: n_chunks,
-                claimed_per_worker: vec![n_chunks as u64],
-                busy_per_worker: vec![start.elapsed()],
-            });
-            self.prune_caches(until);
-            return;
-        }
-        self.run_phase(PhaseKind::Run(until), chunk_size, workers);
+            Ok(())
+        });
         self.prune_caches(until);
     }
 
@@ -740,34 +493,40 @@ impl ClusterRun {
 
     /// Finalize every rank and gather the files.
     ///
-    /// Finalization runs on the same worker pool as `run_until` when
-    /// `par_agents > 1`, but files and overheads are always reduced in rank
-    /// order, so the result is byte-identical to a serial finalize.
+    /// Each chunk's sessions are finalized by whichever worker claims the
+    /// chunk, into that chunk's slot; the slots are gathered in chunk
+    /// order, so the result is byte-identical at every width.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a rank's panic as `rank N panicked during cluster
+    /// finalize: msg`, like [`ClusterRun::run_until`].
     pub fn finalize(mut self, now: SimTime) -> ClusterResult {
         let n = self.sessions.len();
-        let chunk_size = self.effective_chunk_size();
-        let n_chunks = n.div_ceil(chunk_size);
+        let chunk = self.effective_chunk_size();
+        let n_chunks = n.div_ceil(chunk);
         let workers = self.effective_workers(n_chunks);
-        let results: Vec<FinalizeResult> = if workers <= 1 {
-            let start = Instant::now();
-            let results = self
-                .sessions
-                .drain(..)
-                .map(|s| s.finalize(now))
-                .collect::<Vec<_>>();
-            self.sched.absorb(&SchedStats {
-                workers: 1,
-                chunks: n_chunks,
-                claimed_per_worker: vec![n_chunks as u64],
-                busy_per_worker: vec![start.elapsed()],
-            });
-            results
-        } else {
-            let results = self.run_phase(PhaseKind::Finalize(now), chunk_size, workers);
-            // The run is over — join the pool now, not at drop time.
-            self.pool = None;
-            results
-        };
+        // One slot per chunk: its sessions in, their results out.
+        let mut sessions = std::mem::take(&mut self.sessions).into_iter();
+        let slots: Vec<Mutex<(Vec<MonEq>, Vec<FinalizeResult>)>> = (0..n_chunks)
+            .map(|_| Mutex::new((sessions.by_ref().take(chunk).collect(), Vec::new())))
+            .collect();
+        drive_phase(
+            &slots,
+            workers,
+            "finalize",
+            &mut self.sched,
+            |(ranks, results)| {
+                results.reserve_exact(ranks.len());
+                for s in ranks.drain(..) {
+                    results.push(catch_rank(s.rank(), || s.finalize(now))?);
+                }
+                Ok(())
+            },
+        );
+        let results = slots
+            .into_iter()
+            .flat_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner).1);
         let mut files = Vec::with_capacity(n);
         let mut overheads = Vec::with_capacity(n);
         let mut completeness = Vec::with_capacity(n);
@@ -803,6 +562,10 @@ impl ClusterResult {
     /// Records are grouped by timestamp wherever they appear in the file —
     /// a backend that interleaves devices within a poll, or reports a late
     /// generation out of order, still contributes to the right instant.
+    ///
+    /// # Panics
+    ///
+    /// If `rank` is not below the run's agent count (`files.len()`).
     pub fn agent_series(&self, rank: usize, device: &str) -> TimeSeries {
         let file = &self.files[rank];
         let mut sums: std::collections::BTreeMap<SimTime, f64> = std::collections::BTreeMap::new();
@@ -978,14 +741,14 @@ mod tests {
         drive(&mut serial);
         let serial = serial.finalize(SimTime::from_secs(3));
         // Chunk size 3 over 13 agents: last chunk is ragged on purpose.
-        // `with_host_cpus(4)` forces the real pool even on a 1-CPU host.
+        // `with_host_cpus(4)` runs 4 workers even on a 1-CPU host.
         let mut parallel = launch(13)
             .with_par_agents(4)
             .with_chunk_size(3)
             .with_host_cpus(4);
-        assert_eq!(parallel.par_agents(), 4);
         drive(&mut parallel);
         let parallel = parallel.finalize(SimTime::from_secs(3));
+        assert_eq!(parallel.sched.workers, 4);
         assert_eq!(serial.files, parallel.files);
         assert_eq!(serial.overheads, parallel.overheads);
         assert_eq!(serial.dropped_records, parallel.dropped_records);
@@ -1054,14 +817,14 @@ mod tests {
     #[test]
     fn effective_workers_caps_by_chunks_and_host() {
         let run = launch(4).with_par_agents(64).with_chunk_size(1);
-        // One chunk -> strictly serial, no pool.
+        // One chunk -> the calling thread alone.
         assert_eq!(run.effective_workers(1), 1);
         // Many chunks: capped by host CPUs (and never above the request).
         let w = run.effective_workers(100);
         assert!(w <= host_cpus().max(1));
         assert!((1..=64).contains(&w));
         if host_cpus() == 1 {
-            assert_eq!(w, 1, "single-CPU hosts must take the serial path");
+            assert_eq!(w, 1, "single-CPU hosts must stay on the calling thread");
         }
         // The cap override replaces the detected CPU count exactly.
         let run = launch(4)
@@ -1100,48 +863,50 @@ mod tests {
     }
 
     #[test]
-    fn persistent_pool_is_reused_across_phases_and_stays_exact() {
-        // The pool spawns once, on the first parallel phase, and drives
-        // every later phase; repeated run_until calls plus finalize on the
-        // reused pool must match a fresh serial run byte for byte.
+    fn many_parallel_phases_stay_exact() {
+        // Every phase opens its own scope; repeated run_until calls plus
+        // finalize must match a serial run byte for byte.
         let mut serial = launch(13);
         for step in 1..=4 {
             serial.run_until(SimTime::from_secs(step));
         }
         let serial = serial.finalize(SimTime::from_secs(5));
-        let mut pooled = launch(13)
+        let mut parallel = launch(13)
             .with_par_agents(4)
             .with_chunk_size(3)
             .with_host_cpus(4);
         for step in 1..=4 {
-            pooled.run_until(SimTime::from_secs(step));
-            assert!(pooled.pool.is_some(), "pool must persist between phases");
-            assert_eq!(pooled.pool.as_ref().map(WorkerPool::width), Some(4));
+            parallel.run_until(SimTime::from_secs(step));
+            assert_eq!(parallel.sched.workers, 4);
         }
-        let pooled = pooled.finalize(SimTime::from_secs(5));
-        assert_eq!(serial.files, pooled.files);
-        assert_eq!(serial.overheads, pooled.overheads);
-        assert_eq!(serial.dropped_records, pooled.dropped_records);
+        let parallel = parallel.finalize(SimTime::from_secs(5));
+        assert_eq!(serial.files, parallel.files);
+        assert_eq!(serial.overheads, parallel.overheads);
+        assert_eq!(serial.dropped_records, parallel.dropped_records);
         let render =
             |r: &ClusterResult| -> Vec<String> { r.files.iter().map(|f| f.render()).collect() };
-        assert_eq!(render(&serial), render(&pooled));
-        assert_eq!(pooled.sched.workers, 4);
-        let claimed: u64 = pooled.sched.claimed_per_worker.iter().sum();
-        assert_eq!(claimed as usize, pooled.sched.chunks, "every chunk claimed");
+        assert_eq!(render(&serial), render(&parallel));
+        assert_eq!(parallel.sched.workers, 4);
+        let claimed: u64 = parallel.sched.claimed_per_worker.iter().sum();
+        assert_eq!(
+            claimed as usize, parallel.sched.chunks,
+            "every chunk claimed"
+        );
     }
 
     #[test]
-    fn pool_widens_when_a_later_phase_needs_more_workers() {
+    fn a_later_phase_may_run_wider() {
         let mut run = launch(12)
             .with_par_agents(2)
             .with_chunk_size(1)
             .with_host_cpus(8);
         run.run_until(SimTime::from_secs(1));
-        assert_eq!(run.pool.as_ref().map(WorkerPool::width), Some(2));
+        assert_eq!(run.sched.workers, 2);
         // Widen the request mid-run (directly: the builder consumes self).
         run.par_agents = 6;
         run.run_until(SimTime::from_secs(2));
-        assert_eq!(run.pool.as_ref().map(WorkerPool::width), Some(6));
+        assert_eq!(run.sched.workers, 6);
+        assert_eq!(run.sched.claimed_per_worker.len(), 6);
         let result = run.finalize(SimTime::from_secs(3));
         assert_eq!(result.files.len(), 12);
         assert_eq!(result.sched.workers, 6);
@@ -1216,6 +981,22 @@ mod tests {
             msg.contains("rank 5 panicked during cluster run_until"),
             "{msg}"
         );
+    }
+
+    #[test]
+    fn width_one_panic_reports_its_rank_like_wider_phases() {
+        // At width 1 the phase runs on the calling thread, through the
+        // same per-session catch as wider phases.
+        let mut run = launch_panicky(8, 2, SimTime::ZERO).with_par_agents(1);
+        let err = catch_unwind(AssertUnwindSafe(|| run.run_until(SimTime::from_secs(1))))
+            .expect_err("rank 2 must panic");
+        let msg = panic_message(err);
+        assert!(
+            msg.contains("rank 2 panicked during cluster run_until: injected failure on rank 2"),
+            "{msg}"
+        );
+        assert_eq!(run.sched.workers, 1);
+        assert_eq!(run.sched.claimed_per_worker.len(), 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! The design mirrors [`crate::rng::NoiseStream`]: every fault decision is
 //! a pure function of `(seed, device label, virtual time, attempt)`.
-//! Querying out of order, retrying, or driving sessions on a worker pool
+//! Querying out of order, retrying, or driving sessions on worker threads
 //! cannot perturb which faults occur — the property the serial-vs-parallel
 //! reproducibility tests rely on.
 //!

@@ -25,9 +25,11 @@ fn main() {
         SimTime::ZERO,
     );
 
-    // "User code": the MMPS benchmark actually runs here — for real.
+    // "User code": the MMPS benchmark actually runs here — for real. Its
+    // rate is host wall clock, so it goes to stderr: stdout stays
+    // byte-identical run to run (tests/golden/examples/quickstart.txt).
     let kernel = app.run();
-    println!(
+    eprintln!(
         "MMPS kernel: {} messages delivered at {:.0} msg/s (host wall clock)",
         kernel.messages, kernel.rate_per_sec
     );

@@ -2,10 +2,10 @@
 //! serial one.
 //!
 //! Sessions are rank-independent and the reduce is in rank order, so the
-//! worker-pool fan-out must be a pure wall-clock optimization: for the same
-//! seed and agents, the gathered [`ClusterResult`] — files, overhead
-//! ledgers, drop counts, and the rendered bytes — is identical whatever the
-//! pool width or chunk size.
+//! scoped fan-out of each phase must be a pure wall-clock optimization: for
+//! the same seed and agents, the gathered [`ClusterResult`] — files,
+//! overhead ledgers, drop counts, and the rendered bytes — is identical
+//! whatever the phase width, the chunk size or the number of phases.
 
 use envmon::prelude::*;
 use moneq::{ClusterResult, ClusterRun};
@@ -13,9 +13,9 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Launch a BG/Q cluster run. `with_host_cpus(par_agents)` lifts the
-/// host-CPU cap to the requested width, so the *real* persistent pool is
-/// exercised even when the test host has a single CPU (where the default
-/// cap would silently route every drive down the serial path).
+/// host-CPU cap to the requested width, so phases really run on that many
+/// threads even when the test host has a single CPU (where the default cap
+/// would silently keep every phase on the calling thread).
 fn launch_bgq(seed: u64, agents: usize, secs: u64, par_agents: usize) -> ClusterRun {
     let profile = {
         let mut p = WorkloadProfile::new("prop", SimDuration::from_secs(secs));
@@ -80,12 +80,12 @@ proptest! {
         }
     }
 
-    /// The persistent pool, reused across many consecutive `run_until`
-    /// phases, is byte-identical to a serial multi-phase drive AND to a
+    /// Many consecutive parallel `run_until` phases, each its own scope,
+    /// are byte-identical to a serial multi-phase drive AND to a parallel
     /// single-phase drive straight to the end (each phase dispatch is a
     /// pure wall-clock optimization; virtual time drives everything).
     #[test]
-    fn reused_pool_equals_fresh_pool_per_phase(
+    fn many_phases_equal_one_phase(
         seed in 0u64..1_000,
         agents in 4usize..16,
         workers in 2usize..6,
@@ -101,16 +101,16 @@ proptest! {
             run.finalize(end)
         };
         let serial = drive_phased(1);
-        let pooled = drive_phased(workers);
-        // A fresh run whose pool serves exactly one run_until phase.
-        let mut fresh = launch_bgq(seed, agents, phases, workers).with_chunk_size(chunk_size);
-        fresh.run_until(end);
-        let fresh = fresh.finalize(end);
-        prop_assert_eq!(&serial.files, &pooled.files);
-        prop_assert_eq!(&serial.overheads, &pooled.overheads);
-        prop_assert_eq!(&pooled.files, &fresh.files);
-        prop_assert_eq!(&pooled.overheads, &fresh.overheads);
-        for (s, p) in serial.files.iter().zip(&pooled.files) {
+        let phased = drive_phased(workers);
+        // A parallel run driven to the end in one run_until phase.
+        let mut once = launch_bgq(seed, agents, phases, workers).with_chunk_size(chunk_size);
+        once.run_until(end);
+        let once = once.finalize(end);
+        prop_assert_eq!(&serial.files, &phased.files);
+        prop_assert_eq!(&serial.overheads, &phased.overheads);
+        prop_assert_eq!(&phased.files, &once.files);
+        prop_assert_eq!(&phased.overheads, &once.overheads);
+        for (s, p) in serial.files.iter().zip(&phased.files) {
             prop_assert_eq!(s.render(), p.render());
         }
     }

@@ -24,47 +24,11 @@ fn check(name: &str, actual: &str) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden/scenarios")
         .join(format!("{name}.txt"));
-    if std::env::var_os("GOLDEN_BLESS").is_some_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().unwrap()).expect("create tests/golden/scenarios");
-        std::fs::write(&path, actual).expect("write golden file");
-        eprintln!("[blessed {}]", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run GOLDEN_BLESS=1 cargo test --test scenario_golden",
-            path.display()
-        )
-    });
-    if expected == actual {
-        return;
-    }
-    panic!("{}", first_difference(name, &expected, actual));
-}
-
-/// A readable report of the first differing line, with context.
-fn first_difference(name: &str, expected: &str, actual: &str) -> String {
-    let (exp, act): (Vec<&str>, Vec<&str>) = (expected.lines().collect(), actual.lines().collect());
-    let n = exp.len().max(act.len());
-    let at = (0..n)
-        .find(|&i| exp.get(i) != act.get(i))
-        .unwrap_or(n.saturating_sub(1));
-    let mut out = format!(
-        "golden mismatch for {name}: first difference at line {} (expected {} lines, got {})\n",
-        at + 1,
-        exp.len(),
-        act.len()
+    envmon_bench::golden::check(
+        &path,
+        actual,
+        "GOLDEN_BLESS=1 cargo test --test scenario_golden",
     );
-    for i in at.saturating_sub(2)..(at + 3).min(n) {
-        out.push_str(&format!(
-            "  expected {:>5} | {}\n  actual   {:>5} | {}\n",
-            i + 1,
-            exp.get(i).unwrap_or(&"<eof>"),
-            i + 1,
-            act.get(i).unwrap_or(&"<eof>"),
-        ));
-    }
-    out
 }
 
 #[test]

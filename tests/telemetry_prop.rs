@@ -79,8 +79,8 @@ fn run_cluster(
     )
     .with_par_agents(par_agents)
     .with_chunk_size(chunk_size)
-    // Lift the host-CPU cap to the requested width so the real persistent
-    // pool runs even on a single-CPU test host.
+    // Lift the host-CPU cap to the requested width so phases run on that
+    // many threads even on a single-CPU test host.
     .with_host_cpus(par_agents.max(1));
     run.run_until(SimTime::from_secs(secs));
     run.finalize(SimTime::from_secs(secs))

@@ -17,7 +17,7 @@
 //!   error, and the server answers only the protocol's one request kind.
 //! * **Deployment** — a parallel `ClusterRun` of *remote* sessions is
 //!   byte-identical to a serial one: the wire layer must not introduce
-//!   any worker-pool-order dependence the local path doesn't have. A
+//!   any worker-order dependence the local path doesn't have. A
 //!   mechanism that lends some labels and builds others reads the same
 //!   remotely as locally, lent labels coming back borrowed.
 
@@ -253,7 +253,7 @@ fn run_mixed_cluster(
 
 /// A BG/Q cluster with every session's backend deployed behind the given
 /// link. Mirrors `cluster_parallel_prop.rs`; `with_host_cpus` lifts the
-/// CPU cap so the real worker pool runs even on a single-CPU host.
+/// CPU cap so phases run on several threads even on a single-CPU host.
 fn run_remote_cluster(
     seed: u64,
     agents: usize,
@@ -336,11 +336,11 @@ proptest! {
         prop_assert_eq!(back, e);
     }
 
-    /// Remote sessions stay order-independent: the worker pool must be a
+    /// Remote sessions stay order-independent: a parallel phase must be a
     /// pure wall-clock optimization with the wire in the path, exactly as
     /// it is for local backends. The link carries real latency (but no
     /// faults) so the wire actually shifts timestamps — and shifts them
-    /// identically at every pool width.
+    /// identically at every phase width.
     #[test]
     fn remote_parallel_equals_remote_serial(
         seed in 0u64..1_000,
