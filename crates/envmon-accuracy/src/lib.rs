@@ -29,10 +29,8 @@
 //! absorbs the residual fp rounding, making the identity bit-for-bit
 //! (asserted by `tests/accuracy_prop.rs`).
 //!
-//! Poll schedules come from [`simkit::SamplingPolicy`] — the same engine
-//! the MonEQ sessions use — so the harness measures exactly what a
-//! session would see under aligned, offset, jittered, or Poisson
-//! sampling.
+//! Polls land on the grid a MonEQ session fires on — one interval apart
+//! from an anchor — so the harness measures exactly what a session sees.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -42,4 +40,3 @@ pub mod report;
 
 pub use probes::{standard_probes, EmonProbe, NvmlProbe, OccProbe, RaplProbe, SmcProbe};
 pub use report::{ErrorDecomposition, ErrorReport, MechanismProbe, PollStages};
-pub use simkit::SamplingPolicy;

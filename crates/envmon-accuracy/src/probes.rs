@@ -347,18 +347,15 @@ mod tests {
     use super::*;
     use crate::report::ErrorReport;
     use hpc_workloads::SquareWave;
-    use simkit::SamplingPolicy;
 
     const HORIZON: SimTime = SimTime::from_secs(90);
 
     fn report(probe: &dyn MechanismProbe) -> ErrorReport {
         ErrorReport::measure(
             probe,
-            SamplingPolicy::Aligned,
             SimTime::from_secs(30),
             probe.poll_interval(),
             HORIZON,
-            0,
         )
     }
 

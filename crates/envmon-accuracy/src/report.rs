@@ -29,7 +29,7 @@
 //! adjustment (folded into the sampling-phase leg, and recorded) absorbs
 //! the fp rounding so the identity holds bit-for-bit.
 
-use simkit::{SamplingPolicy, SimDuration, SimTime};
+use simkit::{SimDuration, SimTime};
 
 /// One poll interval evaluated at every stage of the mechanism pipeline,
 /// each stage as joules attributed to the interval.
@@ -51,7 +51,7 @@ pub struct PollStages {
 
 /// A mechanism wired up for accuracy probing: the true-energy oracle
 /// plus the staged pipeline, both pure functions of virtual time.
-pub trait MechanismProbe: Sync {
+pub trait MechanismProbe {
     /// Mechanism name, matching the `moneq` backend names where one
     /// exists (`bgq-emon`, `rapl-msr`, `nvml`, `mic-smc`).
     fn name(&self) -> &'static str;
@@ -142,85 +142,36 @@ impl ErrorReport {
         }
     }
 
-    /// Measure `probe` over the schedule `policy` generates on
-    /// `[anchor, horizon]` with the given `interval` (and `stream` key
-    /// for the policy's draws). The first poll anchors the window; each
-    /// later poll integrates one interval.
+    /// Measure `probe` over the aligned poll grid `anchor + k·interval`
+    /// on `[anchor, horizon]` — the schedule a MonEQ session fires on.
+    /// The first poll anchors the window; each later poll integrates one
+    /// interval.
     ///
-    /// Panics if the schedule has fewer than two polls.
+    /// # Panics
+    ///
+    /// If `interval` is zero (`interval must be positive`) or the grid
+    /// has fewer than two polls.
     pub fn measure(
         probe: &dyn MechanismProbe,
-        policy: SamplingPolicy,
         anchor: SimTime,
         interval: SimDuration,
         horizon: SimTime,
-        stream: u64,
     ) -> ErrorReport {
-        let times = policy.times(anchor, interval, horizon, stream);
+        assert!(!interval.is_zero(), "polling interval must be positive");
         assert!(
-            times.len() >= 2,
-            "schedule must contain at least two polls (got {})",
-            times.len()
+            anchor + interval <= horizon,
+            "schedule must contain at least two polls (anchor {anchor}, interval {interval}, \
+             horizon {horizon})"
         );
-        let stages: Vec<PollStages> = times
-            .windows(2)
-            .map(|w| probe.poll_stages(w[0], w[1]))
-            .collect();
-        Self::fold(probe, &times, &stages)
-    }
-
-    /// [`ErrorReport::measure`] with the per-poll stage evaluation fanned
-    /// out over `threads` OS threads. The fold is the same single serial
-    /// pass over the in-order stage list, so the result is bit-for-bit
-    /// identical to the serial path (asserted by the property tests).
-    pub fn measure_parallel(
-        probe: &dyn MechanismProbe,
-        policy: SamplingPolicy,
-        anchor: SimTime,
-        interval: SimDuration,
-        horizon: SimTime,
-        stream: u64,
-        threads: usize,
-    ) -> ErrorReport {
-        let times = policy.times(anchor, interval, horizon, stream);
-        assert!(
-            times.len() >= 2,
-            "schedule must contain at least two polls (got {})",
-            times.len()
-        );
-        let intervals: Vec<(SimTime, SimTime)> = times.windows(2).map(|w| (w[0], w[1])).collect();
-        let threads = threads.max(1).min(intervals.len());
-        let chunk = intervals.len().div_ceil(threads);
-        let mut stages: Vec<PollStages> = Vec::with_capacity(intervals.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = intervals
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        part.iter()
-                            .map(|&(prev, t)| probe.poll_stages(prev, t))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            // In-order gather: chunk order == poll order.
-            for h in handles {
-                stages.extend(h.join().expect("stage worker panicked"));
-            }
-        });
-        Self::fold(probe, &times, &stages)
-    }
-
-    /// The single serial fold both entry points share: sum each stage in
-    /// poll order, difference adjacent stage sums into components, and
-    /// close the telescope exactly.
-    fn fold(probe: &dyn MechanismProbe, times: &[SimTime], stages: &[PollStages]) -> ErrorReport {
-        let window = (times[0], *times.last().expect("non-empty schedule"));
-        let true_energy_j = probe.true_energy(window.0, window.1);
+        // Sum each stage in poll order, then difference adjacent stage
+        // sums into components.
         let (mut aligned, mut staled, mut averaged) = (0.0f64, 0.0f64, 0.0f64);
         let (mut pre_noise, mut noisy, mut reported) = (0.0f64, 0.0f64, 0.0f64);
         let mut cadence_abs_j = 0.0f64;
-        for s in stages {
+        let mut polls = 0u64;
+        let (mut prev, mut t) = (anchor, anchor + interval);
+        while t <= horizon {
+            let s = probe.poll_stages(prev, t);
             aligned += s.aligned_j;
             staled += s.staled_j;
             averaged += s.averaged_j;
@@ -228,7 +179,12 @@ impl ErrorReport {
             noisy += s.noisy_j;
             reported += s.reported_j;
             cadence_abs_j += (s.staled_j - s.aligned_j).abs();
+            polls += 1;
+            prev = t;
+            t += interval;
         }
+        let window = (anchor, prev);
+        let true_energy_j = probe.true_energy(window.0, window.1);
         let mut decomposition = ErrorDecomposition {
             sampling_phase_j: aligned - true_energy_j,
             cadence_j: staled - aligned,
@@ -258,7 +214,7 @@ impl ErrorReport {
         );
         ErrorReport {
             mechanism: probe.name().to_owned(),
-            polls: stages.len() as u64,
+            polls,
             window,
             true_energy_j,
             reported_energy_j: reported,
@@ -310,11 +266,9 @@ mod tests {
     fn decomposition_closes_bit_for_bit() {
         let r = ErrorReport::measure(
             &FakeProbe,
-            SamplingPolicy::Aligned,
             SimTime::from_secs(1),
             SimDuration::from_millis(130),
             SimTime::from_secs(30),
-            0,
         );
         assert_eq!(r.decomposition.total(), r.total_error_j());
         assert_eq!(r.mechanism, "fake");
@@ -325,11 +279,9 @@ mod tests {
     fn components_land_where_the_model_puts_them() {
         let r = ErrorReport::measure(
             &FakeProbe,
-            SamplingPolicy::Aligned,
             SimTime::from_secs(1),
             SimDuration::from_millis(130),
             SimTime::from_secs(30),
-            0,
         );
         // Constant truth: no phase/cadence/averaging error.
         assert!(r.decomposition.sampling_phase_j.abs() < 1e-9);
@@ -344,27 +296,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fold_is_bitwise_identical() {
-        let serial = ErrorReport::measure(
+    #[should_panic(expected = "interval must be positive")]
+    fn zero_interval_is_rejected() {
+        ErrorReport::measure(
             &FakeProbe,
-            SamplingPolicy::Poisson { seed: 7 },
             SimTime::from_secs(1),
-            SimDuration::from_millis(130),
-            SimTime::from_secs(30),
-            3,
+            SimDuration::ZERO,
+            SimTime::from_secs(2),
         );
-        for threads in [1, 2, 5, 64] {
-            let par = ErrorReport::measure_parallel(
-                &FakeProbe,
-                SamplingPolicy::Poisson { seed: 7 },
-                SimTime::from_secs(1),
-                SimDuration::from_millis(130),
-                SimTime::from_secs(30),
-                3,
-                threads,
-            );
-            assert_eq!(serial, par, "{threads} threads");
-        }
     }
 
     #[test]
@@ -372,11 +311,9 @@ mod tests {
     fn degenerate_schedules_are_rejected() {
         ErrorReport::measure(
             &FakeProbe,
-            SamplingPolicy::Aligned,
             SimTime::from_secs(1),
             SimDuration::from_secs(10),
             SimTime::from_secs(2),
-            0,
         );
     }
 }

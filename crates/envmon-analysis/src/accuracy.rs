@@ -17,8 +17,8 @@
 //!   mechanism — the whole wave fits inside one generation, so the
 //!   served data is stale by up to a full period plus domain skew.
 //!
-//! The sweep polls each mechanism with its standard interval under the
-//! aligned policy over the three [`SquareWave`] profiles; the burst
+//! The sweep polls each mechanism with its standard interval on the
+//! aligned grid over the three [`SquareWave`] profiles; the burst
 //! section adds the sub-560 ms wave; the constant section drives RAPL
 //! with a flat demand and checks the one-tick bound. The monotonicity
 //! claims use [`ErrorReport::cadence_abs_j`] normalized by the true
@@ -26,7 +26,7 @@
 //! signed total error can cancel across a symmetric wave, the unsigned
 //! one cannot.
 
-use envmon_accuracy::{standard_probes, ErrorReport, RaplProbe, SamplingPolicy};
+use envmon_accuracy::{standard_probes, ErrorReport, RaplProbe};
 use hpc_workloads::{Channel, SquareWave, WorkloadProfile};
 use powermodel::PhaseBuilder;
 use simkit::{SimDuration, SimTime};
@@ -92,7 +92,7 @@ fn constant_profile() -> WorkloadProfile {
     p
 }
 
-/// Measure every standard probe over `profile` under the aligned policy.
+/// Measure every standard probe over `profile` on the aligned grid.
 fn measure_all(name: &str, hz: f64, profile: &WorkloadProfile, seed: u64) -> Vec<AccuracyRow> {
     standard_probes(profile, seed, SimTime::ZERO + RUNTIME)
         .iter()
@@ -101,11 +101,9 @@ fn measure_all(name: &str, hz: f64, profile: &WorkloadProfile, seed: u64) -> Vec
             transient_hz: hz,
             report: ErrorReport::measure(
                 probe.as_ref(),
-                SamplingPolicy::Aligned,
                 WINDOW_START,
                 probe.poll_interval(),
                 WINDOW_END,
-                0,
             ),
         })
         .collect()
@@ -126,14 +124,7 @@ pub fn accuracy(seed: u64) -> AccuracyTable {
     let constant = constant_profile();
     let rapl = RaplProbe::new(&constant, seed);
     use envmon_accuracy::MechanismProbe;
-    let rapl_constant = ErrorReport::measure(
-        &rapl,
-        SamplingPolicy::Aligned,
-        WINDOW_START,
-        rapl.poll_interval(),
-        WINDOW_END,
-        0,
-    );
+    let rapl_constant = ErrorReport::measure(&rapl, WINDOW_START, rapl.poll_interval(), WINDOW_END);
     // One ~1 ms tick of energy at the window's mean power can be missed
     // at each edge (the jittered grid only ever *lags*, so the two edges
     // largely cancel — one tick covers both), plus one counter unit of

@@ -20,7 +20,6 @@
 //! | [`serving`] | The DESIGN.md §13 serving demonstration: the collection daemon + query front on the paper's node card, with exactness/parity/determinism verdicts |
 //! | [`transport`] | The DESIGN.md §14 transport ablation: in-band vs out-of-band deployment over the framed wire protocol, with byte-identity and exact-latency verdicts |
 //! | [`registry`] | The mechanism registry every cross-cutting experiment enumerates (add a mechanism once, every table picks it up) |
-//! | [`scenarios`] | The DESIGN.md §16 scenario-catalog metadata (keys, titles, invariants) the `envmon-scenarios` crate implements against |
 //! | [`render`] | Plain-text table/series rendering shared by all of the above |
 
 #![forbid(unsafe_code)]
@@ -34,7 +33,6 @@ pub mod registry;
 pub mod render;
 pub mod report;
 pub mod robustness;
-pub mod scenarios;
 pub mod serving;
 pub mod tables;
 pub mod telemetry;

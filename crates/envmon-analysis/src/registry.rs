@@ -10,11 +10,10 @@
 //!
 //! Each [`Mechanism`] carries the mechanism's comparison metadata (paper
 //! band, sharing-domain size, fault-stream label, service-link
-//! personality) and two constructors: a clean per-rank factory and a
-//! faulted single-backend builder under the mechanism's own pathology
-//! profile. Devices are built once per [`mechanisms`] call and shared
-//! across ranks through `Arc`s — exactly the sharing the caching ablation
-//! measures.
+//! personality) and one constructor, which builds the backend clean or
+//! under a fault plan with the mechanism's own pathology profile. Devices
+//! are built once per [`mechanisms`] call and shared across ranks through
+//! `Arc`s — exactly the sharing the caching ablation measures.
 
 use moneq::backends::{
     BgqBackend, MicApiBackend, MicDaemonBackend, NvmlBackend, OccBackend, RaplBackend,
@@ -35,8 +34,9 @@ pub const NAMES: [&str; 6] = [
     "p9-occ",
 ];
 
-type Build = Arc<dyn Fn(usize) -> Box<dyn EnvBackend> + Send + Sync>;
-type Faulted = Arc<dyn Fn(&FaultPlan) -> Box<dyn EnvBackend> + Send + Sync>;
+/// A mechanism's constructor: a clean backend for `None`, one subjected
+/// to the plan otherwise.
+type Make = Arc<dyn Fn(Option<&FaultPlan>) -> Box<dyn EnvBackend> + Send + Sync>;
 
 /// One vendor mechanism, ready to instantiate for any experiment.
 #[derive(Clone)]
@@ -52,8 +52,7 @@ pub struct Mechanism {
     pub domain: usize,
     /// The link personality an out-of-band deployment rides on.
     pub service_link: LinkSpec,
-    build: Build,
-    faulted: Faulted,
+    make: Make,
 }
 
 impl std::fmt::Debug for Mechanism {
@@ -68,23 +67,38 @@ impl std::fmt::Debug for Mechanism {
 }
 
 impl Mechanism {
-    /// A clean backend for `rank` (ranks share the underlying device).
-    pub fn build(&self, rank: usize) -> Box<dyn EnvBackend> {
-        (self.build)(rank)
+    /// A clean backend (every build shares the underlying device).
+    pub fn build(&self) -> Box<dyn EnvBackend> {
+        (self.make)(None)
     }
 
     /// A backend subjected to `plan` under this mechanism's own pathology
     /// profile, drawing from its [`fault_label`](Self::fault_label) stream.
     pub fn faulted(&self, plan: &FaultPlan) -> Box<dyn EnvBackend> {
-        (self.faulted)(plan)
+        (self.make)(Some(plan))
     }
 
-    /// A boxed per-rank factory (the shape [`moneq::ClusterRun`] wants).
-    /// Factories from the same [`Mechanism`] share one device, so two
-    /// cluster runs over the same virtual window see identical sensors.
+    /// A boxed per-rank factory of clean backends (the shape
+    /// [`moneq::ClusterRun`] wants). Factories from the same [`Mechanism`]
+    /// share one device, so two cluster runs over the same virtual window
+    /// see identical sensors.
     pub fn factory(&self) -> Box<dyn FnMut(usize) -> Box<dyn EnvBackend>> {
-        let build = Arc::clone(&self.build);
-        Box::new(move |rank| build(rank))
+        let make = Arc::clone(&self.make);
+        Box::new(move |_| make(None))
+    }
+}
+
+/// Box `backend`, subjected to `plan` on the `label` fault stream when a
+/// plan is given.
+fn boxed<B: EnvBackend + 'static>(
+    backend: B,
+    plan: Option<&FaultPlan>,
+    with_faults: fn(B, &FaultPlan, &str) -> B,
+    label: &str,
+) -> Box<dyn EnvBackend> {
+    match plan {
+        Some(plan) => Box::new(with_faults(backend, plan, label)),
+        None => Box::new(backend),
     }
 }
 
@@ -158,18 +172,10 @@ fn build(seed: u64, horizon: SimTime, profiles: RegistryProfiles) -> Vec<Mechani
         fault_label: "nodecard0",
         domain: 32,
         service_link: BgqBackend::service_link(),
-        build: {
-            let machine = Arc::clone(&machine);
-            Arc::new(move |_| {
-                Box::new(BgqBackend::new(Arc::clone(&machine), 0)) as Box<dyn EnvBackend>
-            })
-        },
-        faulted: {
-            let machine = Arc::clone(&machine);
-            Arc::new(move |plan| {
-                Box::new(BgqBackend::new(Arc::clone(&machine), 0).with_faults(plan, "nodecard0"))
-            })
-        },
+        make: Arc::new(move |plan| {
+            let backend = BgqBackend::new(Arc::clone(&machine), 0);
+            boxed(backend, plan, BgqBackend::with_faults, "nodecard0")
+        }),
     };
 
     // Stampede socket running Gaussian elimination (§II-B, Figure 3).
@@ -183,33 +189,15 @@ fn build(seed: u64, horizon: SimTime, profiles: RegistryProfiles) -> Vec<Mechani
         fault_label: "socket0",
         domain: 16,
         service_link: RaplBackend::service_link(),
-        build: {
-            let socket = Arc::clone(&socket);
-            Arc::new(move |_| {
-                Box::new(
-                    RaplBackend::new(
-                        Arc::clone(&socket) as Arc<dyn rapl_sim::PowerSource>,
-                        rapl_sim::MsrAccess::root(),
-                        seed,
-                    )
-                    .expect("root access"),
-                ) as Box<dyn EnvBackend>
-            })
-        },
-        faulted: {
-            let socket = Arc::clone(&socket);
-            Arc::new(move |plan| {
-                Box::new(
-                    RaplBackend::new(
-                        Arc::clone(&socket) as Arc<dyn rapl_sim::PowerSource>,
-                        rapl_sim::MsrAccess::root(),
-                        seed,
-                    )
-                    .expect("root access")
-                    .with_faults(plan, "socket0"),
-                )
-            })
-        },
+        make: Arc::new(move |plan| {
+            let backend = RaplBackend::new(
+                Arc::clone(&socket) as Arc<dyn rapl_sim::PowerSource>,
+                rapl_sim::MsrAccess::root(),
+                seed,
+            )
+            .expect("root access");
+            boxed(backend, plan, RaplBackend::with_faults, "socket0")
+        }),
     };
 
     // K20 GPU idling through Noop (§II-C, Figure 4).
@@ -227,18 +215,10 @@ fn build(seed: u64, horizon: SimTime, profiles: RegistryProfiles) -> Vec<Mechani
         fault_label: "gpu0",
         domain: 16,
         service_link: NvmlBackend::service_link(),
-        build: {
-            let nvml_lib = Arc::clone(&nvml_lib);
-            Arc::new(move |_| {
-                Box::new(NvmlBackend::new(Arc::clone(&nvml_lib))) as Box<dyn EnvBackend>
-            })
-        },
-        faulted: {
-            let nvml_lib = Arc::clone(&nvml_lib);
-            Arc::new(move |plan| {
-                Box::new(NvmlBackend::new(Arc::clone(&nvml_lib)).with_faults(plan, "gpu0"))
-            })
-        },
+        make: Arc::new(move |plan| {
+            let backend = NvmlBackend::new(Arc::clone(&nvml_lib));
+            boxed(backend, plan, NvmlBackend::with_faults, "gpu0")
+        }),
     };
 
     // Xeon Phi card idling through Noop (§II-D, Figure 7), both access
@@ -260,20 +240,11 @@ fn build(seed: u64, horizon: SimTime, profiles: RegistryProfiles) -> Vec<Mechani
         fault_label: "mic0/api",
         domain: 16,
         service_link: MicApiBackend::service_link(),
-        build: {
-            let (card, smc) = (Arc::clone(&card), Arc::clone(&api_smc));
-            Arc::new(move |_| {
-                Box::new(MicApiBackend::new(Arc::clone(&card), Arc::clone(&smc)))
-                    as Box<dyn EnvBackend>
-            })
-        },
-        faulted: {
-            let (card, smc) = (Arc::clone(&card), Arc::clone(&api_smc));
+        make: {
+            let card = Arc::clone(&card);
             Arc::new(move |plan| {
-                Box::new(
-                    MicApiBackend::new(Arc::clone(&card), Arc::clone(&smc))
-                        .with_faults(plan, "mic0/api"),
-                )
+                let backend = MicApiBackend::new(Arc::clone(&card), Arc::clone(&api_smc));
+                boxed(backend, plan, MicApiBackend::with_faults, "mic0/api")
             })
         },
     };
@@ -283,26 +254,11 @@ fn build(seed: u64, horizon: SimTime, profiles: RegistryProfiles) -> Vec<Mechani
         fault_label: "mic0/daemon",
         domain: 16,
         service_link: MicDaemonBackend::service_link(),
-        build: {
-            let (card, smc, profile) =
-                (Arc::clone(&card), Arc::clone(&daemon_smc), profile.clone());
-            Arc::new(move |_| {
-                Box::new(MicDaemonBackend::new(
-                    Arc::clone(&card),
-                    Arc::clone(&smc),
-                    &profile,
-                )) as Box<dyn EnvBackend>
-            })
-        },
-        faulted: {
-            let (card, smc, profile) = (Arc::clone(&card), Arc::clone(&daemon_smc), profile);
-            Arc::new(move |plan| {
-                Box::new(
-                    MicDaemonBackend::new(Arc::clone(&card), Arc::clone(&smc), &profile)
-                        .with_faults(plan, "mic0/daemon"),
-                )
-            })
-        },
+        make: Arc::new(move |plan| {
+            let backend =
+                MicDaemonBackend::new(Arc::clone(&card), Arc::clone(&daemon_smc), &profile);
+            boxed(backend, plan, MicDaemonBackend::with_faults, "mic0/daemon")
+        }),
     };
 
     // POWER9 module running Gaussian elimination, read through the OCC's
@@ -319,22 +275,10 @@ fn build(seed: u64, horizon: SimTime, profiles: RegistryProfiles) -> Vec<Mechani
         fault_label: "p9chip0",
         domain: 16,
         service_link: OccBackend::service_link(),
-        build: {
-            let (chip, occ_dev) = (Arc::clone(&chip), Arc::clone(&occ_dev));
-            Arc::new(move |_| {
-                Box::new(OccBackend::new(Arc::clone(&chip), Arc::clone(&occ_dev)))
-                    as Box<dyn EnvBackend>
-            })
-        },
-        faulted: {
-            let (chip, occ_dev) = (Arc::clone(&chip), Arc::clone(&occ_dev));
-            Arc::new(move |plan| {
-                Box::new(
-                    OccBackend::new(Arc::clone(&chip), Arc::clone(&occ_dev))
-                        .with_faults(plan, "p9chip0"),
-                )
-            })
-        },
+        make: Arc::new(move |plan| {
+            let backend = OccBackend::new(Arc::clone(&chip), Arc::clone(&occ_dev));
+            boxed(backend, plan, OccBackend::with_faults, "p9chip0")
+        }),
     };
 
     vec![bgq, rapl, nvml, mic_api, mic_daemon, occ]
@@ -356,7 +300,7 @@ mod tests {
     #[test]
     fn metadata_agrees_with_the_backends() {
         for m in mechanisms(2015, HORIZON) {
-            let b = m.build(0);
+            let b = m.build();
             assert_eq!(b.name(), m.name, "registry name drifted");
             let f = m.faulted(&FaultPlan::uniform(7, 0.05));
             assert_eq!(f.name(), m.name);

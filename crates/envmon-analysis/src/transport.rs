@@ -144,7 +144,7 @@ fn compare(m: &Mechanism, seed: u64) -> TransportRow {
     let faulty_link = link.with_faults(drop, corrupt, reorder).with_seed(seed);
     let mut session = MonEq::initialize(
         0,
-        vec![m.build(0)],
+        vec![m.build()],
         MonEqConfig {
             telemetry: true,
             ..MonEqConfig::default()

@@ -185,7 +185,7 @@ fn main() {
     if want("limitations") {
         section("STATED LIMITATIONS (paper §IV's 'looking forward' ask, implemented)");
         for m in envmon_analysis::registry::mechanisms(seed, simkit::SimTime::from_secs(10)) {
-            let b = m.build(0);
+            let b = m.build();
             println!("{}:", b.name());
             for l in b.limitations() {
                 println!("  [{}] {}", l.aspect, l.statement);
@@ -247,7 +247,7 @@ fn main() {
         // `envmon_bench::replication_seed` — the same schedule the
         // `scenario_sweep` bin uses, so summary lines here and BENCH
         // rows there describe the same runs.
-        let selected: Vec<_> = envmon_analysis::scenarios::CATALOG
+        let selected: Vec<_> = envmon_scenarios::CATALOG
             .iter()
             .filter(|s| want("scenarios") || want(s.key))
             .collect();
@@ -259,7 +259,7 @@ fn main() {
                 println!("  invariant: {}", spec.invariant);
                 for rep in 0..spec.replications {
                     let rep_seed = envmon_bench::replication_seed(spec.key, rep, seed);
-                    let r = envmon_scenarios::run_replication(spec.key, rep, rep_seed);
+                    let r = (spec.run)(rep, rep_seed);
                     println!("  {}", r.summary_line());
                     for inv in r.invariants.iter().filter(|i| !i.pass) {
                         println!("    FAILED {}: {}", inv.name, inv.detail);

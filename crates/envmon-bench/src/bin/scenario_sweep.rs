@@ -21,10 +21,9 @@
 //! `"deterministic": 1|0` plus `"determinism_checked": 1|0` (0 only
 //! under `--smoke`); `bench_check` gates the first two.
 
-use envmon_analysis::scenarios::CATALOG;
 use envmon_bench::bench_file::{BenchFile, Fields};
 use envmon_bench::{replication_seed, DEFAULT_SEED};
-use envmon_scenarios::run_replication;
+use envmon_scenarios::CATALOG;
 
 fn main() {
     let mut seed = DEFAULT_SEED;
@@ -70,7 +69,7 @@ fn main() {
         eprintln!("== {}: {} ({} reps)", spec.key, spec.title, reps);
         for rep in 0..reps {
             let rep_seed = replication_seed(spec.key, rep, seed);
-            let r = run_replication(spec.key, rep, rep_seed);
+            let r = (spec.run)(rep, rep_seed);
             eprintln!("   {}", r.summary_line());
             if !r.passed() {
                 failures += 1;
@@ -88,8 +87,8 @@ fn main() {
     if !smoke {
         for spec in CATALOG {
             let rep_seed = replication_seed(spec.key, 0, seed);
-            let a = run_replication(spec.key, 0, rep_seed).artifact();
-            let b = run_replication(spec.key, 0, rep_seed).artifact();
+            let a = (spec.run)(0, rep_seed).artifact();
+            let b = (spec.run)(0, rep_seed).artifact();
             if a != b {
                 deterministic = false;
                 eprintln!("   NONDETERMINISTIC: {} rep0 artifacts differ", spec.key);

@@ -12,7 +12,7 @@ use std::process::Command;
 
 /// The in-process ground truth: exp1 replication 0 at the default seed.
 fn reference() -> envmon_scenarios::Replication {
-    run_replication("exp1", 0, replication_seed("exp1", 0, DEFAULT_SEED))
+    run_replication("exp1", 0, replication_seed("exp1", 0, DEFAULT_SEED)).expect("catalog key")
 }
 
 #[test]

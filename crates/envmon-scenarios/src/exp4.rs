@@ -94,7 +94,7 @@ pub fn run(config: &Exp4Config, rep: usize, seed: u64) -> Exp4Run {
     for mechanism in mechanisms_on(seed, horizon, &profile) {
         let session = MonEq::initialize(
             0,
-            vec![mechanism.build(0)],
+            vec![mechanism.build()],
             MonEqConfig::default(),
             SimTime::ZERO,
         );

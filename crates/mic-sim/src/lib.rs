@@ -11,10 +11,10 @@
 //!   *raises the card's power over idle*, because code that wasn't running
 //!   before must run for every query.
 //! * **MICRAS daemon** ([`micras`]): the on-card daemon exposes pseudo-files
-//!   on a virtual sysfs ([`vfs`]); collection is "simply a process of
-//!   reading the appropriate file and parsing the data", costing ≈0.04 ms —
-//!   "nearly the same overhead as RAPL … because the implementation on both
-//!   is essentially the same; the Xeon Phi actually uses RAPL internally".
+//!   on a virtual sysfs; collection is "simply a process of reading the
+//!   appropriate file and parsing the data", costing ≈0.04 ms — "nearly
+//!   the same overhead as RAPL … because the implementation on both is
+//!   essentially the same; the Xeon Phi actually uses RAPL internally".
 //! * **Out-of-band** ([`ipmb`]): the card's System Management Controller
 //!   ([`smc`]) answers the platform BMC over the IPMB protocol, bypassing
 //!   the host OS and the card's cores entirely.
@@ -22,7 +22,7 @@
 //! The module structure deliberately mirrors the boxes of the paper's
 //! Figure 6 control-panel architecture diagram: host SCIF driver /
 //! coprocessor SCIF driver ([`scif`]), SysMgmt SCIF interface
-//! ([`sysmgmt`]), MICRAS + sysfs ([`micras`], [`vfs`]), SMC ([`smc`]).
+//! ([`sysmgmt`]), MICRAS + sysfs ([`micras`]), SMC ([`smc`]).
 //!
 //! ```
 //! use mic_sim::micras::{PowerFileReading, POWER_FILE};
@@ -58,7 +58,6 @@ pub mod micras;
 pub mod scif;
 pub mod smc;
 pub mod sysmgmt;
-pub mod vfs;
 
 pub use card::{PhiCard, PhiSpec};
 pub use hostadmin::{EccMode, HostAdmin, PowerMgmtConfig, RasEvent, RasSeverity};

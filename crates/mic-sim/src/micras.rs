@@ -17,9 +17,10 @@
 
 use crate::card::PhiCard;
 use crate::smc::Smc;
-use crate::vfs::{VfsError, VirtFs};
 use hpc_workloads::{Channel, WorkloadProfile};
+use powermodel::DemandTrace;
 use simkit::SimTime;
+use std::fmt;
 use std::sync::Arc;
 
 /// Path of the power pseudo-file.
@@ -31,70 +32,84 @@ pub const FREQ_FILE: &str = "/sys/class/micras/freq";
 /// Path of the memory pseudo-file.
 pub const MEM_FILE: &str = "/sys/class/micras/mem";
 
+/// Pseudo-file read errors.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum VfsError {
+    /// No file at the path.
+    NotFound(String),
+}
+
+impl fmt::Display for VfsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            VfsError::NotFound(p) => write!(f, "no such file: {p}"),
+        }
+    }
+}
+
+impl std::error::Error for VfsError {}
+
 /// The device-side daemon.
 pub struct MicrasDaemon {
-    fs: VirtFs,
+    card: Arc<PhiCard>,
+    smc: Arc<Smc>,
+    /// Accelerator-memory demand, which drives the memory file.
+    accmem: DemandTrace,
 }
 
 impl MicrasDaemon {
     /// Start the daemon for `card`/`smc`, exposing the pseudo-files.
     /// `profile` drives the memory-occupancy file.
     pub fn start(card: Arc<PhiCard>, smc: Arc<Smc>, profile: &WorkloadProfile) -> Self {
-        let mut fs = VirtFs::new();
-        let memory_mib = card.spec().memory_mib;
-        let accmem = profile.demand(Channel::AcceleratorMemory);
-        {
-            let (card, smc) = (card.clone(), smc.clone());
-            fs.register(POWER_FILE, move |t| {
-                let r = smc.read(&card, t);
-                let pcie_uw = (card.uncore_power(r.generation) * 1e6).round() as u64;
-                format!(
+        MicrasDaemon {
+            card,
+            smc,
+            accmem: profile.demand(Channel::AcceleratorMemory),
+        }
+    }
+
+    /// Read a pseudo-file at `t` (device-side read): each file renders the
+    /// card's current state.
+    pub fn read_file(&self, path: &str, t: SimTime) -> Result<String, VfsError> {
+        match path {
+            POWER_FILE => {
+                let r = self.smc.read(&self.card, t);
+                let pcie_uw = (self.card.uncore_power(r.generation) * 1e6).round() as u64;
+                Ok(format!(
                     "tot0: {} uW\ntot1: {} uW\npcie: {} uW\nvccp: {} uV {} uA\n",
                     r.total_power_uw,
                     r.total_power_uw, // previous generation alias; see parse()
                     pcie_uw,
                     (r.vccp_volts * 1e6).round() as u64,
                     (r.vccp_amps * 1e6).round() as u64,
-                )
-            });
-        }
-        {
-            let (card, smc) = (card.clone(), smc.clone());
-            fs.register(TEMP_FILE, move |t| {
-                let r = smc.read(&card, t);
-                format!(
+                ))
+            }
+            TEMP_FILE => {
+                let r = self.smc.read(&self.card, t);
+                Ok(format!(
                     "die: {:.0} C\ngddr: {:.0} C\nfin: {:.0} C\nfout: {:.0} C\nfan: {} RPM\n",
                     r.die_temp_c, r.gddr_temp_c, r.intake_temp_c, r.exhaust_temp_c, r.fan_rpm
-                )
-            });
-        }
-        fs.register(FREQ_FILE, move |_| {
+                ))
+            }
             // The card runs at a fixed clock; the file also reports the
             // memory transfer rate in kT/sec (the Table I "Speed" row).
-            "core: 1100000 kHz\nmem: 5500000 kT/sec\nmemfreq: 2750000 kHz\nmemvolt: 1500000 uV\n"
-                .to_owned()
-        });
-        fs.register(MEM_FILE, move |t| {
-            let total_kib = memory_mib * 1024;
-            let used_kib = (total_kib as f64 * (0.05 + 0.65 * accmem.level_at(t))).round() as u64;
-            format!(
-                "total: {} kB\nused: {} kB\nfree: {} kB\n",
-                total_kib,
-                used_kib,
-                total_kib - used_kib
-            )
-        });
-        MicrasDaemon { fs }
-    }
-
-    /// Read a pseudo-file at `t` (device-side read).
-    pub fn read_file(&self, path: &str, t: SimTime) -> Result<String, VfsError> {
-        self.fs.read(path, t)
-    }
-
-    /// The daemon's filesystem (for listing).
-    pub fn fs(&self) -> &VirtFs {
-        &self.fs
+            FREQ_FILE => Ok(
+                "core: 1100000 kHz\nmem: 5500000 kT/sec\nmemfreq: 2750000 kHz\nmemvolt: 1500000 uV\n"
+                    .to_owned(),
+            ),
+            MEM_FILE => {
+                let total_kib = self.card.spec().memory_mib * 1024;
+                let used_kib =
+                    (total_kib as f64 * (0.05 + 0.65 * self.accmem.level_at(t))).round() as u64;
+                Ok(format!(
+                    "total: {} kB\nused: {} kB\nfree: {} kB\n",
+                    total_kib,
+                    used_kib,
+                    total_kib - used_kib
+                ))
+            }
+            _ => Err(VfsError::NotFound(path.to_owned())),
+        }
     }
 }
 
@@ -155,8 +170,7 @@ impl PowerFileReading {
 mod tests {
     use super::*;
     use crate::card::PhiSpec;
-    use hpc_workloads::Noop;
-    use powermodel::DemandTrace;
+    use hpc_workloads::{Noop, VectorAdd};
     use simkit::NoiseStream;
 
     fn daemon() -> MicrasDaemon {
@@ -192,7 +206,11 @@ mod tests {
         for f in [POWER_FILE, TEMP_FILE, FREQ_FILE, MEM_FILE] {
             assert!(d.read_file(f, SimTime::from_secs(1)).is_ok(), "{f}");
         }
-        assert_eq!(d.fs().list("/sys/class/micras").len(), 4);
+        let missing = d.read_file("/sys/class/micras/volt", SimTime::ZERO);
+        assert_eq!(
+            missing.unwrap_err().to_string(),
+            "no such file: /sys/class/micras/volt"
+        );
     }
 
     #[test]
@@ -217,6 +235,51 @@ mod tests {
         };
         assert_eq!(get("total:"), get("used:") + get("free:"));
         assert_eq!(get("total:"), 8 * 1024 * 1024);
+    }
+
+    /// The four pseudo-files' exact bytes at two instants of a busy card
+    /// (VectorAdd moves power, temperatures, fan and memory occupancy
+    /// between them; the frequency file is fixed).
+    #[test]
+    fn pseudo_files_render_byte_for_byte() {
+        let profile = VectorAdd::figure5().profile();
+        let card = Arc::new(PhiCard::new(
+            PhiSpec::default(),
+            &profile,
+            DemandTrace::zero(),
+            SimTime::from_secs(200),
+        ));
+        let d = MicrasDaemon::start(card, Arc::new(Smc::new(NoiseStream::new(33))), &profile);
+        let freq =
+            "core: 1100000 kHz\nmem: 5500000 kT/sec\nmemfreq: 2750000 kHz\nmemvolt: 1500000 uV\n";
+        let expect = [
+            (
+                SimTime::from_secs(1),
+                [
+                    "tot0: 112805077 uW\ntot1: 112805077 uW\npcie: 20000000 uW\nvccp: 1050000 uV 59047619 uA\n",
+                    "die: 54 C\ngddr: 50 C\nfin: 30 C\nfout: 40 C\nfan: 2466 RPM\n",
+                    freq,
+                    "total: 8388608 kB\nused: 419430 kB\nfree: 7969178 kB\n",
+                ],
+            ),
+            (
+                SimTime::from_millis(60_010),
+                [
+                    "tot0: 201151266 uW\ntot1: 201151266 uW\npcie: 20500000 uW\nvccp: 1050000 uV 115714286 uA\n",
+                    "die: 69 C\ngddr: 61 C\nfin: 30 C\nfout: 48 C\nfan: 3435 RPM\n",
+                    freq,
+                    "total: 8388608 kB\nused: 5054136 kB\nfree: 3334472 kB\n",
+                ],
+            ),
+        ];
+        for (t, texts) in expect {
+            for (path, text) in [POWER_FILE, TEMP_FILE, FREQ_FILE, MEM_FILE]
+                .iter()
+                .zip(texts)
+            {
+                assert_eq!(d.read_file(path, t).unwrap(), text, "{path} at {t}");
+            }
+        }
     }
 
     #[test]

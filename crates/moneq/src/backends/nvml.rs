@@ -34,11 +34,6 @@ pub struct NvmlBackend {
     /// Boards that returned `NotSupported` for power (pre-Kepler), skipped
     /// but counted.
     pub unsupported_devices: usize,
-    /// When set, each poll drains the driver's per-60 ms sample ring
-    /// (`nvmlDeviceGetSamples`) instead of taking one point reading, so a
-    /// slow MonEQ interval still captures every hardware refresh.
-    use_sample_buffer: bool,
-    last_drained: SimTime,
     gate: FaultGate,
 }
 
@@ -48,17 +43,7 @@ impl NvmlBackend {
         NvmlBackend {
             nvml,
             unsupported_devices: 0,
-            use_sample_buffer: false,
-            last_drained: SimTime::ZERO,
             gate: FaultGate::none(),
-        }
-    }
-
-    /// Attach in sample-buffer mode: polls drain the 60 ms ring.
-    pub fn with_sample_buffer(nvml: Arc<Nvml>) -> Self {
-        NvmlBackend {
-            use_sample_buffer: true,
-            ..Self::new(nvml)
         }
     }
 
@@ -105,9 +90,6 @@ impl EnvBackend for NvmlBackend {
     }
 
     fn read(&mut self, t: SimTime) -> Result<Poll, ReadError> {
-        // A blackout or transient failure skips the drain entirely;
-        // `last_drained` then stays put, so the next successful poll
-        // catches up on the ring samples the blackout skipped.
         let grant = self.gate.admit(t)?;
         let mut out = Vec::with_capacity(self.nvml.device_count());
         self.unsupported_devices = 0;
@@ -116,22 +98,6 @@ impl EnvBackend for NvmlBackend {
                 .nvml
                 .device_by_index(i)
                 .map_err(|e| ReadError::Unavailable(e.to_string()))?;
-            if self.use_sample_buffer {
-                match dev.power_samples(self.last_drained, t) {
-                    Ok(samples) => {
-                        for (at, mw) in samples {
-                            out.push(DataPoint::power(
-                                at,
-                                gpu_label(i),
-                                "board",
-                                f64::from(mw) / 1_000.0,
-                            ));
-                        }
-                    }
-                    Err(_) => self.unsupported_devices += 1,
-                }
-                continue;
-            }
             match dev.power_usage(t) {
                 Ok(mw) => {
                     let temp = dev.temperature(t).ok().map(f64::from);
@@ -149,9 +115,6 @@ impl EnvBackend for NvmlBackend {
                 Err(_) => self.unsupported_devices += 1,
             }
         }
-        if self.use_sample_buffer {
-            self.last_drained = t;
-        }
         if grant.glitch {
             for p in &mut out {
                 p.stale = true;
@@ -168,11 +131,10 @@ impl EnvBackend for NvmlBackend {
     }
 
     fn replayable(&self) -> bool {
-        // Point reads are a pure function of the query instant; buffer
-        // mode drains a ring relative to `last_drained` (polling-history
-        // state), and an active fault gate draws per attempt — both rule
-        // out replaying a stored poll.
-        !self.use_sample_buffer && !self.gate.is_active()
+        // Point reads are a pure function of the query instant; an active
+        // fault gate draws per attempt, which rules out replaying a stored
+        // poll.
+        !self.gate.is_active()
     }
 
     fn records_per_poll(&self) -> usize {
@@ -251,30 +213,6 @@ mod tests {
         assert_eq!(points[0].device, "gpu0");
         assert!(points[0].temp_c.is_some());
         assert!((100.0..160.0).contains(&points[0].watts));
-    }
-
-    #[test]
-    fn sample_buffer_mode_captures_every_refresh() {
-        let nvml = Arc::new(Nvml::init(
-            &[DeviceConfig {
-                spec: GpuSpec::k20(),
-                workload: Noop::figure7().profile(),
-                horizon: SimTime::from_secs(150),
-            }],
-            9,
-        ));
-        // Point mode at a 1 s interval: 1 record per poll.
-        let mut point = NvmlBackend::new(nvml.clone());
-        assert_eq!(point.poll(SimTime::from_secs(1)).len(), 1);
-        // Buffer mode at the same interval: ~16-17 records per poll.
-        let mut buffered = NvmlBackend::with_sample_buffer(nvml);
-        let first = buffered.poll(SimTime::from_secs(1));
-        assert!(first.len() > 10, "{}", first.len());
-        let second = buffered.poll(SimTime::from_secs(2));
-        assert!((15..=18).contains(&second.len()), "{}", second.len());
-        // No duplicate timestamps across consecutive drains.
-        let last_of_first = first.last().unwrap().timestamp;
-        assert!(second.iter().all(|p| p.timestamp > last_of_first));
     }
 
     #[test]

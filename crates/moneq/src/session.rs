@@ -30,7 +30,7 @@ use crate::remote::RemoteBackend;
 use crate::tags::{TagEvent, TagKind};
 use crate::telemetry::SessionTelemetry;
 use simkit::wire::LinkSpec;
-use simkit::{SamplingPolicy, SimDuration, SimTime};
+use simkit::{SimDuration, SimTime};
 use std::sync::Arc;
 
 /// Session configuration.
@@ -73,14 +73,6 @@ pub struct MonEqConfig {
     /// Off by default: disabled telemetry costs one branch per update and
     /// allocates nothing, so existing runs are bit-for-bit unchanged.
     pub telemetry: bool,
-    /// When the session polls, relative to its nominal interval grid.
-    /// The default ([`SamplingPolicy::Aligned`]) computes every fire time
-    /// with the exact arithmetic of builds that predate the knob, so
-    /// default runs stay byte-identical; the other policies shift poll
-    /// *times* only and compose with the retry, telemetry, and
-    /// collection-plan layers unchanged. The session's rank keys the
-    /// policy's random draws, so cluster ranks decorrelate automatically.
-    pub sampling: SamplingPolicy,
 }
 
 impl Default for MonEqConfig {
@@ -92,7 +84,6 @@ impl Default for MonEqConfig {
             total_agents: 1,
             retry: RetryPolicy::default(),
             telemetry: false,
-            sampling: SamplingPolicy::default(),
         }
     }
 }
@@ -156,9 +147,6 @@ pub struct MonEq {
     collection_cost: SimDuration,
     fault_recovery: SimDuration,
     polls: u64,
-    /// Nominal time of poll index 0 — the fixed point the sampling policy
-    /// measures offsets from (grid policies never accumulate drift).
-    sampling_anchor: SimTime,
     telemetry: SessionTelemetry,
     /// The sharing domain's read cache, when a collection plan is active
     /// ([`MonEq::attach_shared_cache`]). `None` (the default) keeps the
@@ -173,10 +161,15 @@ pub struct MonEq {
 impl MonEq {
     /// `MonEQ_Initialize`: set up the record array and register the
     /// SIGALRM-style timer. Charges the Table III initialization cost and
-    /// schedules the first poll one interval after `now`.
+    /// schedules the first poll one interval after `now`; later polls fire
+    /// every interval after that.
     ///
-    /// Panics if a requested interval is below any backend's minimum, or if
-    /// no backends are given — both programming errors in the caller.
+    /// # Panics
+    ///
+    /// If no backends are given, if a requested interval is below any
+    /// backend's minimum, or if the effective interval is zero (`interval
+    /// must be positive`: a backend with a zero minimum and `interval:
+    /// None`) — all programming errors in the caller.
     pub fn initialize(
         rank: u32,
         backends: Vec<Box<dyn EnvBackend>>,
@@ -223,15 +216,9 @@ impl MonEq {
                 .max()
                 .expect("non-empty backends"),
         };
+        // A zero interval would fire forever at one instant.
+        assert!(!interval.is_zero(), "polling interval must be positive");
         let init_cost = init_time(config.total_agents.max(1));
-        config.sampling.validate(interval);
-        // The anchor is the historical first-fire time; the policy places
-        // the actual first poll relative to it (Aligned: exactly on it,
-        // via the same `now + init_cost + interval` arithmetic).
-        let sampling_anchor = now + init_cost + interval;
-        let first = config
-            .sampling
-            .first_fire(sampling_anchor, interval, u64::from(rank));
         let telemetry =
             SessionTelemetry::new(config.telemetry, slots.iter().map(|s| s.backend.name()));
         MonEq {
@@ -247,13 +234,12 @@ impl MonEq {
             scratch_fresh: Vec::new(),
             tags: Vec::new(),
             dropped: 0,
-            next_fire: first,
+            next_fire: now + init_cost + interval,
             started_at: now,
             init_cost,
             collection_cost: SimDuration::ZERO,
             fault_recovery: SimDuration::ZERO,
             polls: 0,
-            sampling_anchor,
             shared_cache: None,
             control: None,
             interval,
@@ -337,8 +323,8 @@ impl MonEq {
     /// Drive the timer up to `until` (the application calls this as virtual
     /// time passes; each fire polls every backend and charges its cost).
     pub fn run_until(&mut self, until: SimTime) {
-        // A deadline exactly at `until` fires. `next_fire` always advances
-        // (policies fire strictly later), so the loop terminates.
+        // A deadline exactly at `until` fires. The interval is positive,
+        // so `next_fire` always advances and the loop terminates.
         while self.next_fire <= until {
             let t = self.next_fire;
             let new_from = self.data.len();
@@ -354,16 +340,7 @@ impl MonEq {
                 hook.after_poll(t, &self.data, new_from);
             }
             self.polls += 1;
-            // `polls` is the index of the poll being scheduled; Aligned
-            // reduces to the historical `t + interval`.
-            let next = self.config.sampling.next_fire(
-                self.sampling_anchor,
-                self.interval,
-                t,
-                self.polls,
-                u64::from(self.rank),
-            );
-            self.next_fire = next;
+            self.next_fire = t + self.interval;
         }
     }
 
@@ -747,6 +724,43 @@ mod tests {
         assert_eq!(result.file.points.len(), r);
         assert!(result.file.points.iter().any(|p| p.device == "dev1"));
         assert_eq!(result.overhead.polls as usize * 2, r);
+    }
+
+    #[test]
+    fn polls_land_exactly_on_the_interval_grid() {
+        let now = SimTime::from_secs(7);
+        let interval = SimDuration::from_millis(100);
+        let mut s = MonEq::initialize(
+            0,
+            vec![fake(100, 10, 1)],
+            MonEqConfig {
+                interval: Some(interval),
+                ..MonEqConfig::default()
+            },
+            now,
+        );
+        let end = SimTime::from_secs(9);
+        s.run_until(end);
+        let result = s.finalize(end);
+        let stamps: Vec<SimTime> = result.file.points.iter().map(|p| p.timestamp).collect();
+        let first = now + result.overhead.init + interval;
+        let expect: Vec<SimTime> = (0u64..)
+            .map(|k| first + SimDuration::from_nanos(k * interval.as_nanos()))
+            .take_while(|&t| t <= end)
+            .collect();
+        assert!(expect.len() >= 19, "{} polls", expect.len());
+        assert_eq!(stamps, expect);
+    }
+
+    #[test]
+    #[should_panic(expected = "interval must be positive")]
+    fn zero_interval_from_a_zero_minimum_backend_panics() {
+        MonEq::initialize(
+            0,
+            vec![fake(0, 10, 1)],
+            MonEqConfig::default(),
+            SimTime::ZERO,
+        );
     }
 
     #[test]

@@ -42,7 +42,6 @@
 pub mod control;
 pub mod fault;
 pub mod rng;
-pub mod sampling;
 pub mod series;
 pub mod stats;
 pub mod store;
@@ -53,7 +52,6 @@ pub mod wire;
 pub use control::{CadenceGate, ControlRow, ControlTrace, Hysteresis, PiController};
 pub use fault::{FaultOutcome, FaultPlan, FaultProcess, FaultSpec};
 pub use rng::{DetRng, NoiseStream};
-pub use sampling::SamplingPolicy;
 pub use series::{Sample, TimeSeries};
 pub use stats::{welch_t_test, BoxplotSummary, Histogram, RunningStats, WelchResult};
 pub use store::{

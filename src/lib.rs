@@ -75,7 +75,7 @@ pub mod prelude {
     };
     pub use simkit::wire::LinkSpec;
     pub use simkit::{
-        CadenceGate, ControlTrace, FaultPlan, FaultSpec, Hysteresis, PiController, SamplingPolicy,
-        SimDuration, SimTime, TimeSeries,
+        CadenceGate, ControlTrace, FaultPlan, FaultSpec, Hysteresis, PiController, SimDuration,
+        SimTime, TimeSeries,
     };
 }

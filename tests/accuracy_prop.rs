@@ -1,14 +1,11 @@
 //! Property tests for the accuracy subsystem: the decomposition closes
-//! exactly, constant on-grid workloads measure clean, the sampling knob
-//! is invisible when off, and the parallel harness is bitwise equal to
-//! the serial one.
+//! exactly at any poll phase, and constant on-grid workloads measure
+//! clean.
 
 use envmon::prelude::*;
 use envmon_accuracy::{ErrorReport, MechanismProbe, NvmlProbe, RaplProbe, SmcProbe};
 use hpc_workloads::SquareWave;
 use proptest::prelude::*;
-use simkit::SamplingPolicy;
-use std::sync::Arc;
 
 /// A short burst-wave profile (cheap enough per proptest case).
 fn wave_profile(secs: u64) -> WorkloadProfile {
@@ -34,33 +31,21 @@ fn flat_profile(secs: u64) -> WorkloadProfile {
     p
 }
 
-fn policy_from(choice: u8, seed: u64, interval: SimDuration) -> SamplingPolicy {
-    match choice % 4 {
-        0 => SamplingPolicy::Aligned,
-        1 => SamplingPolicy::FixedOffset(SimDuration::from_nanos(interval.as_nanos() / 3)),
-        2 => SamplingPolicy::Jittered {
-            amplitude: SimDuration::from_nanos(interval.as_nanos() / 3),
-            seed,
-        },
-        _ => SamplingPolicy::Poisson { seed },
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::scaled(10))]
 
-    /// Whatever the schedule, the five components sum bit-for-bit to the
-    /// total error — for both an energy-counter probe and a windowed-mean
-    /// probe.
+    /// Wherever the poll grid falls relative to the mechanism's update
+    /// grid, the five components sum bit-for-bit to the total error — for
+    /// both an energy-counter probe and a windowed-mean probe.
     #[test]
-    fn decomposition_closes_under_any_schedule(
+    fn decomposition_closes_at_any_phase(
         seed in 0u64..1_000,
-        choice in 0u8..4,
         interval_ms in 60u64..200,
-        stream in 0u64..8,
+        phase_ns in 0u64..200_000_000,
     ) {
         let interval = SimDuration::from_millis(interval_ms);
-        let policy = policy_from(choice, seed, interval);
+        let anchor =
+            SimTime::from_secs(5) + SimDuration::from_nanos(phase_ns % interval.as_nanos());
         let profile = wave_profile(40);
         let horizon = SimTime::from_secs(40);
         let probes: [Box<dyn MechanismProbe>; 2] = [
@@ -68,79 +53,16 @@ proptest! {
             Box::new(SmcProbe::new(&profile, seed, horizon)),
         ];
         for probe in &probes {
-            let r = ErrorReport::measure(
-                probe.as_ref(),
-                policy,
-                SimTime::from_secs(5),
-                interval,
-                SimTime::from_secs(35),
-                stream,
-            );
+            let r = ErrorReport::measure(probe.as_ref(), anchor, interval, SimTime::from_secs(35));
             prop_assert_eq!(
                 r.decomposition.total(),
                 r.total_error_j(),
-                "{} under {:?}",
+                "{} from {}",
                 r.mechanism,
-                policy
+                anchor
             );
             prop_assert!(r.cadence_abs_j >= r.decomposition.cadence_j.abs());
         }
-    }
-
-    /// The stage fan-out is a pure wall-clock optimization: any thread
-    /// count reproduces the serial report bit-for-bit.
-    #[test]
-    fn parallel_reports_equal_serial(
-        seed in 0u64..1_000,
-        threads in 2usize..9,
-        choice in 0u8..4,
-    ) {
-        let interval = SimDuration::from_millis(110);
-        let policy = policy_from(choice, seed, interval);
-        let profile = wave_profile(40);
-        let probe = SmcProbe::new(&profile, seed, SimTime::from_secs(40));
-        let (anchor, horizon) = (SimTime::from_secs(5), SimTime::from_secs(35));
-        let serial = ErrorReport::measure(&probe, policy, anchor, interval, horizon, 0);
-        let parallel = ErrorReport::measure_parallel(
-            &probe, policy, anchor, interval, horizon, 0, threads,
-        );
-        prop_assert_eq!(serial, parallel);
-    }
-
-    /// The sampling knob is invisible when off: the default config, the
-    /// explicit Aligned policy, and the degenerate parameterizations all
-    /// render byte-identical session output.
-    #[test]
-    fn sampling_layer_off_is_byte_identical(
-        seed in 0u64..1_000,
-        secs in 10u64..30,
-    ) {
-        let run = |sampling: SamplingPolicy| {
-            let socket = Arc::new(SocketModel::new(
-                SocketSpec::default(),
-                &GaussianElimination::figure3().profile(),
-            ));
-            let backend = RaplBackend::new(socket, MsrAccess::root(), seed).unwrap();
-            let mut s = MonEq::initialize(
-                0,
-                vec![Box::new(backend)],
-                MonEqConfig { sampling, ..MonEqConfig::default() },
-                SimTime::ZERO,
-            );
-            let end = SimTime::from_secs(secs);
-            s.run_until(end);
-            s.finalize(end).file.render()
-        };
-        let baseline = run(SamplingPolicy::default());
-        prop_assert_eq!(&baseline, &run(SamplingPolicy::Aligned));
-        prop_assert_eq!(&baseline, &run(SamplingPolicy::FixedOffset(SimDuration::ZERO)));
-        prop_assert_eq!(
-            &baseline,
-            &run(SamplingPolicy::Jittered { amplitude: SimDuration::ZERO, seed })
-        );
-        // And a real offset is NOT invisible: polls land elsewhere.
-        let shifted = run(SamplingPolicy::FixedOffset(SimDuration::from_millis(17)));
-        prop_assert_ne!(&baseline, &shifted);
     }
 }
 
@@ -156,28 +78,14 @@ fn constant_workload_on_grid_measures_clean() {
 
     // NVML: 120 ms polls on the 60 ms register grid.
     let nvml = NvmlProbe::new(&profile, 11, horizon);
-    let r = ErrorReport::measure(
-        &nvml,
-        SamplingPolicy::Aligned,
-        anchor,
-        SimDuration::from_millis(120),
-        end,
-        0,
-    );
+    let r = ErrorReport::measure(&nvml, anchor, SimDuration::from_millis(120), end);
     assert_eq!(r.decomposition.cadence_j, 0.0, "nvml cadence");
     assert_eq!(r.cadence_abs_j, 0.0, "nvml |cadence|");
     assert!(r.relative_error() < 1e-2, "nvml {}", r.relative_error());
 
     // SMC: 100 ms polls on the 50 ms window grid.
     let smc = SmcProbe::new(&profile, 11, horizon);
-    let r = ErrorReport::measure(
-        &smc,
-        SamplingPolicy::Aligned,
-        anchor,
-        SimDuration::from_millis(100),
-        end,
-        0,
-    );
+    let r = ErrorReport::measure(&smc, anchor, SimDuration::from_millis(100), end);
     assert_eq!(r.decomposition.cadence_j, 0.0, "smc cadence");
     assert_eq!(r.cadence_abs_j, 0.0, "smc |cadence|");
     assert!(r.relative_error() < 1e-2, "smc {}", r.relative_error());
@@ -186,14 +94,7 @@ fn constant_workload_on_grid_measures_clean() {
     // never exactly on the poll, but a settled constant signal makes the
     // staleness worthless — fp dust relative to the window energy.
     let rapl = RaplProbe::new(&profile, 11);
-    let r = ErrorReport::measure(
-        &rapl,
-        SamplingPolicy::Aligned,
-        anchor,
-        SimDuration::from_millis(100),
-        end,
-        0,
-    );
+    let r = ErrorReport::measure(&rapl, anchor, SimDuration::from_millis(100), end);
     assert!(
         r.decomposition.cadence_j.abs() <= 1e-6 * r.true_energy_j,
         "rapl cadence {}",
@@ -206,57 +107,10 @@ fn constant_workload_on_grid_measures_clean() {
     );
 
     let emon = envmon_accuracy::EmonProbe::new(&profile, 11);
-    let r = ErrorReport::measure(
-        &emon,
-        SamplingPolicy::Aligned,
-        anchor,
-        SimDuration::from_millis(560),
-        end,
-        0,
-    );
+    let r = ErrorReport::measure(&emon, anchor, SimDuration::from_millis(560), end);
     assert!(
         r.decomposition.cadence_j.abs() <= 1e-6 * r.true_energy_j,
         "emon cadence {}",
         r.decomposition.cadence_j
     );
-}
-
-/// The knob reaches the session scheduler: a jittered policy actually
-/// moves poll timestamps (while keeping the poll count on the nominal
-/// grid's pace).
-#[test]
-fn jittered_sessions_poll_off_grid() {
-    let run = |sampling: SamplingPolicy| {
-        let socket = Arc::new(SocketModel::new(
-            SocketSpec::default(),
-            &GaussianElimination::figure3().profile(),
-        ));
-        let backend = RaplBackend::new(socket, MsrAccess::root(), 3).unwrap();
-        let mut s = MonEq::initialize(
-            0,
-            vec![Box::new(backend)],
-            MonEqConfig {
-                sampling,
-                ..MonEqConfig::default()
-            },
-            SimTime::ZERO,
-        );
-        let end = SimTime::from_secs(20);
-        s.run_until(end);
-        s.finalize(end).file
-    };
-    let aligned = run(SamplingPolicy::Aligned);
-    let jittered = run(SamplingPolicy::Jittered {
-        amplitude: SimDuration::from_millis(15),
-        seed: 9,
-    });
-    let stamps = |f: &moneq::OutputFile| {
-        let mut t: Vec<_> = f.points.iter().map(|p| p.timestamp).collect();
-        t.dedup();
-        t
-    };
-    let (a, j) = (stamps(&aligned), stamps(&jittered));
-    assert_ne!(a, j, "jitter moved no poll");
-    let diff = a.len().abs_diff(j.len());
-    assert!(diff <= 1, "poll pace drifted: {} vs {}", a.len(), j.len());
 }

@@ -3,9 +3,8 @@
 //!
 //! The output format is the library's public contract (§III's "common
 //! format for output data"), and half the repo's guarantees are phrased
-//! as "byte-identical output files" — the collection plan, the telemetry
-//! layer, the sampling policy all promise not to move a byte on the
-//! default path. This suite pins the bytes themselves: any change to
+//! as "byte-identical output files" — the collection plan and the
+//! telemetry layer both promise not to move a byte on the default path. This suite pins the bytes themselves: any change to
 //! sensor arithmetic, noise draws, scheduling, or rendering shows up as
 //! a readable first-difference diff against the files under
 //! `tests/golden/`.

@@ -31,30 +31,35 @@ fn check(name: &str, actual: &str) {
     );
 }
 
+/// Replication 0 of catalog scenario `key` on the default schedule.
+fn rep0(key: &str) -> envmon_scenarios::Replication {
+    run_replication(key, 0, replication_seed(key, 0, DEFAULT_SEED)).expect("catalog key")
+}
+
 #[test]
 fn exp1_replication0_matches_golden() {
-    let r = run_replication("exp1", 0, replication_seed("exp1", 0, DEFAULT_SEED));
+    let r = rep0("exp1");
     assert!(r.passed(), "{:?}", r.invariants);
     check("exp1", &r.artifact());
 }
 
 #[test]
 fn exp2_replication0_matches_golden() {
-    let r = run_replication("exp2", 0, replication_seed("exp2", 0, DEFAULT_SEED));
+    let r = rep0("exp2");
     assert!(r.passed(), "{:?}", r.invariants);
     check("exp2", &r.artifact());
 }
 
 #[test]
 fn exp3_replication0_matches_golden() {
-    let r = run_replication("exp3", 0, replication_seed("exp3", 0, DEFAULT_SEED));
+    let r = rep0("exp3");
     assert!(r.passed(), "{:?}", r.invariants);
     check("exp3", &r.artifact());
 }
 
 #[test]
 fn exp4_replication0_matches_golden() {
-    let r = run_replication("exp4", 0, replication_seed("exp4", 0, DEFAULT_SEED));
+    let r = rep0("exp4");
     assert!(r.passed(), "{:?}", r.invariants);
     check("exp4", &r.artifact());
 }

@@ -18,7 +18,7 @@
 
 use envmon::prelude::*;
 use envmon_bench::{replication_seed, DEFAULT_SEED};
-use envmon_scenarios::{exp1, exp2, exp3, run_replication, Exp1Config, Exp2Config, Exp3Config};
+use envmon_scenarios::{exp1, exp2, exp3, Exp1Config, Exp2Config, Exp3Config, CATALOG};
 use moneq::ClusterRun;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -34,19 +34,19 @@ fn exp1_quick() -> Exp1Config {
 
 #[test]
 fn same_seed_replications_are_byte_identical() {
-    for spec in envmon_analysis::scenarios::CATALOG {
+    for spec in CATALOG {
         let seed = replication_seed(spec.key, 0, DEFAULT_SEED);
-        let a = run_replication(spec.key, 0, seed);
-        let b = run_replication(spec.key, 0, seed);
+        let a = (spec.run)(0, seed);
+        let b = (spec.run)(0, seed);
         assert_eq!(a.artifact(), b.artifact(), "{} drifted", spec.key);
     }
 }
 
 #[test]
 fn catalog_schedule_replications_pass_invariants() {
-    for spec in envmon_analysis::scenarios::CATALOG {
+    for spec in CATALOG {
         let seed = replication_seed(spec.key, 0, DEFAULT_SEED);
-        let r = run_replication(spec.key, 0, seed);
+        let r = (spec.run)(0, seed);
         assert!(
             r.passed(),
             "{} rep0 failed: {:?}",
