@@ -94,7 +94,9 @@ stage "cargo clippy --workspace --exclude proptest --lib -- -D clippy::unwrap_us
 # Every integration-test target (tests/*.rs, crates/*/tests/*.rs) must also
 # run in some stage: a `cargo test` command in this script names it with
 # `--test <target>` and, outside the facade crate, with `-p <crate>` in the
-# same command. A target no stage names compiles under clippy but never runs.
+# same command; a facade target counts only in a command with no `-p`, which
+# is the only kind that runs the facade's own targets. A target no stage
+# names compiles under clippy but never runs.
 workspace_coverage() {
     local vendored='proptest'
     local metadata members crate ok=0 cmds targets pkg name in_crates hits
@@ -127,6 +129,8 @@ workspace_coverage() {
         hits="$(grep -E -- "--test $name([^[:alnum:]_-]|$)" <<<"$cmds" || true)"
         if [[ "$in_crates" == true ]]; then
             hits="$(grep -E -- "-p $pkg([^[:alnum:]_-]|$)" <<<"$hits" || true)"
+        else
+            hits="$(grep -vE -- "(^|[[:space:]])-p[[:space:]]" <<<"$hits" || true)"
         fi
         if [[ -z "$hits" ]]; then
             echo "    $pkg: test target $name runs in no stage" >&2

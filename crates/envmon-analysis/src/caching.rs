@@ -15,8 +15,8 @@
 //!
 //! The ablation also *verifies* the plan's safety property on every row:
 //! the output files of the naive and the cached run must be byte-identical
-//! (sensors are deterministic functions of grid time, so distribution
-//! changes cost, never data).
+//! (every rank still reads for itself and sensors are deterministic
+//! functions of grid time, so the plan changes cost, never data).
 
 use crate::registry::{mechanisms, Mechanism};
 use moneq::{CacheStats, ClusterResult, ClusterRun, CollectionPlan, EnvBackend};

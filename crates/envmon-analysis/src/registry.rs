@@ -304,10 +304,6 @@ mod tests {
             assert_eq!(b.name(), m.name, "registry name drifted");
             let f = m.faulted(&FaultPlan::uniform(7, 0.05));
             assert_eq!(f.name(), m.name);
-            assert!(!f.replayable(), "{} faulted build has no gate", m.name);
-            // Clean builds replay — except RAPL, whose served power is a
-            // delta against its own previous snapshot.
-            assert_eq!(b.replayable(), m.name != "rapl-msr", "{}", m.name);
         }
     }
 

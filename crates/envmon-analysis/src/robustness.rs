@@ -22,8 +22,8 @@
 //! polls in a row even so.
 
 use crate::registry::mechanisms;
-use moneq::{Completeness, MonEq, MonEqConfig, OverheadReport};
-use simkit::{FaultPlan, SimTime};
+use moneq::{Completeness, FinalizeResult, MonEq, MonEqConfig, OverheadReport, RetryPolicy};
+use simkit::{FaultPlan, SimDuration, SimTime};
 
 /// One mechanism's showing under the common fault plan.
 #[derive(Clone, Debug)]
@@ -51,6 +51,36 @@ pub struct RobustnessTable {
 /// The virtual span every faulted session profiles.
 const HORIZON: SimTime = SimTime::from_secs(120);
 
+/// Each registry mechanism profiled for 120 virtual seconds at its own
+/// default interval under `FaultPlan::uniform(seed, rate)`, with telemetry
+/// on (it never changes outputs) and `disable_after` raised to 64: the
+/// mechanism's name, its clean per-poll cost and the finalized session.
+/// The robustness and telemetry tables both read these runs.
+/// Deterministic in `(seed, rate)`.
+pub(crate) fn faulted_sessions(
+    seed: u64,
+    rate: f64,
+) -> Vec<(&'static str, SimDuration, FinalizeResult)> {
+    let plan = FaultPlan::uniform(seed, rate);
+    mechanisms(seed, HORIZON)
+        .into_iter()
+        .map(|m| {
+            let b = m.faulted(&plan);
+            let poll_cost = b.poll_cost();
+            let config = MonEqConfig {
+                telemetry: true,
+                retry: RetryPolicy {
+                    disable_after: 64,
+                    ..RetryPolicy::default()
+                },
+                ..MonEqConfig::default()
+            };
+            let session = MonEq::initialize(0, vec![b], config, SimTime::ZERO);
+            (m.name, poll_cost, session.finalize(HORIZON))
+        })
+        .collect()
+}
+
 /// Run the robustness experiment at the default 5% per-class rate.
 pub fn robustness(seed: u64) -> RobustnessTable {
     robustness_at(seed, 0.05)
@@ -60,27 +90,13 @@ pub fn robustness(seed: u64) -> RobustnessTable {
 /// seconds at its own default interval, under `FaultPlan::uniform(seed,
 /// rate)`. Deterministic in `(seed, rate)`.
 pub fn robustness_at(seed: u64, rate: f64) -> RobustnessTable {
-    let plan = FaultPlan::uniform(seed, rate);
-    let rows = mechanisms(seed, HORIZON)
+    let rows = faulted_sessions(seed, rate)
         .into_iter()
-        .map(|m| {
-            let b = m.faulted(&plan);
-            let name = b.name().to_owned();
-            let config = MonEqConfig {
-                retry: moneq::RetryPolicy {
-                    disable_after: 64,
-                    ..Default::default()
-                },
-                ..MonEqConfig::default()
-            };
-            let session = MonEq::initialize(0, vec![b], config, SimTime::ZERO);
-            let result = session.finalize(HORIZON);
-            RobustnessRow {
-                mechanism: name,
-                completeness: result.completeness.into_iter().next().expect("one backend"),
-                overhead: result.overhead,
-                records: result.file.points.len(),
-            }
+        .map(|(name, _, result)| RobustnessRow {
+            mechanism: name.to_owned(),
+            completeness: result.completeness.into_iter().next().expect("one backend"),
+            overhead: result.overhead,
+            records: result.file.points.len(),
         })
         .collect();
     RobustnessTable { rate, rows }

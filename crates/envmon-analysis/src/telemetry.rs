@@ -14,9 +14,8 @@
 //! the table is deterministic in `(seed, rate)` and identical however the
 //! sessions are scheduled.
 
-use crate::registry::mechanisms;
-use moneq::{MonEq, MonEqConfig, RetryPolicy};
-use simkit::{FaultPlan, SimDuration, SimTime, TelemetryReport};
+use crate::robustness::faulted_sessions;
+use simkit::{SimDuration, TelemetryReport};
 
 /// One mechanism's query-latency distribution.
 #[derive(Clone, Debug)]
@@ -48,9 +47,6 @@ pub struct TelemetryTable {
     pub merged: TelemetryReport,
 }
 
-/// The virtual span every session profiles (matches the robustness table).
-const HORIZON: SimTime = SimTime::from_secs(120);
-
 /// Run the telemetry experiment at the default 5% per-class rate.
 pub fn telemetry(seed: u64) -> TelemetryTable {
     telemetry_at(seed, 0.05)
@@ -60,28 +56,12 @@ pub fn telemetry(seed: u64) -> TelemetryTable {
 /// seconds at its own default interval with telemetry enabled, under
 /// `FaultPlan::uniform(seed, rate)`. Deterministic in `(seed, rate)`.
 pub fn telemetry_at(seed: u64, rate: f64) -> TelemetryTable {
-    let plan = FaultPlan::uniform(seed, rate);
-    let rows: Vec<TelemetryRow> = mechanisms(seed, HORIZON)
+    let rows: Vec<TelemetryRow> = faulted_sessions(seed, rate)
         .into_iter()
-        .map(|m| {
-            let b = m.faulted(&plan);
-            let name = b.name().to_owned();
-            let paper_cost = b.poll_cost();
-            let config = MonEqConfig {
-                telemetry: true,
-                retry: RetryPolicy {
-                    disable_after: 64,
-                    ..RetryPolicy::default()
-                },
-                ..MonEqConfig::default()
-            };
-            let session = MonEq::initialize(0, vec![b], config, SimTime::ZERO);
-            let result = session.finalize(HORIZON);
-            TelemetryRow {
-                mechanism: name,
-                paper_cost,
-                report: result.telemetry.report(),
-            }
+        .map(|(name, paper_cost, result)| TelemetryRow {
+            mechanism: name.to_owned(),
+            paper_cost,
+            report: result.telemetry.report(),
         })
         .collect();
     let mut merged = TelemetryReport::default();

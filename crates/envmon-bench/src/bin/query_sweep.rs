@@ -12,18 +12,25 @@
 //! 3. **rollup exactness** — every series' tier aggregates equal the raw
 //!    fold bit for bit over the whole served window (`exact`).
 //!
-//! Wall-clock numbers are recorded for trend reading; the *invariants*
-//! (`exact`, `coherent`) are what `bench_check` gates, because they must
-//! hold at any speed on any machine.
+//! Each leg runs from a fresh launch `reps` times (5, or 3 with
+//! `--quick`; the count is in the file's head). Every wall-clock column
+//! (`ingest_ms`, `ingest_rps`, `qps`, `live_queries`, `live_qps`) is the
+//! median over the repetitions, with its quartiles as `_q1` and `_q3`: one
+//! batch swings too much between runs to read a trend from. The
+//! *invariants* (`exact`, `coherent`), checked on every repetition, are
+//! what `bench_check` gates, because they must hold at any speed on any
+//! machine.
 //!
 //! ```text
 //! query_sweep [--seed N] [--out FILE] [--quick]
 //! ```
 
+use envmon_analysis::serving::store_exact;
 use envmon_bench::bench_file::{BenchFile, Fields};
 use envmon_bench::DEFAULT_SEED;
 use envmon_serve::{clients, ClientWorkload, Daemon, ServeConfig};
 use moneq::ClusterRun;
+use simkit::stats::quantile;
 use simkit::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -45,33 +52,6 @@ fn launch(seed: u64, agents: usize, virtual_secs: u64) -> Daemon {
     )
     .with_par_agents(moneq::host_cpus());
     Daemon::new(run, SimTime::ZERO, ServeConfig::default())
-}
-
-/// Rollup exactness, every series and tier. The reference fold reads the
-/// raw ring, so when a long live phase has evicted raw samples the window
-/// starts at the first coarsest-tier boundary fully covered by retained
-/// raw data; with no eviction it is the whole served window.
-fn store_exact(daemon: &Daemon) -> bool {
-    let store = daemon.store();
-    let now = daemon.now();
-    store.ids().all(|id| {
-        let d = store.get(id);
-        let from = if d.raw_evicted() == 0 {
-            SimTime::ZERO
-        } else {
-            let coarsest = (0..d.tier_count())
-                .map(|t| d.tier_width(t))
-                .max()
-                .unwrap_or(SimDuration::from_secs(60));
-            match d.raw_range(SimTime::ZERO, now).next() {
-                Some(oldest) => oldest.at.grid_floor(SimTime::ZERO, coarsest) + coarsest,
-                None => return true,
-            }
-        };
-        (0..d.tier_count()).all(|tier| {
-            d.aggregate(tier, from, now) == d.aggregate_raw(d.tier_width(tier), from, now)
-        })
-    })
 }
 
 /// Queries concurrent with ingest: reader threads hammer the front while
@@ -115,6 +95,65 @@ fn live_phase(
     (answered.load(Ordering::Relaxed), t0.elapsed().as_secs_f64())
 }
 
+/// What one repetition of a leg measured.
+struct Rep {
+    records: u64,
+    series: usize,
+    ingest_ms: f64,
+    ingest_rps: f64,
+    queries: u64,
+    qps: f64,
+    live_queries: u64,
+    live_qps: f64,
+    exact: bool,
+    coherent: bool,
+}
+
+/// One repetition of a leg from a fresh launch: ingest `virtual_secs`,
+/// time a quiesced threaded batch against its serial referee, run the
+/// live phase, then check rollup exactness.
+fn rep(seed: u64, agents: usize, virtual_secs: u64, n_clients: usize, quick: bool) -> Rep {
+    let per_client = if quick { 128 } else { 512 };
+    let live_secs = if quick { 1 } else { 2 };
+    let mut daemon = launch(seed, agents, virtual_secs);
+    let t0 = Instant::now();
+    let records = daemon.run_for(SimDuration::from_secs(virtual_secs));
+    let ingest_ms = t0.elapsed().as_secs_f64() * 1e3;
+
+    // Quiesced batch: the byte-identity referee plus the qps number.
+    let w = ClientWorkload::clean(n_clients, per_client, seed);
+    let serial = clients::run_serial(&daemon.front(), &w);
+    let t1 = Instant::now();
+    let threaded = clients::run_threaded(&daemon.front(), &w);
+    let wall = t1.elapsed().as_secs_f64();
+    let queries: u64 = threaded.iter().map(|r| r.answered).sum();
+    let coherent = clients::fold_reports(&serial) == clients::fold_reports(&threaded);
+
+    // Live: queries concurrent with ingest.
+    let min_wall = std::time::Duration::from_millis(if quick { 50 } else { 200 });
+    let (live_queries, live_wall) = live_phase(&mut daemon, n_clients, seed, live_secs, min_wall);
+
+    Rep {
+        records,
+        series: daemon.store().len(),
+        ingest_ms,
+        ingest_rps: records as f64 / (ingest_ms / 1e3).max(1e-9),
+        queries,
+        qps: queries as f64 / wall.max(1e-9),
+        live_queries,
+        live_qps: live_queries as f64 / live_wall.max(1e-9),
+        exact: store_exact(&daemon),
+        coherent,
+    }
+}
+
+/// `key` as the median of `xs`, then its quartiles as `q1` and `q3`.
+fn spread(row: Fields, [key, q1, q3]: [&'static str; 3], xs: &[f64], decimals: usize) -> Fields {
+    row.fixed(key, quantile(xs, 0.5), decimals)
+        .fixed(q1, quantile(xs, 0.25), decimals)
+        .fixed(q3, quantile(xs, 0.75), decimals)
+}
+
 fn main() {
     let mut seed = DEFAULT_SEED;
     let mut out = std::path::PathBuf::from("BENCH_query.json");
@@ -137,67 +176,73 @@ fn main() {
         &[(32, 8), (128, 8), (512, 4)]
     };
     let n_clients = 4;
-    let per_client = if quick { 128 } else { 512 };
-    let live_secs = if quick { 1 } else { 2 };
+    let reps = if quick { 3 } else { 5 };
 
     let mut rows = Vec::new();
     for &(agents, virtual_secs) in sweep {
-        let mut daemon = launch(seed, agents, virtual_secs);
-        let t0 = Instant::now();
-        let records = daemon.run_for(SimDuration::from_secs(virtual_secs));
-        let ingest_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        // Quiesced batch: the byte-identity referee plus the qps number.
-        let w = ClientWorkload::clean(n_clients, per_client, seed);
-        let serial = clients::run_serial(&daemon.front(), &w);
-        let t1 = Instant::now();
-        let threaded = clients::run_threaded(&daemon.front(), &w);
-        let wall = t1.elapsed().as_secs_f64();
-        let queries: u64 = threaded.iter().map(|r| r.answered).sum();
-        let coherent = clients::fold_reports(&serial) == clients::fold_reports(&threaded);
+        let runs: Vec<Rep> = (0..reps)
+            .map(|_| rep(seed, agents, virtual_secs, n_clients, quick))
+            .collect();
+        let exact = runs.iter().all(|r| r.exact);
+        let coherent = runs.iter().all(|r| r.coherent);
         assert!(
             coherent,
             "threaded clients diverged from serial at {agents} agents"
         );
-
-        // Live: queries concurrent with ingest.
-        let min_wall = std::time::Duration::from_millis(if quick { 50 } else { 200 });
-        let (live_queries, live_wall) =
-            live_phase(&mut daemon, n_clients, seed, live_secs, min_wall);
-
-        let exact = store_exact(&daemon);
         assert!(exact, "rollup exactness violated at {agents} agents");
-        let qps = queries as f64 / wall.max(1e-9);
-        let live_qps = live_queries as f64 / live_wall.max(1e-9);
-        let ingest_rps = records as f64 / (ingest_ms / 1e3).max(1e-9);
+        let col = |f: fn(&Rep) -> f64| runs.iter().map(f).collect::<Vec<f64>>();
+        let ingest_ms = col(|r| r.ingest_ms);
+        let qps = col(|r| r.qps);
+        let live_qps = col(|r| r.live_qps);
+        let first = &runs[0];
         eprintln!(
-            "agents {agents:>4}  ingest {records:>7} rec in {ingest_ms:>7.1} ms  \
-             quiesced {qps:>9.0} q/s  live {live_qps:>9.0} q/s"
+            "agents {agents:>4}  ingest {:>7} rec in {:>7.1} ms  quiesced {:>9.0} q/s  \
+             live {:>9.0} q/s  (medians of {reps})",
+            first.records,
+            quantile(&ingest_ms, 0.5),
+            quantile(&qps, 0.5),
+            quantile(&live_qps, 0.5),
         );
-        rows.push(
-            Fields::default()
-                .num("agents", agents)
-                .num("virtual_secs", virtual_secs)
-                .num("records", records)
-                .num("series", daemon.store().len())
-                .fixed("ingest_ms", ingest_ms, 1)
-                .fixed("ingest_rps", ingest_rps, 0)
-                .num("clients", n_clients)
-                .num("queries", queries)
-                .fixed("qps", qps, 0)
-                .num("live_queries", live_queries)
-                .fixed("live_qps", live_qps, 0)
-                .flag("exact", exact)
-                .flag("coherent", coherent)
-                .line(),
+        let mut row = Fields::default()
+            .num("agents", agents)
+            .num("virtual_secs", virtual_secs)
+            .num("records", first.records)
+            .num("series", first.series);
+        row = spread(
+            row,
+            ["ingest_ms", "ingest_ms_q1", "ingest_ms_q3"],
+            &ingest_ms,
+            1,
         );
+        row = spread(
+            row,
+            ["ingest_rps", "ingest_rps_q1", "ingest_rps_q3"],
+            &col(|r| r.ingest_rps),
+            0,
+        );
+        row = row.num("clients", n_clients).num("queries", first.queries);
+        row = spread(row, ["qps", "qps_q1", "qps_q3"], &qps, 0);
+        row = spread(
+            row,
+            ["live_queries", "live_queries_q1", "live_queries_q3"],
+            &col(|r| r.live_queries as f64),
+            0,
+        );
+        row = spread(
+            row,
+            ["live_qps", "live_qps_q1", "live_qps_q3"],
+            &live_qps,
+            0,
+        );
+        rows.push(row.flag("exact", exact).flag("coherent", coherent).line());
     }
 
     BenchFile {
         head: Fields::default()
             .text("bench", "query_sweep")
             .num("seed", seed)
-            .num("host_cpus", moneq::host_cpus()),
+            .num("host_cpus", moneq::host_cpus())
+            .num("reps", reps),
         rows_key: "sweeps",
         rows,
         tail: Fields::default(),

@@ -5,7 +5,7 @@
 //! monitoring ranks each. All eight agents poll EMON; a
 //! [`moneq::CollectionPlan`] groups each card's four ranks into one
 //! sharing domain, so per generation one leader pays the EMON access-path
-//! cost and three followers receive the replayed generation for free.
+//! cost and three followers read the same generation at no charge.
 //!
 //! The contention story is the paper's: EMON data is *per node card*, so
 //! co-resident tenants read the same registers — the plan changes who

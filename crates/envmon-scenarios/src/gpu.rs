@@ -73,9 +73,6 @@ impl EnvBackend for LiveGpuBackend {
         SimDuration::from_millis(60)
     }
 
-    // `replayable` stays `false`: the served value depends on the plant's
-    // throttle history, not just the query instant.
-
     fn records_per_poll(&self) -> usize {
         1
     }

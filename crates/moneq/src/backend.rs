@@ -138,11 +138,6 @@ pub struct GateStats {
 }
 
 impl GateStats {
-    /// `true` when the gate never decided anything.
-    pub fn is_empty(&self) -> bool {
-        *self == GateStats::default()
-    }
-
     /// The counters as `(kind, count)` pairs, for folding into telemetry.
     pub fn kinds(&self) -> [(&'static str, u64); 7] {
         [
@@ -204,10 +199,13 @@ impl FaultGate {
         self.process.is_some()
     }
 
-    /// The gate's per-fault-kind decision counters so far. All zero for an
-    /// inactive gate.
-    pub fn stats(&self) -> GateStats {
-        self.stats
+    /// The gate's per-fault-kind decision counters so far, or `None` for
+    /// an inactive gate. An inactive gate never touches its counters;
+    /// reporting `None` instead of an all-zero ledger lets finalize skip
+    /// the per-kind fold entirely on the (default) fault-free path, with
+    /// byte-for-byte identical output either way.
+    pub fn stats(&self) -> Option<GateStats> {
+        self.is_active().then_some(self.stats)
     }
 
     /// Admit or fail one read attempt at `t`. Consecutive calls at the
@@ -357,16 +355,7 @@ pub trait EnvBackend: Send {
         self.min_interval()
     }
 
-    /// May a stored poll result for the *same instant* be served again in
-    /// place of a live [`EnvBackend::read`], with byte-identical effect?
-    ///
-    /// `true` only when the backend's served values are a pure function
-    /// of the query instant (no polling-history state like RAPL's
-    /// previous-snapshot delta or NVML's sample-ring drain cursor) *and*
-    /// no fault gate is active (fault draws are per-attempt state). When
-    /// `false`, a cache hit still shares the access-path *cost*, but the
-    /// value is recomputed locally — deterministically identical, since
-    /// every mechanism model is a deterministic function of grid time.
+    /// Unused: the session reads on every poll. Kept for decorators that forward it.
     fn replayable(&self) -> bool {
         false
     }
@@ -571,14 +560,13 @@ mod tests {
         for k in 0..200u64 {
             let _ = gate.admit(SimTime::from_millis(k * 60));
         }
-        let s = gate.stats();
+        let s = gate.stats().expect("an active gate reports its ledger");
         assert_eq!(
             s.admitted + s.glitches + s.transient + s.timeout + s.no_data + s.blackout,
             200,
             "every admit decision lands in exactly one bucket"
         );
-        assert!(!s.is_empty());
-        assert!(FaultGate::none().stats().is_empty());
+        assert_eq!(FaultGate::none().stats(), None);
     }
 
     #[test]

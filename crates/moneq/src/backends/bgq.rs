@@ -105,24 +105,12 @@ impl EnvBackend for BgqBackend {
         bgq_sim::emon::EMON_GENERATION_PERIOD
     }
 
-    fn replayable(&self) -> bool {
-        // EMON readings are a pure function of the generation the query
-        // falls in (per-generation stable noise, no polling-history
-        // state), so a stored poll replays exactly — unless a fault gate
-        // is active, whose per-attempt draws must not be skipped.
-        !self.gate.is_active()
-    }
-
     fn records_per_poll(&self) -> usize {
         7
     }
 
     fn gate_stats(&self) -> Option<crate::backend::GateStats> {
-        // An inactive gate never touches its counters; reporting `None`
-        // instead of an all-zero ledger lets finalize skip the per-kind
-        // fold entirely on the (default) fault-free path, with byte-for-
-        // byte identical output either way.
-        self.gate.is_active().then(|| self.gate.stats())
+        self.gate.stats()
     }
 
     fn limitations(&self) -> Vec<crate::backend::StatedLimitation> {

@@ -109,23 +109,12 @@ impl EnvBackend for MicDaemonBackend {
         mic_sim::smc::SMC_SAMPLE_PERIOD
     }
 
-    fn replayable(&self) -> bool {
-        // The parsed reading is a pure function of the query instant (the
-        // daemon rerenders the file from the deterministic SMC state), so
-        // an un-faulted stored poll replays exactly.
-        !self.gate.is_active()
-    }
-
     fn records_per_poll(&self) -> usize {
         1
     }
 
     fn gate_stats(&self) -> Option<crate::backend::GateStats> {
-        // An inactive gate never touches its counters; reporting `None`
-        // instead of an all-zero ledger lets finalize skip the per-kind
-        // fold entirely on the (default) fault-free path, with byte-for-
-        // byte identical output either way.
-        self.gate.is_active().then(|| self.gate.stats())
+        self.gate.stats()
     }
 
     fn limitations(&self) -> Vec<crate::backend::StatedLimitation> {

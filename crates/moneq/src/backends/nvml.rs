@@ -130,23 +130,12 @@ impl EnvBackend for NvmlBackend {
         SimDuration::from_millis(60)
     }
 
-    fn replayable(&self) -> bool {
-        // Point reads are a pure function of the query instant; an active
-        // fault gate draws per attempt, which rules out replaying a stored
-        // poll.
-        !self.gate.is_active()
-    }
-
     fn records_per_poll(&self) -> usize {
         self.nvml.device_count()
     }
 
     fn gate_stats(&self) -> Option<crate::backend::GateStats> {
-        // An inactive gate never touches its counters; reporting `None`
-        // instead of an all-zero ledger lets finalize skip the per-kind
-        // fold entirely on the (default) fault-free path, with byte-for-
-        // byte identical output either way.
-        self.gate.is_active().then(|| self.gate.stats())
+        self.gate.stats()
     }
 
     fn limitations(&self) -> Vec<crate::backend::StatedLimitation> {

@@ -99,19 +99,12 @@ impl EnvBackend for OccBackend {
         OCC_TICK
     }
 
-    fn replayable(&self) -> bool {
-        // The buffer is a pure function of the query instant (the chip and
-        // accumulator are deterministic models), so an un-faulted stored
-        // poll replays exactly.
-        !self.gate.is_active()
-    }
-
     fn records_per_poll(&self) -> usize {
         1
     }
 
     fn gate_stats(&self) -> Option<crate::backend::GateStats> {
-        self.gate.is_active().then(|| self.gate.stats())
+        self.gate.stats()
     }
 
     fn limitations(&self) -> Vec<crate::backend::StatedLimitation> {
@@ -183,14 +176,12 @@ mod tests {
     fn cost_is_a_mapped_read() {
         let b = backend();
         assert_eq!(b.poll_cost(), SimDuration::from_micros(20));
-        assert!(b.replayable());
     }
 
     #[test]
-    fn faulted_backend_is_not_replayable_and_serves_stale_buffers() {
+    fn faulted_backend_serves_stale_buffers() {
         let plan = FaultPlan::uniform(7, 0.2);
         let mut b = backend().with_faults(&plan, "p9chip0");
-        assert!(!b.replayable());
         // Somewhere in a long drive the glitch rate must fire and serve
         // the previous generation, flagged stale.
         let mut saw_stale = false;

@@ -138,26 +138,16 @@ impl EnvBackend for RaplBackend {
 
     fn read_cadence(&self) -> SimDuration {
         // The energy-status counters tick on a ~1 ms grid; reads inside
-        // one tick observe the same counter generation. (The ±50k-cycle
-        // jitter never matters for caching: RAPL stays non-replayable, so
-        // only the access-path cost is shared, never a stored value.)
+        // one tick observe the same counter generation.
         SimDuration::from_millis(1)
     }
-
-    // `replayable` stays the default `false`: power is a delta against the
-    // previous snapshot (`self.prev`), so a served value depends on this
-    // backend's own polling history, not just the query instant.
 
     fn records_per_poll(&self) -> usize {
         RaplDomain::ALL.len()
     }
 
     fn gate_stats(&self) -> Option<crate::backend::GateStats> {
-        // An inactive gate never touches its counters; reporting `None`
-        // instead of an all-zero ledger lets finalize skip the per-kind
-        // fold entirely on the (default) fault-free path, with byte-for-
-        // byte identical output either way.
-        self.gate.is_active().then(|| self.gate.stats())
+        self.gate.stats()
     }
 
     fn limitations(&self) -> Vec<crate::backend::StatedLimitation> {

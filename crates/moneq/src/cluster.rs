@@ -302,15 +302,15 @@ impl ClusterRun {
     }
 
     /// Activate a batched collection plan: `plan.domain_size()` consecutive
-    /// ranks share one [`SharedReadCache`], so each generation is fetched
-    /// once per domain (by whichever rank reaches it first) and distributed
-    /// to co-resident ranks at zero marginal charged cost.
+    /// ranks share one [`SharedReadCache`], so each generation is charged
+    /// once per domain (to whichever rank reaches it first); co-resident
+    /// ranks still read for themselves, at zero marginal charged cost.
     ///
     /// The caller must make the domains match the hardware the ranks are
     /// attached to — every rank of a domain has to read the *same* device
-    /// (node card, socket, card), or a distributed value would be wrong
-    /// for some ranks. Outputs are byte-identical with the plan on or off;
-    /// only the charged collection overhead changes.
+    /// (node card, socket, card), or the shared charge would undercount
+    /// the access paths crossed. Outputs are byte-identical with the plan
+    /// on or off; only the charged collection overhead changes.
     ///
     /// Dispatch chunks are aligned up to whole domains, so a parallel run
     /// drives each domain's ranks on one worker in rank order — leader
@@ -1130,7 +1130,7 @@ mod tests {
 
     /// A backend whose readings depend only on the query instant (one
     /// sensor genuinely shared by the whole domain) and which counts its
-    /// live reads, so tests can see the leader reading for everyone.
+    /// live reads, so tests can see who touches the sensor.
     struct SharedSensor {
         reads: Arc<AtomicUsize>,
     }
@@ -1159,16 +1159,13 @@ mod tests {
                 t.as_nanos() as f64 * 1e-9,
             )]))
         }
-        fn replayable(&self) -> bool {
-            true
-        }
         fn records_per_poll(&self) -> usize {
             1
         }
     }
 
     #[test]
-    fn replayable_backend_reads_once_per_domain_generation() {
+    fn followers_read_for_themselves_but_are_charged_nothing() {
         let run_with = |plan: Option<CollectionPlan>| {
             let reads = Arc::new(AtomicUsize::new(0));
             let handle = Arc::clone(&reads);
@@ -1192,10 +1189,25 @@ mod tests {
         };
         let (naive, naive_reads) = run_with(None);
         let (shared, shared_reads) = run_with(Some(CollectionPlan::shared(4)));
-        assert_eq!(naive.files, shared.files, "replayed values are exact");
+        assert_eq!(naive.files, shared.files, "the plan never touches the data");
         let polls = shared.overheads[0].polls as usize;
         assert_eq!(naive_reads, polls * 4);
-        assert_eq!(shared_reads, polls, "only the leader touches the sensor");
+        assert_eq!(
+            shared_reads,
+            polls * 4,
+            "a hit skips the charge, not the read"
+        );
+        let charged = |r: &ClusterResult| {
+            r.overheads
+                .iter()
+                .map(|o| o.collection)
+                .sum::<SimDuration>()
+        };
+        assert_eq!(
+            charged(&naive),
+            charged(&shared) * 4,
+            "one charge per domain"
+        );
     }
 
     #[test]

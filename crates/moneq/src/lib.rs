@@ -101,7 +101,7 @@ pub use completeness::Completeness;
 pub use control::ControlHook;
 pub use output::{OutputError, OutputFile, ParseError};
 pub use overhead::{finalize_time, init_time, OverheadReport};
-pub use plan::{CacheStats, CollectionPlan, Deployment, SharedLookup, SharedRead, SharedReadCache};
+pub use plan::{CacheStats, CollectionPlan, Deployment, SharedLookup, SharedReadCache};
 pub use reading::DataPoint;
 pub use records::{DataPointRef, Records};
 pub use remote::{BackendServer, RemoteBackend};

@@ -13,20 +13,19 @@
 //! A [`CollectionPlan`] declares how many consecutive ranks share one
 //! sensor. Within a sharing domain, leader election is implicit and
 //! deterministic: the first rank to consult the domain's
-//! [`SharedReadCache`] for a given generation performs the real query
-//! (and is charged for it); everyone after it gets the generation at zero
-//! marginal cost. Because every mechanism model is a deterministic
-//! function of grid time, a follower's recomputed value is bit-equal to
-//! the leader's, so outputs are byte-identical whether the plan is on or
-//! off — the plan changes the *charged cost*, never the data.
+//! [`SharedReadCache`] for a given generation is charged for the real
+//! query; everyone after it is charged nothing for that generation. Every
+//! rank still reads for itself: because every mechanism model is a
+//! deterministic function of grid time, a follower's own read is bit-equal
+//! to the leader's, so outputs are byte-identical whether the plan is on
+//! or off — the plan changes the *charged cost*, never the data.
 //!
 //! Faults never hide behind the cache: a leader whose read fails
 //! publishes a failure marker, and every follower then bypasses the cache
-//! and performs (and pays for) its own live read — stale data is never
-//! served across a fault, and a disabled leader simply stops publishing,
-//! so the next rank in the domain takes over.
+//! and pays for its own live read — a fault is never papered over by a
+//! sibling's success, and a disabled leader simply stops publishing, so
+//! the next rank in the domain takes over.
 
-use crate::backend::Poll;
 use simkit::wire::LinkSpec;
 use simkit::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -51,8 +50,8 @@ pub enum Deployment {
 /// `domain_size` consecutive ranks form one sharing domain (ranks 0..n-1,
 /// n..2n-1, …). The caller must make the domains match the hardware: every
 /// rank in a domain has to be attached to the *same* device (the same node
-/// card, socket, or card), because a stored read may be distributed to any
-/// rank of the domain.
+/// card, socket, or card), because a generation one rank paid for is free
+/// to every other rank of the domain.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CollectionPlan {
     domain_size: usize,
@@ -129,28 +128,12 @@ impl Default for CollectionPlan {
     }
 }
 
-/// One generation's stored outcome, as published by its leader.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SharedRead {
-    /// The exact poll instant the leader queried at. A stored poll may
-    /// only be *replayed* at this same instant (record timestamps carry
-    /// the query time); at any other instant in the generation, followers
-    /// recompute locally and share only the cost.
-    pub at: SimTime,
-    /// The leader's poll, stored only when the backend declared itself
-    /// [`replayable`](crate::backend::EnvBackend::replayable). `None` is a
-    /// cost-only marker: the generation was fetched (so followers skip
-    /// the access-path charge) but the value must be recomputed locally.
-    pub poll: Option<Poll>,
-}
-
-/// What a [`SharedReadCache::consult`] found: an owned answer, so the
-/// cache lock is never held across the caller's read.
-#[derive(Clone, Debug, PartialEq)]
+/// What a [`SharedReadCache::consult`] found for one generation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SharedLookup {
     /// A leader already fetched this generation; the access-path cost is
-    /// not charged again.
-    Hit(SharedRead),
+    /// not charged again (the caller still reads for itself).
+    Hit,
     /// The leader's read failed: bypass the cache and perform your own
     /// live read at full cost.
     Failed,
@@ -200,7 +183,7 @@ impl CacheStats {
     /// Tally one consult's decision.
     pub(crate) fn count(&mut self, found: &SharedLookup) {
         match found {
-            SharedLookup::Hit(_) => self.hits += 1,
+            SharedLookup::Hit => self.hits += 1,
             SharedLookup::Failed => self.bypasses += 1,
             SharedLookup::Miss => self.misses += 1,
         }
@@ -210,7 +193,7 @@ impl CacheStats {
 /// One sharing domain's cache, behind a mutex so a domain's ranks can
 /// share it across cluster worker threads.
 ///
-/// Per mechanism it keys stored reads by *generation index* on the
+/// Per mechanism it keys leader outcomes by *generation index* on the
 /// mechanism's update grid (anchored at [`SimTime::ZERO`], like every
 /// mechanism model in this workspace), so every instant inside one
 /// generation finds the same entry.
@@ -227,8 +210,8 @@ pub struct SharedReadCache {
 #[derive(Debug, Default)]
 struct Generations {
     /// Per mechanism name: the update grid its first call fixed, and
-    /// generation index → the leader's read (`None` marks a failed read).
-    mechanisms: BTreeMap<&'static str, (SimDuration, BTreeMap<u64, Option<SharedRead>>)>,
+    /// generation index → whether the leader's read succeeded.
+    mechanisms: BTreeMap<&'static str, (SimDuration, BTreeMap<u64, bool>)>,
     stats: CacheStats,
 }
 
@@ -239,7 +222,7 @@ impl Generations {
         name: &'static str,
         cadence: SimDuration,
         t: SimTime,
-    ) -> (&mut BTreeMap<u64, Option<SharedRead>>, u64) {
+    ) -> (&mut BTreeMap<u64, bool>, u64) {
         let (grid, reads) = self
             .mechanisms
             .entry(name)
@@ -270,28 +253,22 @@ impl SharedReadCache {
         let mut cache = self.lock();
         let (reads, generation) = cache.locate(name, cadence, t);
         let found = match reads.get(&generation) {
-            Some(Some(read)) => SharedLookup::Hit(read.clone()),
-            Some(None) => SharedLookup::Failed,
+            Some(true) => SharedLookup::Hit,
+            Some(false) => SharedLookup::Failed,
             None => SharedLookup::Miss,
         };
         cache.stats.count(&found);
         found
     }
 
-    /// Publish a leader's outcome for `t`'s generation: its read, or
-    /// `None` when the read failed, so followers bypass the cache and read
-    /// for themselves at full cost. First writer wins, so a republish can
-    /// never flip a stored outcome.
-    pub fn publish(
-        &self,
-        name: &'static str,
-        cadence: SimDuration,
-        t: SimTime,
-        read: Option<SharedRead>,
-    ) {
+    /// Publish a leader's outcome for `t`'s generation: `ok` is whether
+    /// its read succeeded. A `false` is the failure marker, so followers
+    /// bypass the cache and are charged for their own reads. First writer
+    /// wins, so a republish can never flip a stored outcome.
+    pub fn publish(&self, name: &'static str, cadence: SimDuration, t: SimTime, ok: bool) {
         let mut cache = self.lock();
         let (reads, generation) = cache.locate(name, cadence, t);
-        reads.entry(generation).or_insert(read);
+        reads.entry(generation).or_insert(ok);
     }
 
     /// Drop generations every rank has been driven past (called by the
@@ -312,13 +289,8 @@ impl SharedReadCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reading::DataPoint;
 
     const CADENCE: SimDuration = SimDuration::from_millis(560);
-
-    fn poll_at(t: SimTime) -> Poll {
-        Poll::complete(vec![DataPoint::power(t, "nodecard", "chip", 50.0)])
-    }
 
     #[test]
     fn plan_maps_ranks_onto_domains() {
@@ -340,46 +312,18 @@ mod tests {
         let cache = SharedReadCache::new();
         let t = SimTime::from_millis(600);
         assert_eq!(cache.consult("bgq-emon", CADENCE, t), SharedLookup::Miss);
-        cache.publish(
-            "bgq-emon",
-            CADENCE,
-            t,
-            Some(SharedRead {
-                at: t,
-                poll: Some(poll_at(t)),
-            }),
-        );
+        cache.publish("bgq-emon", CADENCE, t, true);
         // Any instant in the same 560 ms generation hits.
         let later = SimTime::from_millis(1_100);
-        match cache.consult("bgq-emon", CADENCE, later) {
-            SharedLookup::Hit(read) => {
-                assert_eq!(read.at, t);
-                assert_eq!(read.poll, Some(poll_at(t)));
-            }
-            other => panic!("expected hit, got {other:?}"),
-        }
+        assert_eq!(cache.consult("bgq-emon", CADENCE, later), SharedLookup::Hit);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.bypasses), (1, 1, 0));
-        // First write wins: neither a later read nor a failure marker for
-        // the same generation replaces the stored read.
+        // First write wins: a failure marker published later for the same
+        // generation does not replace the stored success.
         let again = SimTime::from_millis(700);
-        cache.publish(
-            "bgq-emon",
-            CADENCE,
-            again,
-            Some(SharedRead {
-                at: again,
-                poll: None,
-            }),
-        );
-        cache.publish("bgq-emon", CADENCE, again, None);
-        match cache.consult("bgq-emon", CADENCE, later) {
-            SharedLookup::Hit(read) => {
-                assert_eq!(read.at, t);
-                assert_eq!(read.poll, Some(poll_at(t)));
-            }
-            other => panic!("expected hit, got {other:?}"),
-        }
+        cache.publish("bgq-emon", CADENCE, again, true);
+        cache.publish("bgq-emon", CADENCE, again, false);
+        assert_eq!(cache.consult("bgq-emon", CADENCE, later), SharedLookup::Hit);
     }
 
     #[test]
@@ -387,19 +331,10 @@ mod tests {
         let cache = SharedReadCache::new();
         let t = SimTime::from_millis(600);
         assert_eq!(cache.consult("bgq-emon", CADENCE, t), SharedLookup::Miss);
-        cache.publish("bgq-emon", CADENCE, t, None);
-        // First write wins: a read published later for the same
+        cache.publish("bgq-emon", CADENCE, t, false);
+        // First write wins: a success published later for the same
         // generation does not clear the failure marker.
-        let late = SimTime::from_millis(650);
-        cache.publish(
-            "bgq-emon",
-            CADENCE,
-            late,
-            Some(SharedRead {
-                at: late,
-                poll: Some(poll_at(late)),
-            }),
-        );
+        cache.publish("bgq-emon", CADENCE, SimTime::from_millis(650), true);
         assert_eq!(
             cache.consult("bgq-emon", CADENCE, SimTime::from_millis(700)),
             SharedLookup::Failed
@@ -416,21 +351,16 @@ mod tests {
     fn mechanisms_are_cached_independently() {
         let cache = SharedReadCache::new();
         let t = SimTime::from_millis(100);
-        cache.publish(
-            "mic-micras",
-            SimDuration::from_millis(50),
-            t,
-            Some(SharedRead { at: t, poll: None }),
-        );
+        cache.publish("mic-micras", SimDuration::from_millis(50), t, true);
         // A different mechanism at the same instant is still a miss.
         assert_eq!(
             cache.consult("rapl-msr", SimDuration::from_millis(1), t),
             SharedLookup::Miss
         );
-        match cache.consult("mic-micras", SimDuration::from_millis(50), t) {
-            SharedLookup::Hit(read) => assert_eq!(read.poll, None, "cost-only marker"),
-            other => panic!("expected hit, got {other:?}"),
-        }
+        assert_eq!(
+            cache.consult("mic-micras", SimDuration::from_millis(50), t),
+            SharedLookup::Hit
+        );
     }
 
     #[test]
@@ -453,9 +383,7 @@ mod tests {
     fn prune_at_exact_generation_boundary_keeps_the_boundary() {
         let cache = SharedReadCache::new();
         for k in 0..4u64 {
-            let t = SimTime::from_millis(k * 560);
-            let read = SharedRead { at: t, poll: None };
-            cache.publish("bgq-emon", CADENCE, t, Some(read));
+            cache.publish("bgq-emon", CADENCE, SimTime::from_millis(k * 560), true);
         }
         // 1120 ms is exactly where generation 2 begins: 0 and 1 go, 2 stays.
         cache.prune_before(SimTime::from_millis(1_120));
@@ -463,19 +391,22 @@ mod tests {
             cache.consult("bgq-emon", CADENCE, SimTime::from_millis(1_119)),
             SharedLookup::Miss
         );
-        assert!(matches!(
+        assert_eq!(
             cache.consult("bgq-emon", CADENCE, SimTime::from_millis(1_120)),
-            SharedLookup::Hit(_)
-        ));
+            SharedLookup::Hit
+        );
     }
 
     #[test]
     fn prune_drops_finished_generations() {
         let cache = SharedReadCache::new();
         for k in 0..8u64 {
-            let t = SimTime::from_millis(k * 560 + 10);
-            let read = SharedRead { at: t, poll: None };
-            cache.publish("bgq-emon", CADENCE, t, Some(read));
+            cache.publish(
+                "bgq-emon",
+                CADENCE,
+                SimTime::from_millis(k * 560 + 10),
+                true,
+            );
         }
         cache.prune_before(SimTime::from_millis(4 * 560));
         // Generations 0-3 are gone (misses again), 4+ still hit.
@@ -483,9 +414,9 @@ mod tests {
             cache.consult("bgq-emon", CADENCE, SimTime::from_millis(560)),
             SharedLookup::Miss
         );
-        assert!(matches!(
+        assert_eq!(
             cache.consult("bgq-emon", CADENCE, SimTime::from_millis(4 * 560 + 10)),
-            SharedLookup::Hit(_)
-        ));
+            SharedLookup::Hit
+        );
     }
 }

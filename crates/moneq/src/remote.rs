@@ -18,9 +18,9 @@
 //! [`RESP_FLAG`] set and the same sequence number, and carries a result
 //! tag plus a [`Poll`] or a [`ReadError`]. Any other kind is dropped like
 //! a bad datagram. The client owns its server, so it reads the mechanism's
-//! description (name, interval, costs, cadence, replayability, records per
-//! poll, capabilities, limitations, gate counters) from the wrapped
-//! backend directly.
+//! description (name, interval, costs, cadence, records per poll,
+//! capabilities, limitations, gate counters) from the wrapped backend
+//! directly.
 //!
 //! Error mapping ([`WireError`] → [`ReadError`], DESIGN.md §14): a wire
 //! timeout becomes [`ReadError::Timeout`] carrying the exact accumulated
@@ -405,13 +405,6 @@ impl EnvBackend for RemoteBackend {
         self.server.backend.read_cadence()
     }
 
-    fn replayable(&self) -> bool {
-        // A stored poll replays bit-exactly only when the wire can neither
-        // delay nor damage it: any link cost shifts served timestamps, any
-        // fault process is per-attempt state.
-        self.server.backend.replayable() && self.transport.spec().is_free()
-    }
-
     fn records_per_poll(&self) -> usize {
         self.server.backend.records_per_poll()
     }
@@ -577,7 +570,6 @@ mod tests {
         assert_eq!(remote.min_interval(), SimDuration::from_millis(60));
         assert_eq!(remote.read_cadence(), SimDuration::from_millis(60));
         assert_eq!(remote.records_per_poll(), 2);
-        assert!(!remote.replayable());
         assert!(remote
             .limitations()
             .iter()

@@ -19,12 +19,12 @@
 //! disabled for the rest of the run. Every outcome is accounted in the
 //! per-device [`Completeness`] report.
 
-use crate::backend::{validate_interval, EnvBackend, Poll, ReadError, RetryPolicy};
+use crate::backend::{validate_interval, EnvBackend, ReadError, RetryPolicy};
 use crate::completeness::Completeness;
 use crate::control::ControlHook;
 use crate::output::OutputFile;
 use crate::overhead::{finalize_time, init_time, OverheadReport, IO_STRIPE_WIDTH};
-use crate::plan::{SharedLookup, SharedRead, SharedReadCache};
+use crate::plan::{SharedLookup, SharedReadCache};
 use crate::records::Records;
 use crate::remote::RemoteBackend;
 use crate::tags::{TagEvent, TagKind};
@@ -364,33 +364,25 @@ impl MonEq {
         let before = self.collection_cost + self.fault_recovery;
         // Collection-plan consult: when a sharing domain's cache is
         // attached, ask whether this generation was already fetched by
-        // the domain's leader. A hit skips the access-path charge (and,
-        // for replayable backends at the same instant, the read itself);
-        // a failure marker forces a full-cost local read — faults are
-        // never papered over by a sibling's cached value.
+        // the domain's leader. A hit skips the access-path charge, never
+        // the read: every mechanism is a deterministic function of grid
+        // time, so this rank's own read serves the leader's values. A
+        // failure marker forces a full-cost read — faults are never
+        // papered over by a sibling's success.
         let name = slot.backend.name();
         let mut charged = true;
         let mut leader = false;
-        let mut replay: Option<Poll> = None;
         if let Some(cache) = &self.shared_cache {
             let found = cache.consult(name, slot.backend.read_cadence(), t);
             self.telemetry.lookup(i, &found);
             match found {
-                SharedLookup::Hit(read) => {
-                    charged = false;
-                    if slot.backend.replayable() && read.at == t {
-                        replay = read.poll;
-                    }
-                }
+                SharedLookup::Hit => charged = false,
                 SharedLookup::Failed => {}
                 SharedLookup::Miss => leader = true,
             }
         }
         let mut attempt = 0u32;
         let outcome = loop {
-            if let Some(poll) = replay.take() {
-                break Ok(poll);
-            }
             match slot.backend.read(t) {
                 Ok(poll) => break Ok(poll),
                 Err(e) => {
@@ -428,18 +420,12 @@ impl MonEq {
         }
         self.telemetry
             .backend_poll(i, (self.collection_cost + self.fault_recovery) - before);
-        // The generation's leader publishes its outcome so co-resident
-        // ranks share the fetch; a failed read publishes the failure
-        // marker (`None`). Values are stored only for replayable
-        // backends; otherwise a cost-only marker is published and
-        // followers recompute locally (deterministically identical).
+        // The generation's leader publishes whether its read succeeded, so
+        // co-resident ranks share the fetch's cost; a failed read publishes
+        // the failure marker.
         if leader {
             if let Some(cache) = &self.shared_cache {
-                let read = outcome.as_ref().ok().map(|poll| SharedRead {
-                    at: t,
-                    poll: slot.backend.replayable().then(|| poll.clone()),
-                });
-                cache.publish(name, slot.backend.read_cadence(), t, read);
+                cache.publish(name, slot.backend.read_cadence(), t, outcome.is_ok());
             }
         }
         match outcome {

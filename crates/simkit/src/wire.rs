@@ -496,15 +496,6 @@ impl LinkSpec {
         self.drop == 0.0 && self.corrupt == 0.0 && self.reorder == 0.0
     }
 
-    /// True iff the link additionally charges no time at all — the
-    /// byte-identity precondition.
-    pub fn is_free(&self) -> bool {
-        self.is_clean()
-            && self.latency.is_zero()
-            && self.ns_per_byte == 0
-            && self.ser_ns_per_byte == 0
-    }
-
     /// Virtual time one leg costs for a frame of `bytes` bytes:
     /// serialize + flight + wire + deserialize. Integer nanoseconds, so
     /// identical inputs always charge identical time.
