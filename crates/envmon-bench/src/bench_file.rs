@@ -17,6 +17,7 @@
 //! Every row sits on a line of its own, so [`values`] and [`rows`] read the
 //! layout back with plain string scans; no JSON parser is needed.
 
+use simkit::stats::quantile;
 use std::fmt::Display;
 use std::path::Path;
 
@@ -35,6 +36,14 @@ impl Fields {
     pub fn fixed(mut self, key: &'static str, value: f64, decimals: usize) -> Self {
         self.0.push((key, format!("{value:.decimals$}")));
         self
+    }
+
+    /// `key` as the median of `xs`, then its quartiles as `q1` and `q3`,
+    /// each with `decimals` places: a wall-clock column and its spread.
+    pub fn spread(self, [key, q1, q3]: [&'static str; 3], xs: &[f64], decimals: usize) -> Self {
+        self.fixed(key, quantile(xs, 0.5), decimals)
+            .fixed(q1, quantile(xs, 0.25), decimals)
+            .fixed(q3, quantile(xs, 0.75), decimals)
     }
 
     /// A flag written as `1` or `0`, the form the invariant checks read.

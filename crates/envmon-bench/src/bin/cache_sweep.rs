@@ -11,6 +11,12 @@
 //! 2. the output files are byte-identical either way — the plan changes
 //!    cost, never data — checked on every leg, not just asserted once.
 //!
+//! The wall-clock columns (`naive_ms`, `planned_ms`) come from `reps`
+//! back-to-back naive/planned pairs (11, or 3 with `--quick`; the count is
+//! in the file's head), flipping which drive goes first every pair. Each
+//! is the median over its pairs, with its quartiles as `_q1` and `_q3`:
+//! a single drive swings too much between runs to read a trend from.
+//!
 //! ```text
 //! cache_sweep [--seed N] [--out FILE] [--quick]
 //! ```
@@ -18,6 +24,7 @@
 use envmon_bench::bench_file::{BenchFile, Fields};
 use envmon_bench::DEFAULT_SEED;
 use moneq::{ClusterResult, ClusterRun, CollectionPlan};
+use simkit::stats::quantile;
 use simkit::{SimDuration, SimTime};
 use std::time::Instant;
 
@@ -58,12 +65,6 @@ fn collection_us(result: &ClusterResult) -> f64 {
         / 1e3
 }
 
-/// Best-of-N wall-clock: the minimum is the least noisy estimator for a
-/// deterministic workload under scheduler jitter.
-fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
-    (0..reps).map(|_| f()).fold(f64::INFINITY, f64::min)
-}
-
 fn main() {
     let mut seed = DEFAULT_SEED;
     let mut out = std::path::PathBuf::from("BENCH_cache.json");
@@ -85,7 +86,7 @@ fn main() {
     } else {
         &[(32, 8), (128, 8), (512, 4)]
     };
-    let reps = if quick { 2 } else { 3 };
+    let reps = if quick { 3 } else { 11 };
 
     let mut rows = Vec::new();
     for &(agents, virtual_secs) in sweep {
@@ -100,12 +101,14 @@ fn main() {
         let planned_us = collection_us(&planned);
         let (hits, misses) = (planned.cache.hits, planned.cache.misses);
         drop((naive, planned));
-        let naive_ms = best_of(reps, || drive(seed, agents, virtual_secs, false).0);
-        let planned_ms = best_of(reps, || drive(seed, agents, virtual_secs, true).0);
+        let (naive_ms, planned_ms) =
+            envmon_bench::alternating_pairs(reps, |plan| drive(seed, agents, virtual_secs, plan).0);
         let factor = naive_us / planned_us;
         eprintln!(
             "agents {agents:>5}  charged {naive_us:>12.0} us -> {planned_us:>10.0} us \
-             ({factor:.1}x)  wall {naive_ms:>7.1} -> {planned_ms:>7.1} ms"
+             ({factor:.1}x)  wall {:>7.1} -> {:>7.1} ms (medians of {reps})",
+            quantile(&naive_ms, 0.5),
+            quantile(&planned_ms, 0.5),
         );
         if rows.is_empty() {
             // The headline claim: a full 32-agent node card pays >= 10x
@@ -125,8 +128,12 @@ fn main() {
                 .fixed("collection_factor", factor, 1)
                 .num("cache_hits", hits)
                 .num("cache_misses", misses)
-                .fixed("naive_ms", naive_ms, 1)
-                .fixed("planned_ms", planned_ms, 1)
+                .spread(["naive_ms", "naive_ms_q1", "naive_ms_q3"], &naive_ms, 1)
+                .spread(
+                    ["planned_ms", "planned_ms_q1", "planned_ms_q3"],
+                    &planned_ms,
+                    1,
+                )
                 .num("outputs_identical", identical)
                 .line(),
         );

@@ -147,13 +147,6 @@ fn rep(seed: u64, agents: usize, virtual_secs: u64, n_clients: usize, quick: boo
     }
 }
 
-/// `key` as the median of `xs`, then its quartiles as `q1` and `q3`.
-fn spread(row: Fields, [key, q1, q3]: [&'static str; 3], xs: &[f64], decimals: usize) -> Fields {
-    row.fixed(key, quantile(xs, 0.5), decimals)
-        .fixed(q1, quantile(xs, 0.25), decimals)
-        .fixed(q3, quantile(xs, 0.75), decimals)
-}
-
 fn main() {
     let mut seed = DEFAULT_SEED;
     let mut out = std::path::PathBuf::from("BENCH_query.json");
@@ -203,38 +196,29 @@ fn main() {
             quantile(&qps, 0.5),
             quantile(&live_qps, 0.5),
         );
-        let mut row = Fields::default()
+        let row = Fields::default()
             .num("agents", agents)
             .num("virtual_secs", virtual_secs)
             .num("records", first.records)
-            .num("series", first.series);
-        row = spread(
-            row,
-            ["ingest_ms", "ingest_ms_q1", "ingest_ms_q3"],
-            &ingest_ms,
-            1,
-        );
-        row = spread(
-            row,
-            ["ingest_rps", "ingest_rps_q1", "ingest_rps_q3"],
-            &col(|r| r.ingest_rps),
-            0,
-        );
-        row = row.num("clients", n_clients).num("queries", first.queries);
-        row = spread(row, ["qps", "qps_q1", "qps_q3"], &qps, 0);
-        row = spread(
-            row,
-            ["live_queries", "live_queries_q1", "live_queries_q3"],
-            &col(|r| r.live_queries as f64),
-            0,
-        );
-        row = spread(
-            row,
-            ["live_qps", "live_qps_q1", "live_qps_q3"],
-            &live_qps,
-            0,
-        );
-        rows.push(row.flag("exact", exact).flag("coherent", coherent).line());
+            .num("series", first.series)
+            .spread(["ingest_ms", "ingest_ms_q1", "ingest_ms_q3"], &ingest_ms, 1)
+            .spread(
+                ["ingest_rps", "ingest_rps_q1", "ingest_rps_q3"],
+                &col(|r| r.ingest_rps),
+                0,
+            )
+            .num("clients", n_clients)
+            .num("queries", first.queries)
+            .spread(["qps", "qps_q1", "qps_q3"], &qps, 0)
+            .spread(
+                ["live_queries", "live_queries_q1", "live_queries_q3"],
+                &col(|r| r.live_queries as f64),
+                0,
+            )
+            .spread(["live_qps", "live_qps_q1", "live_qps_q3"], &live_qps, 0)
+            .flag("exact", exact)
+            .flag("coherent", coherent);
+        rows.push(row.line());
     }
 
     BenchFile {

@@ -55,23 +55,12 @@ fn median(mut v: Vec<f64>) -> f64 {
     v[v.len() / 2]
 }
 
-/// `pairs` off/on drives, off first in even pairs and on first in odd
-/// ones. Returns the median off and on wall clocks and the median of the
-/// per-pair on/off ratios.
-fn paired_medians(pairs: usize, mut f: impl FnMut(bool) -> f64) -> (f64, f64, f64) {
-    let (mut off, mut on, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    for i in 0..pairs {
-        let (a, b) = if i % 2 == 0 {
-            let a = f(false);
-            (a, f(true))
-        } else {
-            let b = f(true);
-            (f(false), b)
-        };
-        off.push(a);
-        on.push(b);
-        ratios.push(b / a);
-    }
+/// `pairs` off/on drives ([`envmon_bench::alternating_pairs`]). Returns
+/// the median off and on wall clocks and the median of the per-pair on/off
+/// ratios.
+fn paired_medians(pairs: usize, f: impl FnMut(bool) -> f64) -> (f64, f64, f64) {
+    let (off, on) = envmon_bench::alternating_pairs(pairs, f);
+    let ratios = off.iter().zip(&on).map(|(a, b)| b / a).collect();
     (median(off), median(on), median(ratios))
 }
 

@@ -40,6 +40,25 @@ pub fn bgq_machine(seed: u64, horizon_secs: u64) -> Arc<bgq_sim::BgqMachine> {
     Arc::new(machine)
 }
 
+/// `pairs` back-to-back drives of a baseline (`drive(false)`) and a
+/// variant (`drive(true)`), the baseline first in even pairs and the
+/// variant first in odd ones, so a host slowdown lasting a drive or two
+/// lands on both sides alike. Returns the baseline and the variant wall
+/// clocks, pair by pair.
+pub fn alternating_pairs(pairs: usize, mut drive: impl FnMut(bool) -> f64) -> (Vec<f64>, Vec<f64>) {
+    let (mut base, mut variant) = (Vec::new(), Vec::new());
+    for i in 0..pairs {
+        if i % 2 == 0 {
+            base.push(drive(false));
+            variant.push(drive(true));
+        } else {
+            variant.push(drive(true));
+            base.push(drive(false));
+        }
+    }
+    (base, variant)
+}
+
 /// The sweeps' per-rank agent name, byte-identical to
 /// `format!("agent{rank:05}")` for every rank. Hand-rolled because the
 /// name is built once per rank inside the timed launch window: at 49k

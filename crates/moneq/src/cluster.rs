@@ -316,6 +316,11 @@ impl ClusterRun {
     /// drives each domain's ranks on one worker in rank order — leader
     /// election stays deterministic and the domain's cache lock
     /// uncontended.
+    ///
+    /// # Panics
+    ///
+    /// If the plan is deployed as [`Deployment::Remote`] over a link that
+    /// [`simkit::wire::LinkSpec::validate`] rejects.
     pub fn with_collection_plan(mut self, plan: CollectionPlan) -> Self {
         self.plan = plan;
         self.caches.clear();

@@ -31,10 +31,10 @@
 //! An exchange allocates nothing but the decoded [`Poll`]: the client
 //! encodes its request into a buffer it reuses, the server writes its
 //! response into the client's response buffer, and the client parses that
-//! buffer in place ([`FrameRef`]). Labels come back borrowed: the server
-//! learns every `&'static str` label its backend lends
+//! buffer in place ([`Frame::decode`]). Labels come back borrowed: the
+//! server learns every `&'static str` label its backend lends
 //! ([`BackendServer::labels`]), and the client, which owns the server,
-//! decodes each label onto that vocabulary ([`decode_poll_in`]). A label
+//! decodes each label onto that vocabulary ([`decode_poll`]). A label
 //! outside it decodes to an owned copy. The bytes on the wire are the same
 //! either way.
 
@@ -42,9 +42,7 @@ use crate::backend::{EnvBackend, GateStats, Poll, ReadError, StatedLimitation};
 use crate::reading::DataPoint;
 use powermodel::{Metric, Platform, Support};
 use simkit::rng::mix64;
-use simkit::wire::{
-    Frame, FrameRef, LinkSpec, LinkStats, SimTransport, WireError, WireReader, WireWriter,
-};
+use simkit::wire::{Frame, LinkSpec, LinkStats, SimTransport, WireError, WireReader, WireWriter};
 use simkit::{SimDuration, SimTime};
 use std::borrow::Cow;
 
@@ -93,6 +91,9 @@ fn decode_label(
 }
 
 /// Encode one [`Poll`] (missing count + records).
+///
+/// # Panics
+/// When the poll holds more than `u32::MAX` records.
 pub fn encode_poll(w: &mut WireWriter, poll: &Poll) {
     w.u32(poll.missing);
     w.u32(u32::try_from(poll.points.len()).expect("record count fits u32"));
@@ -101,14 +102,10 @@ pub fn encode_poll(w: &mut WireWriter, poll: &Poll) {
     }
 }
 
-/// Decode one [`Poll`] written by [`encode_poll`], its labels owned.
-pub fn decode_poll(r: &mut WireReader<'_>) -> Result<Poll, WireError> {
-    decode_poll_in(r, &[])
-}
-
 /// Decode one [`Poll`] written by [`encode_poll`], borrowing each label
-/// from `labels` when it is there and owning it otherwise.
-pub fn decode_poll_in(r: &mut WireReader<'_>, labels: &[&'static str]) -> Result<Poll, WireError> {
+/// from `labels` when it is there and owning it otherwise: with `&[]`
+/// every label is owned.
+pub fn decode_poll(r: &mut WireReader<'_>, labels: &[&'static str]) -> Result<Poll, WireError> {
     let missing = r.u32()?;
     let count = r.u32()?;
     // Guarded preallocation: a corrupted count cannot OOM the decoder.
@@ -174,23 +171,14 @@ impl BackendServer {
         }
     }
 
-    /// Serve one request frame arriving at virtual time `at`, allocating
-    /// the response. Returns the server's processing time (the
-    /// mechanism's access-path cost) and the encoded response — or `None`
-    /// for a frame [`BackendServer::serve`] drops.
-    pub fn handle(&mut self, at: SimTime, bytes: &[u8]) -> Option<(SimDuration, Vec<u8>)> {
-        let mut out = Vec::new();
-        let cost = self.serve(at, bytes, &mut out)?;
-        Some((cost, out))
-    }
-
     /// Serve one request frame arriving at virtual time `at`, writing the
     /// encoded response into `out` (its contents replaced). Returns the
     /// server's processing time (the mechanism's access-path cost) — or
-    /// `None` for an undecodable frame, a kind other than [`REQ_READ`] or
-    /// a non-empty request payload, which the server drops on the floor.
+    /// `None` for an undecodable frame, a kind other than [`REQ_READ`], a
+    /// non-empty request payload or a reply too large for one frame,
+    /// which the server drops on the floor.
     pub fn serve(&mut self, at: SimTime, bytes: &[u8], out: &mut Vec<u8>) -> Option<SimDuration> {
-        let frame = FrameRef::decode(bytes).ok()?;
+        let frame = Frame::decode(bytes).ok()?;
         if frame.kind != REQ_READ || !frame.payload.is_empty() {
             return None;
         }
@@ -213,7 +201,8 @@ impl BackendServer {
                 w.u8(1);
                 encode_read_error(w, e);
             }
-        });
+        })
+        .ok()?;
         Some(self.backend.poll_cost())
     }
 
@@ -279,18 +268,16 @@ pub struct RemoteBackend {
 }
 
 impl RemoteBackend {
-    /// Serve `inner` over a fresh [`SimTransport`] on `link`.
-    pub fn connect(inner: Box<dyn EnvBackend>, link: LinkSpec) -> Self {
-        Self::connect_salted(inner, link, 0)
-    }
-
-    /// [`RemoteBackend::connect`] with the link's noise streams salted —
-    /// the cluster salts by rank so every rank's link has independent
-    /// weather from one shared [`LinkSpec`].
-    pub fn connect_salted(inner: Box<dyn EnvBackend>, link: LinkSpec, salt: u64) -> Self {
+    /// Serve `inner` over a fresh [`SimTransport`] on `link`, its noise
+    /// streams salted by `salt`: the cluster salts by rank so every rank's
+    /// link has independent weather from one shared [`LinkSpec`].
+    ///
+    /// # Panics
+    /// When [`LinkSpec::validate`] rejects `link`.
+    pub fn connect(inner: Box<dyn EnvBackend>, link: LinkSpec, salt: u64) -> Self {
         RemoteBackend {
             server: BackendServer::new(inner),
-            transport: SimTransport::with_salt(link, salt),
+            transport: SimTransport::new(link, salt),
             request: Vec::new(),
             response: Vec::new(),
             seq: 0,
@@ -318,7 +305,8 @@ impl RemoteBackend {
         }
         self.seq += 1;
         let seq = self.seq;
-        Frame::write(&mut self.request, REQ_READ, seq, |_| {});
+        Frame::write(&mut self.request, REQ_READ, seq, |_| {})
+            .map_err(|e| ReadError::Transient(format!("wire: request {e}")))?;
         let key = mix64(t.as_nanos(), u64::from(index));
         // Serialize exchanges: a retry (or a poll whose predecessor
         // overran its slot) transmits when the line is free, not in the
@@ -352,7 +340,7 @@ fn decode_read_result(payload: &[u8], labels: &[&'static str]) -> Result<Poll, R
     let mut r = WireReader::new(payload);
     match r.u8().map_err(wire)? {
         0 => {
-            let poll = decode_poll_in(&mut r, labels).map_err(wire)?;
+            let poll = decode_poll(&mut r, labels).map_err(wire)?;
             r.expect_end().map_err(wire)?;
             Ok(poll)
         }
@@ -388,7 +376,7 @@ impl EnvBackend for RemoteBackend {
 
     fn read(&mut self, t: SimTime) -> Result<Poll, ReadError> {
         let (send, done, seq) = self.rpc(t)?;
-        let frame = FrameRef::decode(&self.response)
+        let frame = Frame::decode(&self.response)
             .map_err(|e| ReadError::Transient(format!("wire: response {e}")))?;
         if frame.kind != REQ_READ | RESP_FLAG || frame.seq != seq {
             return Err(ReadError::Transient("wire: response mismatch".into()));
@@ -458,6 +446,16 @@ mod tests {
         }
     }
 
+    /// `payload` framed as `kind` and `seq`.
+    fn frame(kind: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        Frame::write(&mut buf, kind, seq, |w| {
+            payload.iter().for_each(|&b| w.u8(b))
+        })
+        .expect("payload within the limit");
+        buf
+    }
+
     impl EnvBackend for Bench {
         fn name(&self) -> &'static str {
             "bench"
@@ -501,7 +499,7 @@ mod tests {
         encode_poll(&mut w, &poll);
         let buf = w.finish();
         let mut r = WireReader::new(&buf);
-        let back = decode_poll(&mut r).unwrap();
+        let back = decode_poll(&mut r, &[]).unwrap();
         r.expect_end().unwrap();
         // PartialEq is not enough for the -0.0 payload: compare bits.
         assert_eq!(back.missing, poll.missing);
@@ -538,7 +536,7 @@ mod tests {
         let t = SimTime::from_millis(560);
         let mut local = Bench::boxed(30);
         let want = local.read(t).unwrap();
-        let mut remote = RemoteBackend::connect(Bench::boxed(30), LinkSpec::ideal());
+        let mut remote = RemoteBackend::connect(Bench::boxed(30), LinkSpec::ideal(), 0);
         let got = remote.read(t).unwrap();
         assert_eq!(got, want, "ideal link must be value-transparent");
         // The charged cost over an ideal link is exactly the mechanism's
@@ -552,20 +550,17 @@ mod tests {
     #[test]
     fn server_learns_each_lent_label_once() {
         let mut server = BackendServer::new(Bench::boxed(30));
-        let request = Frame::new(REQ_READ, 1, Vec::new()).encode();
+        let request = frame(REQ_READ, 1, &[]);
         let mut out = Vec::new();
         for at in [60, 120] {
             server.serve(SimTime::from_millis(at), &request, &mut out);
         }
         assert_eq!(server.labels(), ["dev0", "pkg", "dev1", "dram"]);
-        // `handle` allocates its response but encodes the same bytes.
-        let (_, bytes) = server.handle(SimTime::from_millis(120), &request).unwrap();
-        assert_eq!(bytes, out);
     }
 
     #[test]
     fn remote_mirrors_the_inner_backend() {
-        let remote = RemoteBackend::connect(Bench::boxed(30), LinkSpec::ideal());
+        let remote = RemoteBackend::connect(Bench::boxed(30), LinkSpec::ideal(), 0);
         assert_eq!(remote.name(), "bench");
         assert_eq!(remote.min_interval(), SimDuration::from_millis(60));
         assert_eq!(remote.read_cadence(), SimDuration::from_millis(60));
@@ -585,17 +580,19 @@ mod tests {
             ..LinkSpec::ideal()
         };
         let t = SimTime::from_millis(560);
-        let mut remote = RemoteBackend::connect(Bench::boxed(30), spec);
+        let mut remote = RemoteBackend::connect(Bench::boxed(30), spec, 0);
         let got = remote.read(t).unwrap();
         // The server read one flight later: timestamps shift by exactly
         // the request leg.
         assert_eq!(got.points[0].timestamp, t + SimDuration::from_millis(1));
         // Charged cost = 2 legs + processing, exactly.
-        let req = Frame::new(REQ_READ, 1, Vec::new()).encode();
-        let mut w = WireWriter::new();
-        w.u8(0);
-        encode_poll(&mut w, &got);
-        let resp = Frame::new(REQ_READ | RESP_FLAG, 1, w.finish()).encode();
+        let req = frame(REQ_READ, 1, &[]);
+        let mut resp = Vec::new();
+        Frame::write(&mut resp, REQ_READ | RESP_FLAG, 1, |w| {
+            w.u8(0);
+            encode_poll(w, &got);
+        })
+        .unwrap();
         assert_eq!(
             remote.last_poll_cost(),
             spec.leg_time(req.len()) + SimDuration::from_micros(30) + spec.leg_time(resp.len())
@@ -618,6 +615,7 @@ mod tests {
                 reads: 0,
             }),
             LinkSpec::ideal(),
+            0,
         );
         assert_eq!(remote.read(t).unwrap_err(), local_err);
         // A session-level retry at the same instant completes but must
@@ -632,7 +630,7 @@ mod tests {
     #[test]
     fn dead_link_maps_to_read_timeout_with_exact_stall() {
         let spec = LinkSpec::ideal().with_faults(1.0, 0.0, 0.0);
-        let mut remote = RemoteBackend::connect(Bench::boxed(30), spec);
+        let mut remote = RemoteBackend::connect(Bench::boxed(30), spec, 0);
         let err = remote.read(SimTime::from_millis(60)).unwrap_err();
         let attempts = u64::from(spec.max_retrans) + 1;
         assert_eq!(
@@ -651,7 +649,7 @@ mod tests {
         let t = SimTime::from_millis(60);
         let mut local = Bench::boxed(30);
         let want = local.read_many(t, 4).unwrap();
-        let mut remote = RemoteBackend::connect(Bench::boxed(30), LinkSpec::ideal());
+        let mut remote = RemoteBackend::connect(Bench::boxed(30), LinkSpec::ideal(), 0);
         let got = remote.read_many(t, 4).unwrap();
         assert_eq!(got, want);
         assert_eq!(got.len(), 4);
@@ -664,17 +662,15 @@ mod tests {
     #[test]
     fn server_drops_malformed_and_unknown_frames() {
         let mut server = BackendServer::new(Bench::boxed(30));
-        let t = SimTime::ZERO;
-        assert!(server.handle(t, b"not a frame").is_none());
-        let unknown = Frame::new(0x7F, 1, Vec::new()).encode();
-        assert!(server.handle(t, &unknown).is_none());
-        let mut bad = Frame::new(REQ_READ, 1, Vec::new()).encode();
+        let mut serve = |bytes: &[u8]| server.serve(SimTime::ZERO, bytes, &mut Vec::new());
+        assert!(serve(b"not a frame").is_none());
+        assert!(serve(&frame(0x7F, 1, &[])).is_none());
+        let mut bad = frame(REQ_READ, 1, &[]);
         let n = bad.len();
         bad[n - 1] ^= 0xFF;
-        assert!(server.handle(t, &bad).is_none(), "checksum must be checked");
+        assert!(serve(&bad).is_none(), "checksum must be checked");
         // Trailing payload on a bodyless request is rejected too.
-        let junk = Frame::new(REQ_READ, 1, vec![9]).encode();
-        assert!(server.handle(t, &junk).is_none());
+        assert!(serve(&frame(REQ_READ, 1, &[9])).is_none());
     }
 
     #[test]
@@ -684,14 +680,56 @@ mod tests {
         // checksum-valid batched read whose reply would overflow the frame
         // limit.
         let mut server = BackendServer::new(Bench::boxed(30));
-        let meta = Frame::new(0x01, 0, Vec::new()).encode();
-        assert!(server.handle(SimTime::ZERO, &meta).is_none());
-        let mut w = WireWriter::new();
-        w.u32(200_000);
-        let read_many = Frame::new(0x03, 1, w.finish()).encode();
-        assert!(server.handle(SimTime::ZERO, &read_many).is_none());
-        let gate = Frame::new(0x04, 2, Vec::new()).encode();
-        assert!(server.handle(SimTime::ZERO, &gate).is_none());
+        let mut serve = |bytes: &[u8]| server.serve(SimTime::ZERO, bytes, &mut Vec::new());
+        assert!(serve(&frame(0x01, 0, &[])).is_none());
+        assert!(serve(&frame(0x03, 1, &200_000u32.to_le_bytes())).is_none());
+        assert!(serve(&frame(0x04, 2, &[])).is_none());
+    }
+
+    /// A backend whose every poll encodes to more than one frame holds.
+    struct Flood;
+
+    impl EnvBackend for Flood {
+        fn name(&self) -> &'static str {
+            "flood"
+        }
+        fn platform(&self) -> Platform {
+            Platform::Rapl
+        }
+        fn min_interval(&self) -> SimDuration {
+            SimDuration::from_millis(60)
+        }
+        fn poll_cost(&self) -> SimDuration {
+            SimDuration::from_micros(30)
+        }
+        fn capabilities(&self) -> Vec<(Metric, Support)> {
+            vec![]
+        }
+        fn read(&mut self, t: SimTime) -> Result<Poll, ReadError> {
+            let p = DataPoint::power(t, "dev0", "pkg", 1.0);
+            Ok(Poll::complete(vec![p; 600_000]))
+        }
+        fn records_per_poll(&self) -> usize {
+            600_000
+        }
+    }
+
+    #[test]
+    fn a_reply_too_large_for_a_frame_times_out_instead_of_panicking() {
+        // 600,000 records encode to about 21 MB, past the 16 MiB payload
+        // limit: the server stays silent and every attempt times out.
+        let spec = LinkSpec::ideal();
+        let mut remote = RemoteBackend::connect(Box::new(Flood), spec, 0);
+        let err = remote.read(SimTime::from_millis(60)).unwrap_err();
+        let attempts = u64::from(spec.max_retrans) + 1;
+        assert_eq!(
+            err,
+            ReadError::Timeout {
+                stalled: SimDuration::from_nanos(spec.timeout.as_nanos() * attempts)
+            }
+        );
+        let ws = remote.wire_stats().unwrap();
+        assert_eq!((ws.tx, ws.timeouts, ws.rx), (3, 3, 0));
     }
 
     proptest! {

@@ -264,12 +264,16 @@ impl MonEq {
     /// calls this when the collection plan says
     /// [`Deployment::Remote`](crate::plan::Deployment::Remote); call it
     /// before any poll fires.
+    ///
+    /// # Panics
+    ///
+    /// If [`LinkSpec::validate`] rejects `link`.
     pub fn deploy_remote(&mut self, link: LinkSpec) {
         let salt = u64::from(self.rank);
         self.slots = std::mem::take(&mut self.slots)
             .into_iter()
             .map(|mut slot| {
-                slot.backend = Box::new(RemoteBackend::connect_salted(slot.backend, link, salt));
+                slot.backend = Box::new(RemoteBackend::connect(slot.backend, link, salt));
                 slot
             })
             .collect();

@@ -53,7 +53,7 @@ pub use control::{CadenceGate, ControlRow, ControlTrace, Hysteresis, PiControlle
 pub use fault::{FaultOutcome, FaultPlan, FaultProcess, FaultSpec};
 pub use rng::{DetRng, NoiseStream};
 pub use series::{Sample, TimeSeries};
-pub use stats::{welch_t_test, BoxplotSummary, Histogram, RunningStats, WelchResult};
+pub use stats::{welch_t_test, BoxplotSummary, RunningStats, WelchResult};
 pub use store::{
     Aggregate, RollupBin, SeriesData, SeriesId, StoreConfig, StoreStats, TierSpec, TsStore,
 };

@@ -122,14 +122,6 @@ impl DetRng {
             }
         }
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
 }
 
 /// Indexed (order-independent) noise stream.
@@ -283,20 +275,5 @@ mod tests {
         let n = 50_000u64;
         let mean: f64 = (0..n).map(|k| s.normal(k)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.03, "mean {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = DetRng::new(8);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(
-            v,
-            (0..100).collect::<Vec<_>>(),
-            "shuffle left input unchanged"
-        );
     }
 }

@@ -4,10 +4,10 @@
 //! reduction of one. [`TimeSeries`] stores `(SimTime, f64)` samples in
 //! non-decreasing time order and provides the reductions the harness needs:
 //! summation across series (Figure 8 sums 128 Xeon Phi cards), trapezoidal
-//! energy integration, resampling, and windowed statistics.
+//! energy integration, and windowed statistics.
 
 use crate::stats::RunningStats;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// One observation of a scalar signal.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -110,23 +110,6 @@ impl TimeSeries {
         self.samples.last().map(|s| s.at)
     }
 
-    /// Value at time `t` by zero-order hold (last sample at or before `t`).
-    /// `None` before the first sample.
-    pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        match self.samples.binary_search_by(|s| s.at.cmp(&t)) {
-            Ok(i) => {
-                // Duplicates allowed: take the last sample with this timestamp.
-                let mut i = i;
-                while i + 1 < self.samples.len() && self.samples[i + 1].at == t {
-                    i += 1;
-                }
-                Some(self.samples[i].value)
-            }
-            Err(0) => None,
-            Err(i) => Some(self.samples[i - 1].value),
-        }
-    }
-
     /// Trapezoidal integral of the series over its span.
     ///
     /// For a power series in watts this is energy in joules.
@@ -152,22 +135,6 @@ impl TimeSeries {
             name: self.name.clone(),
             samples,
         }
-    }
-
-    /// Resample by zero-order hold onto a regular grid of `period` starting
-    /// at the first sample. Empty input yields an empty series.
-    pub fn resample(&self, period: SimDuration) -> TimeSeries {
-        assert!(!period.is_zero(), "resample period must be positive");
-        let mut out = TimeSeries::new(self.name.clone());
-        let (Some(start), Some(end)) = (self.start(), self.end()) else {
-            return out;
-        };
-        let mut t = start;
-        while t <= end {
-            out.push(t, self.value_at(t).expect("t >= start implies a value"));
-            t += period;
-        }
-        out
     }
 
     /// Pointwise sum of several series sampled on identical time grids.
@@ -254,26 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn value_at_zero_order_hold() {
-        let mut ts = TimeSeries::new("p");
-        ts.push(secs(10), 1.0);
-        ts.push(secs(20), 2.0);
-        assert_eq!(ts.value_at(secs(5)), None);
-        assert_eq!(ts.value_at(secs(10)), Some(1.0));
-        assert_eq!(ts.value_at(secs(15)), Some(1.0));
-        assert_eq!(ts.value_at(secs(20)), Some(2.0));
-        assert_eq!(ts.value_at(secs(99)), Some(2.0));
-    }
-
-    #[test]
-    fn value_at_duplicate_timestamps_takes_last() {
-        let mut ts = TimeSeries::new("p");
-        ts.push(secs(10), 1.0);
-        ts.push(secs(10), 7.0);
-        assert_eq!(ts.value_at(secs(10)), Some(7.0));
-    }
-
-    #[test]
     fn integrate_trapezoid() {
         let mut ts = TimeSeries::new("watts");
         ts.push(secs(0), 100.0);
@@ -303,15 +250,6 @@ mod tests {
         let mut b = TimeSeries::new("b");
         b.push(secs(1), 1.0);
         TimeSeries::sum("t", &[a, b]);
-    }
-
-    #[test]
-    fn resample_holds_values() {
-        let mut ts = TimeSeries::new("p");
-        ts.push(secs(0), 1.0);
-        ts.push(secs(3), 4.0);
-        let r = ts.resample(SimDuration::from_secs(1));
-        assert_eq!(r.values(), vec![1.0, 1.0, 1.0, 4.0]);
     }
 
     #[test]

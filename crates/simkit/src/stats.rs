@@ -335,50 +335,6 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
     h // converged well enough for our sample sizes
 }
 
-/// A fixed-bin histogram over a closed interval.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    /// Observations falling outside `[lo, hi]`.
-    pub rejected: u64,
-}
-
-impl Histogram {
-    /// A histogram of `bins` equal-width bins over `[lo, hi]`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi && bins > 0);
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            rejected: 0,
-        }
-    }
-
-    /// Absorb an observation.
-    pub fn push(&mut self, x: f64) {
-        if !(self.lo..=self.hi).contains(&x) {
-            self.rejected += 1;
-            return;
-        }
-        let frac = (x - self.lo) / (self.hi - self.lo);
-        let idx = ((frac * self.counts.len() as f64) as usize).min(self.counts.len() - 1);
-        self.counts[idx] += 1;
-    }
-
-    /// Bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations accepted.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,21 +437,5 @@ mod tests {
         let r = welch_t_test(&a, &b);
         assert!(r.mean_diff.abs() < 1e-9);
         assert!(!r.significant_at(0.05));
-    }
-
-    #[test]
-    fn histogram_bins() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.push(i as f64 + 0.5);
-        }
-        h.push(-1.0);
-        h.push(11.0);
-        assert_eq!(h.total(), 10);
-        assert_eq!(h.rejected, 2);
-        assert!(h.counts().iter().all(|&c| c == 1));
-        // Right edge lands in the last bin.
-        h.push(10.0);
-        assert_eq!(h.counts()[9], 2);
     }
 }

@@ -29,10 +29,10 @@
 //!
 //! The exchange path allocates nothing in steady state: [`Frame::write`]
 //! encodes a frame straight into a buffer the caller reuses,
-//! [`FrameRef`] parses one without copying its payload, and
+//! [`Frame::decode`] parses one without copying its payload, and
 //! [`SimTransport::round_trip`] has the server write its response into the
 //! caller's buffer and keeps its corrupted-request copy in a buffer of its
-//! own. [`Frame`] is the owned form, for building and comparing frames.
+//! own.
 
 use crate::rng::{mix64, NoiseStream};
 use crate::telemetry::LogHistogram;
@@ -105,45 +105,32 @@ pub fn fnv1a32(bytes: &[u8]) -> u32 {
     h
 }
 
-/// One protocol frame: an opcode, a sequence number, and an opaque payload.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Frame {
+/// One protocol frame: an opcode, a sequence number, and a payload
+/// borrowed from the bytes it was parsed from, so reading a frame costs no
+/// copy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Frame<'a> {
     /// Request/response opcode. The wire layer does not interpret it.
     pub kind: u8,
     /// Sequence number echoed by responses.
     pub seq: u64,
-    /// Opaque payload, at most [`MAX_PAYLOAD`] bytes.
-    pub payload: Vec<u8>,
+    /// The payload, borrowed from the parsed buffer.
+    pub payload: &'a [u8],
 }
 
-impl Frame {
-    /// Build a frame.
-    pub fn new(kind: u8, seq: u64, payload: Vec<u8>) -> Self {
-        Frame { kind, seq, payload }
-    }
-
-    /// Encode to bytes.
-    ///
-    /// # Panics
-    /// Panics if the payload exceeds [`MAX_PAYLOAD`] (a caller bug, not a
-    /// wire condition).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len() + TRAILER_LEN);
-        Frame::write(&mut out, self.kind, self.seq, |w| {
-            w.buf.extend_from_slice(&self.payload)
-        });
-        out
-    }
-
+impl<'a> Frame<'a> {
     /// Encode a frame of `kind` and `seq` into `out`, replacing its
     /// contents but keeping its capacity: `payload` writes the payload,
-    /// then the length is filled in and the checksum appended. The bytes
-    /// are exactly [`Frame::encode`]'s for the same payload.
+    /// then the length is filled in and the checksum appended.
     ///
-    /// # Panics
-    /// Panics if the payload exceeds [`MAX_PAYLOAD`] (a caller bug, not a
-    /// wire condition).
-    pub fn write(out: &mut Vec<u8>, kind: u8, seq: u64, payload: impl FnOnce(&mut WireWriter)) {
+    /// A payload longer than [`MAX_PAYLOAD`] is refused with
+    /// [`WireError::BadLength`], and `out` is left empty.
+    pub fn write(
+        out: &mut Vec<u8>,
+        kind: u8,
+        seq: u64,
+        payload: impl FnOnce(&mut WireWriter),
+    ) -> Result<(), WireError> {
         let mut w = WireWriter {
             buf: std::mem::take(out),
         };
@@ -154,60 +141,25 @@ impl Frame {
         w.buf.extend_from_slice(&seq.to_le_bytes());
         w.buf.extend_from_slice(&[0; 4]);
         payload(&mut w);
-        let len = w.buf.len() - HEADER_LEN;
-        assert!(len <= MAX_PAYLOAD, "payload too large");
-        w.buf[12..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
-        let sum = fnv1a32(&w.buf);
-        w.buf.extend_from_slice(&sum.to_le_bytes());
         *out = w.buf;
-    }
-
-    /// Decode a buffer holding exactly one frame, copying its payload.
-    /// Trailing bytes are a [`WireError::BadLength`]; use
-    /// [`Frame::decode_prefix`] on streams.
-    pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
-        FrameRef::decode(bytes).map(FrameRef::to_frame)
-    }
-
-    /// Decode one frame from the front of a stream, copying its payload,
-    /// and return it with the number of bytes consumed.
-    pub fn decode_prefix(bytes: &[u8]) -> Result<(Frame, usize), WireError> {
-        FrameRef::decode_prefix(bytes).map(|(frame, used)| (frame.to_frame(), used))
-    }
-}
-
-/// One decoded frame whose payload borrows the bytes it was parsed from:
-/// reading a response costs no copy. [`Frame::decode`] and
-/// [`Frame::decode_prefix`] are this parser plus a payload copy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FrameRef<'a> {
-    /// Request/response opcode.
-    pub kind: u8,
-    /// Sequence number.
-    pub seq: u64,
-    /// The payload, borrowed from the parsed buffer.
-    pub payload: &'a [u8],
-}
-
-impl<'a> FrameRef<'a> {
-    /// Parse a buffer holding exactly one frame. Trailing bytes are a
-    /// [`WireError::BadLength`]; use [`FrameRef::decode_prefix`] on
-    /// streams.
-    pub fn decode(bytes: &'a [u8]) -> Result<FrameRef<'a>, WireError> {
-        let (frame, used) = FrameRef::decode_prefix(bytes)?;
-        if used != bytes.len() {
+        let len = out.len() - HEADER_LEN;
+        if len > MAX_PAYLOAD {
+            out.clear();
             return Err(WireError::BadLength);
         }
-        Ok(frame)
+        out[12..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+        let sum = fnv1a32(out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        Ok(())
     }
 
-    /// Parse one frame from the front of a stream, returning the frame and
-    /// the number of bytes consumed.
+    /// Parse a buffer holding exactly one frame. Trailing bytes are a
+    /// [`WireError::BadLength`].
     ///
     /// All offset arithmetic is checked: a corrupted length byte yields
     /// [`WireError::BadLength`] or [`WireError::Truncated`], never a wrapped
     /// slice index.
-    pub fn decode_prefix(bytes: &'a [u8]) -> Result<(FrameRef<'a>, usize), WireError> {
+    pub fn decode(bytes: &'a [u8]) -> Result<Frame<'a>, WireError> {
         if bytes.len() < HEADER_LEN + TRAILER_LEN {
             return Err(WireError::Truncated);
         }
@@ -237,19 +189,14 @@ impl<'a> FrameRef<'a> {
         if fnv1a32(&bytes[..body_end]) != declared {
             return Err(WireError::BadChecksum);
         }
-        Ok((
-            FrameRef {
-                kind,
-                seq,
-                payload: &bytes[HEADER_LEN..body_end],
-            },
-            total,
-        ))
-    }
-
-    /// The owned frame, its payload copied.
-    pub fn to_frame(self) -> Frame {
-        Frame::new(self.kind, self.seq, self.payload.to_vec())
+        if bytes.len() != total {
+            return Err(WireError::BadLength);
+        }
+        Ok(Frame {
+            kind,
+            seq,
+            payload: &bytes[HEADER_LEN..body_end],
+        })
     }
 }
 
@@ -291,11 +238,17 @@ impl WireWriter {
     }
 
     /// Append a length-prefixed UTF-8 string.
+    ///
+    /// # Panics
+    /// When the string is longer than `u32::MAX` bytes.
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
 
     /// Append a length-prefixed byte slice.
+    ///
+    /// # Panics
+    /// When the slice is longer than `u32::MAX` bytes.
     pub fn bytes(&mut self, v: &[u8]) {
         self.u32(u32::try_from(v.len()).expect("slice length fits u32"));
         self.buf.extend_from_slice(v);
@@ -508,8 +461,11 @@ impl LinkSpec {
         SimDuration::from_nanos(self.latency.as_nanos().saturating_add(per_byte))
     }
 
-    /// Panics unless rates are probabilities and lossy links can time out —
-    /// catching a spec that would hang forever.
+    /// Check the spec, catching one that would hang forever.
+    ///
+    /// # Panics
+    /// Unless every rate is a probability and a lossy link has a nonzero
+    /// timeout.
     pub fn validate(&self) {
         for (name, p) in [
             ("drop", self.drop),
@@ -570,20 +526,6 @@ impl LinkStats {
             ("bytes_rx", self.bytes_rx),
         ]
     }
-
-    /// Fold another ledger into this one.
-    pub fn merge(&mut self, other: &LinkStats) {
-        self.tx += other.tx;
-        self.rx += other.rx;
-        self.retrans += other.retrans;
-        self.timeouts += other.timeouts;
-        self.dropped += other.dropped;
-        self.corrupted += other.corrupted;
-        self.late += other.late;
-        self.bytes_tx += other.bytes_tx;
-        self.bytes_rx += other.bytes_rx;
-        self.rtt.merge(&other.rtt);
-    }
 }
 
 /// The server half of one exchange: given the request's arrival time and
@@ -617,14 +559,12 @@ const LEG_REQ: u64 = 0;
 const LEG_RESP: u64 = 1;
 
 impl SimTransport {
-    /// Build a transport over `spec` (validated).
-    pub fn new(spec: LinkSpec) -> Self {
-        SimTransport::with_salt(spec, 0)
-    }
-
-    /// Build a transport whose noise streams are additionally salted —
-    /// used to give every rank's link independent weather from one spec.
-    pub fn with_salt(spec: LinkSpec, salt: u64) -> Self {
+    /// Build a transport over `spec` whose noise streams are salted by
+    /// `salt`, so one spec gives every rank's link independent weather.
+    ///
+    /// # Panics
+    /// When [`LinkSpec::validate`] rejects `spec`.
+    pub fn new(spec: LinkSpec, salt: u64) -> Self {
         spec.validate();
         let root = NoiseStream::new(mix64(spec.seed, salt));
         SimTransport {
@@ -755,23 +695,65 @@ impl SimTransport {
 mod tests {
     use super::*;
 
-    fn frame(kind: u8, seq: u64, payload: &[u8]) -> Frame {
-        Frame::new(kind, seq, payload.to_vec())
+    /// `payload` framed as `kind` and `seq`.
+    fn frame(kind: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        Frame::write(&mut buf, kind, seq, |w| {
+            payload.iter().for_each(|&b| w.u8(b))
+        })
+        .expect("payload within the limit");
+        buf
     }
 
     #[test]
     fn frame_roundtrip() {
         for payload in [&b""[..], b"x", b"hello wire", &[0u8; 300]] {
-            let f = frame(0x42, 7, payload);
-            let bytes = f.encode();
+            let bytes = frame(0x42, 7, payload);
             assert_eq!(bytes.len(), HEADER_LEN + payload.len() + TRAILER_LEN);
-            assert_eq!(Frame::decode(&bytes).unwrap(), f);
+            let f = Frame::decode(&bytes).unwrap();
+            assert_eq!((f.kind, f.seq, f.payload), (0x42, 7, payload));
         }
     }
 
     #[test]
+    fn write_lays_out_the_documented_header_and_trailer() {
+        // Written over a used buffer: its bytes are replaced and its
+        // allocation kept.
+        let mut buf = vec![0xAA; 256];
+        let cap = buf.capacity();
+        Frame::write(&mut buf, 0x82, 0x0102_0304_0506_0708, |w| w.str("x")).unwrap();
+        assert_eq!(buf.capacity(), cap);
+        let payload = [1, 0, 0, 0, b'x'];
+        let n = payload.len();
+        assert_eq!(buf.len(), HEADER_LEN + n + TRAILER_LEN);
+        assert_eq!(buf[0..2], [0xD7, 0xE5], "magic 0xE5D7, little-endian");
+        assert_eq!(buf[2], 1, "version");
+        assert_eq!(buf[3], 0x82, "kind");
+        assert_eq!(buf[4..12], [8, 7, 6, 5, 4, 3, 2, 1], "seq");
+        assert_eq!(buf[12..16], [n as u8, 0, 0, 0], "payload length");
+        assert_eq!(buf[16..16 + n], payload);
+        let sum = fnv1a32(&buf[..16 + n]).to_le_bytes();
+        assert_eq!(buf[16 + n..], sum, "checksum over bytes [0, 16+n)");
+    }
+
+    #[test]
+    fn write_refuses_a_payload_over_the_limit_and_leaves_the_buffer_empty() {
+        let mut buf = vec![0xAA; 16];
+        Frame::write(&mut buf, 1, 1, |w| {
+            w.buf.resize(HEADER_LEN + MAX_PAYLOAD, 0)
+        })
+        .unwrap();
+        assert_eq!(buf.len(), HEADER_LEN + MAX_PAYLOAD + TRAILER_LEN);
+        let err = Frame::write(&mut buf, 1, 1, |w| {
+            w.buf.resize(HEADER_LEN + MAX_PAYLOAD + 1, 0)
+        });
+        assert_eq!(err, Err(WireError::BadLength));
+        assert!(buf.is_empty());
+    }
+
+    #[test]
     fn truncation_at_every_boundary() {
-        let bytes = frame(1, 9, b"abc").encode();
+        let bytes = frame(1, 9, b"abc");
         for n in 0..bytes.len() {
             let err = Frame::decode(&bytes[..n]).unwrap_err();
             assert!(
@@ -788,19 +770,19 @@ mod tests {
 
     #[test]
     fn corrupted_length_cannot_wrap() {
-        let mut bytes = frame(1, 1, b"payload").encode();
+        let mut bytes = frame(1, 1, b"payload");
         // Blow the length field up to u32::MAX: must reject cleanly.
         bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(Frame::decode(&bytes), Err(WireError::BadLength));
         // A length one past the real payload: truncated, not mis-sliced.
-        let mut bytes = frame(1, 1, b"payload").encode();
+        let mut bytes = frame(1, 1, b"payload");
         bytes[12..16].copy_from_slice(&8u32.to_le_bytes());
         assert_eq!(Frame::decode(&bytes), Err(WireError::Truncated));
     }
 
     #[test]
     fn bad_magic_version_checksum() {
-        let good = frame(1, 1, b"ok").encode();
+        let good = frame(1, 1, b"ok");
         let mut b = good.clone();
         b[0] ^= 0xFF;
         assert_eq!(Frame::decode(&b), Err(WireError::BadMagic));
@@ -818,40 +800,10 @@ mod tests {
     }
 
     #[test]
-    fn decode_prefix_consumes_one_frame() {
-        let a = frame(1, 1, b"first").encode();
-        let b = frame(2, 2, b"second").encode();
-        let mut stream = a.clone();
-        stream.extend_from_slice(&b);
-        let (f1, used) = Frame::decode_prefix(&stream).unwrap();
-        assert_eq!(f1.payload, b"first");
-        assert_eq!(used, a.len());
-        let (f2, used2) = Frame::decode_prefix(&stream[used..]).unwrap();
-        assert_eq!(f2.payload, b"second");
-        assert_eq!(used + used2, stream.len());
-        // Exact decode rejects the concatenation.
+    fn trailing_bytes_are_a_bad_length() {
+        let mut stream = frame(1, 1, b"first");
+        stream.extend_from_slice(&frame(2, 2, b"second"));
         assert_eq!(Frame::decode(&stream), Err(WireError::BadLength));
-    }
-
-    #[test]
-    fn borrowed_parse_and_buffer_write_match_the_owned_forms() {
-        let f = frame(0x82, 41, b"reading");
-        let bytes = f.encode();
-        let view = FrameRef::decode(&bytes).unwrap();
-        assert_eq!(
-            (view.kind, view.seq, view.payload),
-            (0x82, 41, &b"reading"[..])
-        );
-        assert_eq!(view.to_frame(), f);
-        // Writing into a used buffer replaces its bytes and keeps its
-        // allocation.
-        let mut buf = vec![0xAA; 256];
-        let cap = buf.capacity();
-        Frame::write(&mut buf, 0x82, 41, |w| w.str("x"));
-        let mut w = WireWriter::new();
-        w.str("x");
-        assert_eq!(buf, frame(0x82, 41, &w.finish()).encode());
-        assert_eq!(buf.capacity(), cap);
     }
 
     #[test]
@@ -896,17 +848,17 @@ mod tests {
 
     fn echo_serve(proc_us: u64) -> impl FnMut(SimTime, &[u8], &mut Vec<u8>) -> Option<SimDuration> {
         move |_, req, out| {
-            let f = FrameRef::decode(req).ok()?;
-            Frame::write(out, f.kind, f.seq, |w| w.buf.extend_from_slice(f.payload));
+            let f = Frame::decode(req).ok()?;
+            Frame::write(out, f.kind, f.seq, |w| w.buf.extend_from_slice(f.payload)).ok()?;
             Some(SimDuration::from_micros(proc_us))
         }
     }
 
     #[test]
     fn ideal_link_charges_only_processing_time() {
-        let mut tr = SimTransport::new(LinkSpec::ideal());
+        let mut tr = SimTransport::new(LinkSpec::ideal(), 0);
         let t = SimTime::from_secs(5);
-        let req = frame(1, 1, b"ping").encode();
+        let req = frame(1, 1, b"ping");
         let mut resp = Vec::new();
         let done = tr
             .round_trip(1, t, &req, &mut resp, &mut echo_serve(100))
@@ -927,9 +879,9 @@ mod tests {
             ser_ns_per_byte: 5,
             ..LinkSpec::ideal()
         };
-        let mut tr = SimTransport::new(spec);
+        let mut tr = SimTransport::new(spec, 0);
         let t = SimTime::ZERO;
-        let req = frame(1, 1, b"ping").encode();
+        let req = frame(1, 1, b"ping");
         let mut resp = Vec::new();
         let done = tr
             .round_trip(9, t, &req, &mut resp, &mut echo_serve(0))
@@ -946,8 +898,8 @@ mod tests {
     #[test]
     fn total_loss_times_out_with_exact_stall() {
         let spec = LinkSpec::ideal().with_faults(1.0, 0.0, 0.0);
-        let mut tr = SimTransport::new(spec);
-        let req = frame(1, 1, b"ping").encode();
+        let mut tr = SimTransport::new(spec, 0);
+        let req = frame(1, 1, b"ping");
         let err = tr
             .round_trip(3, SimTime::ZERO, &req, &mut Vec::new(), &mut echo_serve(0))
             .unwrap_err();
@@ -967,8 +919,8 @@ mod tests {
     #[test]
     fn corrupted_request_is_rejected_by_the_server_checksum() {
         let spec = LinkSpec::ideal().with_faults(0.0, 1.0, 0.0);
-        let mut tr = SimTransport::new(spec);
-        let req = frame(1, 1, b"ping").encode();
+        let mut tr = SimTransport::new(spec, 0);
+        let req = frame(1, 1, b"ping");
         let mut served_garbage = 0u64;
         let err = tr.round_trip(
             4,
@@ -991,8 +943,8 @@ mod tests {
     #[test]
     fn lossy_link_eventually_succeeds_and_counts_retries() {
         let spec = LinkSpec::ideal().with_faults(0.25, 0.0, 0.0).with_seed(11);
-        let mut tr = SimTransport::new(spec);
-        let req = frame(1, 1, b"ping").encode();
+        let mut tr = SimTransport::new(spec, 0);
+        let req = frame(1, 1, b"ping");
         let (mut ok, mut fail) = (0u64, 0u64);
         for i in 0..200u64 {
             match tr.round_trip(
@@ -1021,7 +973,7 @@ mod tests {
         // Two transports over the same spec; querying keys in different
         // orders must give identical outcomes per key.
         let spec = LinkSpec::ideal().with_faults(0.5, 0.1, 0.0).with_seed(77);
-        let req = frame(1, 1, b"ping").encode();
+        let req = frame(1, 1, b"ping");
         let outcome = |tr: &mut SimTransport, key: u64| {
             tr.round_trip(
                 key,
@@ -1032,9 +984,9 @@ mod tests {
             )
             .is_ok()
         };
-        let mut a = SimTransport::new(spec);
+        let mut a = SimTransport::new(spec, 0);
         let forward: Vec<bool> = (0..32).map(|k| outcome(&mut a, k)).collect();
-        let mut b = SimTransport::new(spec);
+        let mut b = SimTransport::new(spec, 0);
         let mut backward: Vec<(u64, bool)> =
             (0..32).rev().map(|k| (k, outcome(&mut b, k))).collect();
         backward.sort_by_key(|&(k, _)| k);
@@ -1051,8 +1003,8 @@ mod tests {
             timeout: SimDuration::from_millis(50),
             ..LinkSpec::ideal()
         };
-        let mut tr = SimTransport::new(spec);
-        let req = frame(1, 1, b"ping").encode();
+        let mut tr = SimTransport::new(spec, 0);
+        let req = frame(1, 1, b"ping");
         let done = tr
             .round_trip(5, SimTime::ZERO, &req, &mut Vec::new(), &mut echo_serve(0))
             .expect("within budget");
@@ -1063,35 +1015,10 @@ mod tests {
             reorder_delay: SimDuration::from_millis(60),
             ..spec
         };
-        let mut tr = SimTransport::new(spec);
+        let mut tr = SimTransport::new(spec, 0);
         let err = tr.round_trip(5, SimTime::ZERO, &req, &mut Vec::new(), &mut echo_serve(0));
         assert!(matches!(err, Err(WireError::Timeout { .. })));
         assert_eq!(tr.stats().late, u64::from(spec.max_retrans) + 1);
-    }
-
-    #[test]
-    fn stats_merge_folds_everything() {
-        let spec = LinkSpec::ideal().with_faults(0.3, 0.0, 0.0).with_seed(3);
-        let req = frame(1, 1, b"ping").encode();
-        let run = |keys: std::ops::Range<u64>| {
-            let mut tr = SimTransport::new(spec);
-            for k in keys {
-                let _ = tr.round_trip(
-                    mix64(9, k),
-                    SimTime::ZERO,
-                    &req,
-                    &mut Vec::new(),
-                    &mut echo_serve(1),
-                );
-            }
-            tr.stats().clone()
-        };
-        let all = run(0..64);
-        let mut halves = run(0..32);
-        halves.merge(&run(32..64));
-        assert_eq!(halves, all);
-        let folded: u64 = all.kinds().iter().map(|&(_, n)| n).sum();
-        assert!(folded > 0);
     }
 
     #[test]

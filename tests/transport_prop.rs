@@ -3,18 +3,18 @@
 //!
 //! Four kinds of property:
 //!
-//! * **Framing** — `Frame` encode/decode round-trips arbitrary payloads,
-//!   and stream decode consumes exactly one frame.
+//! * **Framing** — `Frame::write` then `Frame::decode` round-trips
+//!   arbitrary payloads, and a frame followed by more bytes is refused.
 //! * **Codecs** — a fault-free wire round trip is lossless for every
 //!   reading shape the mechanisms produce: all optional rails, stale
 //!   flags, unicode device names, and every `f64` bit pattern short of
 //!   NaN (f64s travel as bit patterns, so even `-0.0` and subnormals
 //!   survive byte-exact).
 //! * **Hostile input** — no byte string a link or a client can deliver
-//!   panics the frame decoders (the borrowed `FrameRef` parser and the
-//!   owned forms that wrap it), the payload decoders (with and without a
-//!   label vocabulary) or the server: each returns a value or a typed
-//!   error, and the server answers only the protocol's one request kind.
+//!   panics the frame decoder, the payload decoders (with and without a
+//!   label vocabulary) or the server's `serve`: each returns a value or a
+//!   typed error, a frame that decodes re-encodes to the same bytes, and
+//!   the server answers only the protocol's one request kind.
 //! * **Deployment** — a parallel `ClusterRun` of *remote* sessions is
 //!   byte-identical to a serial one: the wire layer must not introduce
 //!   any worker-order dependence the local path doesn't have. A
@@ -23,13 +23,13 @@
 
 use envmon::prelude::*;
 use moneq::remote::{
-    decode_poll, decode_poll_in, decode_read_error, encode_poll, encode_read_error, BackendServer,
-    RemoteBackend, REQ_READ, RESP_FLAG,
+    decode_poll, decode_read_error, encode_poll, encode_read_error, BackendServer, RemoteBackend,
+    REQ_READ, RESP_FLAG,
 };
 use moneq::{ClusterResult, ClusterRun, DataPoint, EnvBackend, Poll};
 use proptest::prelude::*;
 use proptest::prop::sample::Index;
-use simkit::wire::{Frame, FrameRef, WireReader, WireWriter};
+use simkit::wire::{Frame, WireError, WireReader, WireWriter};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -105,6 +105,16 @@ fn read_error() -> impl Strategy<Value = ReadError> {
     })
 }
 
+/// `payload` framed as `kind` and `seq`.
+fn frame(kind: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    Frame::write(&mut buf, kind, seq, |w| {
+        payload.iter().for_each(|&b| w.u8(b))
+    })
+    .expect("payload within the limit");
+    buf
+}
+
 /// `bytes` after damage: one byte XOR-ed with `mask` (a zero mask leaves
 /// it intact), then cut at `cut` (possibly past the end, i.e. not cut).
 fn damaged(mut bytes: Vec<u8>, flip: Index, mask: u8, cut: Index) -> Vec<u8> {
@@ -130,12 +140,12 @@ fn hostile_frame() -> impl Strategy<Value = Vec<u8>> {
         .prop_map(|(pick, kind, noise, flip, mask, cut)| match pick {
             0 => noise,
             1 => {
-                let mut bytes = Frame::new(kind, 7, Vec::new()).encode();
+                let mut bytes = frame(kind, 7, &[]);
                 bytes.truncate(4);
                 bytes.extend(noise);
                 bytes
             }
-            _ => damaged(Frame::new(kind, 7, noise).encode(), flip, mask, cut),
+            _ => damaged(frame(kind, 7, &noise), flip, mask, cut),
         })
 }
 
@@ -299,15 +309,13 @@ proptest! {
         seq in any::<u64>(),
         payload in prop::collection::vec(any::<u8>(), 0..2048),
     ) {
-        let frame = Frame::new(kind, seq, payload);
-        let wire = frame.encode();
-        prop_assert_eq!(Frame::decode(&wire).unwrap(), frame.clone());
-        // Stream decode consumes exactly one frame, whatever follows.
+        let wire = frame(kind, seq, &payload);
+        let back = Frame::decode(&wire).unwrap();
+        prop_assert_eq!((back.kind, back.seq, back.payload), (kind, seq, &payload[..]));
+        // Decode takes exactly one frame: whatever follows is refused.
         let mut stream = wire.clone();
         stream.extend_from_slice(&[0xA5; 13]);
-        let (again, used) = Frame::decode_prefix(&stream).unwrap();
-        prop_assert_eq!(again, frame);
-        prop_assert_eq!(used, wire.len());
+        prop_assert_eq!(Frame::decode(&stream), Err(WireError::BadLength));
     }
 
     #[test]
@@ -320,7 +328,7 @@ proptest! {
         encode_poll(&mut w, &poll);
         let payload = w.finish();
         let mut r = WireReader::new(&payload);
-        let back = decode_poll(&mut r).unwrap();
+        let back = decode_poll(&mut r, &[]).unwrap();
         r.expect_end().unwrap();
         prop_assert_eq!(back, poll);
     }
@@ -396,7 +404,7 @@ proptest! {
 /// same borrows, and every label the backend built as an owned copy.
 #[test]
 fn lent_labels_decode_borrowed_and_built_ones_owned() {
-    let mut remote = RemoteBackend::connect(Box::new(Mixed), LinkSpec::ideal());
+    let mut remote = RemoteBackend::connect(Box::new(Mixed), LinkSpec::ideal(), 0);
     let t = SimTime::from_millis(120);
     let poll = remote.read(t).expect("ideal link");
     assert_eq!(poll, Mixed.read(t).expect("local read"));
@@ -416,23 +424,13 @@ fn lent_labels_decode_borrowed_and_built_ones_owned() {
 // PROPTEST_CASES count.
 proptest! {
     /// Hostile bytes decode to a frame or a typed error, never a panic,
-    /// and the two entry points agree: `decode` accepts exactly the
-    /// buffers `decode_prefix` consumes whole.
+    /// and a frame that decodes re-encodes to exactly the bytes it came
+    /// from.
     #[test]
-    fn frame_decoders_never_panic(bytes in hostile_frame()) {
-        let whole = Frame::decode(&bytes);
-        match Frame::decode_prefix(&bytes) {
-            Ok((frame, used)) if used == bytes.len() => prop_assert_eq!(whole, Ok(frame)),
-            _ => prop_assert!(whole.is_err()),
+    fn frame_decoder_never_panics(bytes in hostile_frame()) {
+        if let Ok(f) = Frame::decode(&bytes) {
+            prop_assert_eq!(frame(f.kind, f.seq, f.payload), bytes);
         }
-        // The borrowed parser keeps the same contract, and the owned
-        // forms are it plus a payload copy.
-        let view = FrameRef::decode(&bytes);
-        match FrameRef::decode_prefix(&bytes) {
-            Ok((frame, used)) if used == bytes.len() => prop_assert_eq!(view, Ok(frame)),
-            _ => prop_assert!(view.is_err()),
-        }
-        prop_assert_eq!(view.map(FrameRef::to_frame), Frame::decode(&bytes));
     }
 
     /// Any payload decodes to a poll, a read error or a typed
@@ -441,8 +439,8 @@ proptest! {
     /// borrowed, every other label owned.
     #[test]
     fn payload_decoders_never_panic(payload in hostile_payload()) {
-        let owned = decode_poll(&mut WireReader::new(&payload));
-        let mapped = decode_poll_in(&mut WireReader::new(&payload), &LENT);
+        let owned = decode_poll(&mut WireReader::new(&payload), &[]);
+        let mapped = decode_poll(&mut WireReader::new(&payload), &LENT);
         if let Ok(poll) = &mapped {
             for label in poll.points.iter().flat_map(|p| [&p.device, &p.domain]) {
                 let lent = LENT.contains(&label.as_ref());
@@ -479,12 +477,12 @@ proptest! {
         };
         let served = kind == REQ_READ && payload.is_empty();
         let mut server = BackendServer::new(Box::new(Fixed));
-        let request = Frame::new(kind, seq, payload).encode();
-        let reply = server.handle(SimTime::from_millis(60), &request);
-        prop_assert_eq!(reply.is_some(), served);
-        if let Some((_, bytes)) = reply {
-            let frame = Frame::decode(&bytes).unwrap();
-            prop_assert_eq!((frame.kind, frame.seq), (kind | RESP_FLAG, seq));
+        let mut reply = Vec::new();
+        let cost = server.serve(SimTime::from_millis(60), &frame(kind, seq, &payload), &mut reply);
+        prop_assert_eq!(cost.is_some(), served);
+        if cost.is_some() {
+            let f = Frame::decode(&reply).unwrap();
+            prop_assert_eq!((f.kind, f.seq), (kind | RESP_FLAG, seq));
         }
     }
 }
