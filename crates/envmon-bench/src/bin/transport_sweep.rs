@@ -14,6 +14,11 @@
 //! * `reconciled` — the faulty run's wire ledger (`tx = rx + timeouts`)
 //!   and completeness ledger both balance.
 //!
+//! The ablation runs `reps` times (5, or 3 with `--quick`/`--smoke`; the
+//! count is in the file's head), and every run must render the same
+//! table as the first: the determinism referee. `wall_ms` is the median
+//! run, with its quartiles as `wall_ms_q1` and `wall_ms_q3`.
+//!
 //! ```text
 //! transport_sweep [--seed N] [--out FILE] [--quick | --smoke]
 //! ```
@@ -32,8 +37,6 @@ fn main() {
         match a.as_str() {
             "--seed" => seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N"),
             "--out" => out = args.next().map(Into::into).expect("--out FILE"),
-            // The ablation is one fixed registry pass either way;
-            // smoke mode only skips the second-seed determinism leg.
             "--quick" | "--smoke" => smoke = true,
             other => {
                 eprintln!("transport_sweep: unknown argument {other}");
@@ -42,25 +45,30 @@ fn main() {
         }
     }
 
-    let t0 = Instant::now();
-    let table = transport(seed);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let reps = if smoke { 3 } else { 5 };
+    let timed = || {
+        let t0 = Instant::now();
+        let table = transport(seed);
+        (t0.elapsed().as_secs_f64() * 1e3, table)
+    };
+    let (first_ms, table) = timed();
+    let rendered = table.render();
+    let mut wall_ms = vec![first_ms];
+    for _ in 1..reps {
+        let (ms, again) = timed();
+        wall_ms.push(ms);
+        assert_eq!(
+            again.render(),
+            rendered,
+            "transport ablation is not deterministic in its seed"
+        );
+    }
 
     assert!(
         table.all_identical(),
         "zero-latency remote != local somewhere"
     );
     assert!(table.all_exact(), "latency or fault ledger drifted");
-
-    if !smoke {
-        // Determinism referee: the whole ablation must replay bit-equal.
-        let again = transport(seed);
-        assert_eq!(
-            table.render(),
-            again.render(),
-            "transport ablation is not deterministic in its seed"
-        );
-    }
 
     for r in &table.rows {
         eprintln!(
@@ -84,7 +92,8 @@ fn main() {
         head: Fields::default()
             .text("bench", "transport_sweep")
             .num("seed", seed)
-            .fixed("wall_ms", wall_ms, 1)
+            .num("reps", reps)
+            .spread(["wall_ms", "wall_ms_q1", "wall_ms_q3"], &wall_ms, 1)
             .flag("all_identical", table.all_identical())
             .flag("all_exact", table.all_exact()),
         rows_key: "mechanisms",

@@ -70,6 +70,15 @@ pub struct Smc {
 /// SMC sampling cadence (one fresh generation every 50 ms).
 pub const SMC_SAMPLE_PERIOD: SimDuration = SimDuration::from_millis(50);
 
+/// Update period of the SMC's internal energy counter.
+const COUNTER_PERIOD: SimDuration = SimDuration::from_millis(1);
+
+// Generations lie on the counter's update grid; `read_power_parts` relies
+// on it.
+const _: () = assert!(SMC_SAMPLE_PERIOD
+    .as_nanos()
+    .is_multiple_of(COUNTER_PERIOD.as_nanos()));
+
 /// Core rail voltage.
 pub const VCCP_VOLTS: f64 = 1.05;
 
@@ -82,7 +91,7 @@ impl Smc {
             counter: EnergyCounter::new(EnergyCounterSpec {
                 unit_joules: 1.0 / 65_536.0,
                 width_bits: 32,
-                update_period: SimDuration::from_millis(1),
+                update_period: COUNTER_PERIOD,
             }),
             window: SMC_SAMPLE_PERIOD,
             temp_sensor: ScalarSensor::new(
@@ -109,16 +118,18 @@ impl Smc {
     pub fn read_power_parts(&self, card: &PhiCard, t: SimTime) -> SmcPowerParts {
         let generation = self.generation_at(t);
         // RAPL-style power: energy-counter delta over the sampling window.
+        // Both instants lie on the counter's update grid, so the counter
+        // reads the energy evaluated once at each, as the exact mean does.
         let (exact_mean_w, counter_mean_w) = if generation.as_nanos() >= self.window.as_nanos() {
             let earlier = generation - self.window;
-            let raw0 = self.counter.raw(earlier, |at| card.total_energy(at));
-            let raw1 = self.counter.raw(generation, |at| card.total_energy(at));
+            let (e0, e1) = (card.total_energy(earlier), card.total_energy(generation));
+            let raw0 = self.counter.raw(earlier, |_| e0);
+            let raw1 = self.counter.raw(generation, |_| e1);
             let counter = self
                 .counter
                 .counts_to_joules(self.counter.delta_counts(raw0, raw1))
                 / self.window.as_secs_f64();
-            let exact = (card.total_energy(generation) - card.total_energy(earlier))
-                / self.window.as_secs_f64();
+            let exact = (e1 - e0) / self.window.as_secs_f64();
             (exact, counter)
         } else {
             let p = card.total_power(generation);

@@ -495,10 +495,9 @@ mod tests {
         p.amps = Some(1.0 / 3.0);
         p.stale = true;
         let poll = Poll::with_missing(vec![p, DataPoint::power(SimTime::ZERO, "", "", 5.5)], 3);
-        let mut w = WireWriter::new();
-        encode_poll(&mut w, &poll);
-        let buf = w.finish();
-        let mut r = WireReader::new(&buf);
+        let mut buf = Vec::new();
+        Frame::write(&mut buf, REQ_READ | RESP_FLAG, 1, |w| encode_poll(w, &poll)).unwrap();
+        let mut r = WireReader::new(Frame::decode(&buf).unwrap().payload);
         let back = decode_poll(&mut r, &[]).unwrap();
         r.expect_end().unwrap();
         // PartialEq is not enough for the -0.0 payload: compare bits.
@@ -521,11 +520,13 @@ mod tests {
             ReadError::NoData,
             ReadError::Unavailable("sampling blackout".into()),
         ];
+        let mut buf = Vec::new();
         for e in cases {
-            let mut w = WireWriter::new();
-            encode_read_error(&mut w, &e);
-            let buf = w.finish();
-            let mut r = WireReader::new(&buf);
+            Frame::write(&mut buf, REQ_READ | RESP_FLAG, 1, |w| {
+                encode_read_error(w, &e)
+            })
+            .unwrap();
+            let mut r = WireReader::new(Frame::decode(&buf).unwrap().payload);
             assert_eq!(decode_read_error(&mut r).unwrap(), e);
             r.expect_end().unwrap();
         }

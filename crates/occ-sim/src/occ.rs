@@ -26,6 +26,9 @@ pub const OCC_TICK: SimDuration = SimDuration::from_millis(25);
 /// point sample).
 pub const OCC_ACC_STEP: SimDuration = SimDuration::from_micros(250);
 
+// Generations lie on the accumulator grid; `Occ::sample` relies on it.
+const _: () = assert!(OCC_TICK.as_nanos().is_multiple_of(OCC_ACC_STEP.as_nanos()));
+
 /// Energy accumulator LSB, joules.
 pub const OCC_ACC_UNIT_J: f64 = 1.0 / 1_024.0;
 
@@ -98,12 +101,6 @@ impl Occ {
         t.grid_floor(SimTime::ZERO, OCC_TICK)
     }
 
-    /// The raw wrapping energy accumulator at the generation `t` observes.
-    pub fn energy_counts(&self, chip: &Power9Chip, t: SimTime) -> u64 {
-        let generation = self.generation_at(t);
-        self.counter.raw(generation, |at| chip.total_energy(at))
-    }
-
     /// The OCC power pipeline at `t` with each stage separated — the
     /// oracle surface for the accuracy harness. Stages, in pipeline order:
     /// the exact windowed mean over the completed tick (averaging
@@ -111,17 +108,26 @@ impl Occ {
     /// truncation), and the published whole-watt sensor. [`Occ::read`]
     /// returns the last stage; it is the same computation.
     pub fn read_power_parts(&self, chip: &Power9Chip, t: SimTime) -> OccPowerParts {
+        self.sample(chip, t).0
+    }
+
+    /// The power pipeline at `t` and the raw accumulator at its
+    /// generation. Both instants lie on the accumulator grid, so the
+    /// accumulator reads the energy evaluated once at each, as the exact
+    /// mean does.
+    fn sample(&self, chip: &Power9Chip, t: SimTime) -> (OccPowerParts, u64) {
         let generation = self.generation_at(t);
+        let e1 = chip.total_energy(generation);
+        let raw1 = self.counter.raw(generation, |_| e1);
         let (exact_mean_w, counter_mean_w) = if generation.as_nanos() >= OCC_TICK.as_nanos() {
             let earlier = generation - OCC_TICK;
-            let raw0 = self.counter.raw(earlier, |at| chip.total_energy(at));
-            let raw1 = self.counter.raw(generation, |at| chip.total_energy(at));
+            let e0 = chip.total_energy(earlier);
+            let raw0 = self.counter.raw(earlier, |_| e0);
             let counter = self
                 .counter
                 .counts_to_joules(self.counter.delta_counts(raw0, raw1))
                 / OCC_TICK.as_secs_f64();
-            let exact = (chip.total_energy(generation) - chip.total_energy(earlier))
-                / OCC_TICK.as_secs_f64();
+            let exact = (e1 - e0) / OCC_TICK.as_secs_f64();
             (exact, counter)
         } else {
             // Before the first completed buffer the OCC publishes the
@@ -129,21 +135,22 @@ impl Occ {
             let p = chip.total_power(generation);
             (p, p)
         };
-        OccPowerParts {
+        let parts = OccPowerParts {
             generation,
             exact_mean_w,
             counter_mean_w,
             reported_w: counter_mean_w.max(0.0).round() as u32,
-        }
+        };
+        (parts, raw1)
     }
 
     /// Read the latest completed sensor buffer at query time `t`.
     pub fn read(&self, chip: &Power9Chip, t: SimTime) -> OccReading {
-        let parts = self.read_power_parts(chip, t);
+        let (parts, energy_counts) = self.sample(chip, t);
         OccReading {
             generation: parts.generation,
             socket_power_w: parts.reported_w,
-            energy_counts: self.energy_counts(chip, t),
+            energy_counts,
             die_temp_c: chip.die_temp(parts.generation).round(),
         }
     }

@@ -16,12 +16,13 @@
 //! ```text
 //! offset  size  field
 //!      0     2  magic (0xE5D7)
-//!      2     1  version (1)
+//!      2     1  version (2)
 //!      3     1  kind (request/response opcode, owned by the caller)
 //!      4     8  seq
 //!     12     4  payload length
 //!     16     n  payload
-//!   16+n     4  FNV-1a-32 checksum over bytes [0, 16+n)
+//!   16+n     4  checksum over bytes [0, 16+n): FNV-1a-32 in four
+//!               lanes over 16-byte blocks of u32 words, then the tail
 //! ```
 //!
 //! Everything here is deterministic: the same `(LinkSpec, key, t)` triple
@@ -41,8 +42,9 @@ use std::fmt;
 
 /// Protocol magic, first two bytes of every frame.
 pub const WIRE_MAGIC: u16 = 0xE5D7;
-/// Protocol version carried in byte 2.
-pub const WIRE_VERSION: u8 = 1;
+/// Protocol version carried in byte 2. It changes whenever the layout or
+/// the trailer's checksum function does.
+pub const WIRE_VERSION: u8 = 2;
 /// Fixed header size in bytes (magic + version + kind + seq + length).
 pub const HEADER_LEN: usize = 16;
 /// Trailer size in bytes (the checksum).
@@ -94,15 +96,44 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// FNV-1a-32 over a byte slice — the frame checksum.
-#[inline]
-pub fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for b in bytes {
-        h ^= u32::from(*b);
-        h = h.wrapping_mul(0x0100_0193);
+/// FNV-1a-32's offset basis: the starting state of every lane and fold.
+const FNV_BASIS: u32 = 0x811C_9DC5;
+/// FNV-1a-32's prime.
+const FNV_PRIME: u32 = 0x0100_0193;
+
+/// One FNV-1a step over a whole input word. For a fixed state it is a
+/// bijection of the input, and for a fixed input a bijection of the state
+/// (XOR, then a multiply by an odd number modulo 2³²).
+fn fnv_step(h: u32, x: u32) -> u32 {
+    (h ^ x).wrapping_mul(FNV_PRIME)
+}
+
+/// The frame checksum, word at a time: FNV-1a-32 run as four lanes over
+/// the little-endian `u32` words of each 16-byte block (the header is the
+/// first block), the four lane states folded by FNV-1a steps, then each
+/// whole word after the last block and each of the last 0–3 bytes one
+/// step apiece.
+///
+/// A frame with exactly one changed byte never passes: the change alters
+/// one input of one lane or fold step, and every later step is a
+/// bijection of the state, so the sum changes too (or, for a byte of the
+/// trailer, the sum it is compared with). The lanes are independent, so
+/// each takes one dependent multiply per 16 bytes where byte-wise FNV-1a
+/// takes one per byte.
+fn frame_checksum(bytes: &[u8]) -> u32 {
+    let (blocks, rest) = bytes.as_chunks::<16>();
+    let mut lanes = [FNV_BASIS; 4];
+    for block in blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.as_chunks::<4>().0) {
+            *lane = fnv_step(*lane, u32::from_le_bytes(*word));
+        }
     }
-    h
+    let (words, tail) = rest.as_chunks::<4>();
+    let h = lanes.into_iter().fold(FNV_BASIS, fnv_step);
+    let h = words
+        .iter()
+        .fold(h, |h, word| fnv_step(h, u32::from_le_bytes(*word)));
+    tail.iter().fold(h, |h, &b| fnv_step(h, u32::from(b)))
 }
 
 /// One protocol frame: an opcode, a sequence number, and a payload
@@ -148,7 +179,7 @@ impl<'a> Frame<'a> {
             return Err(WireError::BadLength);
         }
         out[12..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
-        let sum = fnv1a32(out);
+        let sum = frame_checksum(out);
         out.extend_from_slice(&sum.to_le_bytes());
         Ok(())
     }
@@ -186,7 +217,7 @@ impl<'a> Frame<'a> {
         }
         let body_end = HEADER_LEN + payload_len;
         let declared = u32::from_le_bytes(bytes[body_end..total].try_into().expect("4-byte slice"));
-        if fnv1a32(&bytes[..body_end]) != declared {
+        if frame_checksum(&bytes[..body_end]) != declared {
             return Err(WireError::BadChecksum);
         }
         if bytes.len() != total {
@@ -200,18 +231,14 @@ impl<'a> Frame<'a> {
     }
 }
 
-/// Little-endian payload writer used by the request/response codecs.
-#[derive(Clone, Debug, Default)]
+/// Little-endian payload writer used by the request/response codecs: it
+/// writes a frame's payload in place, inside [`Frame::write`].
+#[derive(Clone, Debug)]
 pub struct WireWriter {
     buf: Vec<u8>,
 }
 
 impl WireWriter {
-    /// Start an empty payload.
-    pub fn new() -> Self {
-        WireWriter::default()
-    }
-
     /// Append one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -263,11 +290,6 @@ impl WireWriter {
             }
             None => self.u8(0),
         }
-    }
-
-    /// Finish and take the payload bytes.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
     }
 }
 
@@ -727,13 +749,29 @@ mod tests {
         let n = payload.len();
         assert_eq!(buf.len(), HEADER_LEN + n + TRAILER_LEN);
         assert_eq!(buf[0..2], [0xD7, 0xE5], "magic 0xE5D7, little-endian");
-        assert_eq!(buf[2], 1, "version");
+        assert_eq!(buf[2], WIRE_VERSION, "version");
         assert_eq!(buf[3], 0x82, "kind");
         assert_eq!(buf[4..12], [8, 7, 6, 5, 4, 3, 2, 1], "seq");
         assert_eq!(buf[12..16], [n as u8, 0, 0, 0], "payload length");
         assert_eq!(buf[16..16 + n], payload);
-        let sum = fnv1a32(&buf[..16 + n]).to_le_bytes();
+        let sum = frame_checksum(&buf[..16 + n]).to_le_bytes();
         assert_eq!(buf[16 + n..], sum, "checksum over bytes [0, 16+n)");
+    }
+
+    #[test]
+    fn checksum_is_pinned_on_every_path() {
+        // No block; one block and no tail.
+        assert_eq!(frame_checksum(&[]), 0xA78A_2FF1);
+        assert_eq!(frame_checksum(&[0; 16]), 0x205B_0F71);
+        // A whole READ request: the header is one block, and the trailer
+        // is its checksum.
+        let request = [
+            0xD7, 0xE5, 2, 0x02, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x2D, 0xC7, 0x05, 0x52,
+        ];
+        assert_eq!(frame(0x02, 1, &[]), request);
+        // Two blocks, two whole tail words and three tail bytes.
+        let bytes: Vec<u8> = (0..43).collect();
+        assert_eq!(frame_checksum(&bytes), 0x1FAE_10F0);
     }
 
     #[test]
@@ -808,17 +846,19 @@ mod tests {
 
     #[test]
     fn writer_reader_roundtrip() {
-        let mut w = WireWriter::new();
-        w.u8(7);
-        w.u32(0xDEAD_BEEF);
-        w.u64(u64::MAX);
-        w.f64(-0.0);
-        w.bool(true);
-        w.str("environmental");
-        w.opt_f64(Some(f64::MIN_POSITIVE));
-        w.opt_f64(None);
-        let buf = w.finish();
-        let mut r = WireReader::new(&buf);
+        let mut buf = Vec::new();
+        Frame::write(&mut buf, 1, 1, |w| {
+            w.u8(7);
+            w.u32(0xDEAD_BEEF);
+            w.u64(u64::MAX);
+            w.f64(-0.0);
+            w.bool(true);
+            w.str("environmental");
+            w.opt_f64(Some(f64::MIN_POSITIVE));
+            w.opt_f64(None);
+        })
+        .unwrap();
+        let mut r = WireReader::new(Frame::decode(&buf).unwrap().payload);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX);
@@ -839,10 +879,9 @@ mod tests {
             r.bytes(),
             Err(WireError::Truncated | WireError::BadLength)
         ));
-        let mut w = WireWriter::new();
-        w.bytes(&[0xFF, 0xFE]);
-        let buf = w.finish();
-        let mut r = WireReader::new(&buf);
+        let mut buf = Vec::new();
+        Frame::write(&mut buf, 1, 1, |w| w.bytes(&[0xFF, 0xFE])).unwrap();
+        let mut r = WireReader::new(Frame::decode(&buf).unwrap().payload);
         assert_eq!(r.str(), Err(WireError::Malformed("utf-8 string")));
     }
 

@@ -13,8 +13,9 @@
 //! * **Hostile input** — no byte string a link or a client can deliver
 //!   panics the frame decoder, the payload decoders (with and without a
 //!   label vocabulary) or the server's `serve`: each returns a value or a
-//!   typed error, a frame that decodes re-encodes to the same bytes, and
-//!   the server answers only the protocol's one request kind.
+//!   typed error, a frame that decodes re-encodes to the same bytes, the
+//!   server answers only the protocol's one request kind, and no frame
+//!   with exactly one changed byte decodes or is answered.
 //! * **Deployment** — a parallel `ClusterRun` of *remote* sessions is
 //!   byte-identical to a serial one: the wire layer must not introduce
 //!   any worker-order dependence the local path doesn't have. A
@@ -115,6 +116,17 @@ fn frame(kind: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
     buf
 }
 
+/// The payload `write` produces, written inside a frame and read back out
+/// of it, the way every payload crosses the wire.
+fn payload(write: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
+    let mut buf = Vec::new();
+    Frame::write(&mut buf, REQ_READ | RESP_FLAG, 1, write).expect("payload within the limit");
+    Frame::decode(&buf)
+        .expect("a frame just written")
+        .payload
+        .to_vec()
+}
+
 /// `bytes` after damage: one byte XOR-ed with `mask` (a zero mask leaves
 /// it intact), then cut at `cut` (possibly past the end, i.e. not cut).
 fn damaged(mut bytes: Vec<u8>, flip: Index, mask: u8, cut: Index) -> Vec<u8> {
@@ -162,13 +174,12 @@ fn hostile_payload() -> impl Strategy<Value = Vec<u8>> {
         any::<Index>(),
     )
         .prop_map(|(pick, points, e, noise, flip, mask, cut)| {
-            let mut w = WireWriter::new();
-            match pick {
+            let bytes = match pick {
                 0 => return noise,
-                1 => encode_poll(&mut w, &Poll { points, missing: 0 }),
-                _ => encode_read_error(&mut w, &e),
-            }
-            damaged(w.finish(), flip, mask, cut)
+                1 => payload(|w| encode_poll(w, &Poll { points, missing: 0 })),
+                _ => payload(|w| encode_read_error(w, &e)),
+            };
+            damaged(bytes, flip, mask, cut)
         })
 }
 
@@ -324,10 +335,8 @@ proptest! {
         missing in any::<u32>(),
     ) {
         let poll = Poll { points, missing };
-        let mut w = WireWriter::new();
-        encode_poll(&mut w, &poll);
-        let payload = w.finish();
-        let mut r = WireReader::new(&payload);
+        let bytes = payload(|w| encode_poll(w, &poll));
+        let mut r = WireReader::new(&bytes);
         let back = decode_poll(&mut r, &[]).unwrap();
         r.expect_end().unwrap();
         prop_assert_eq!(back, poll);
@@ -335,10 +344,8 @@ proptest! {
 
     #[test]
     fn read_error_codec_is_lossless(e in read_error()) {
-        let mut w = WireWriter::new();
-        encode_read_error(&mut w, &e);
-        let payload = w.finish();
-        let mut r = WireReader::new(&payload);
+        let bytes = payload(|w| encode_read_error(w, &e));
+        let mut r = WireReader::new(&bytes);
         let back = decode_read_error(&mut r).unwrap();
         r.expect_end().unwrap();
         prop_assert_eq!(back, e);
@@ -466,23 +473,42 @@ proptest! {
     ) {
         // Kinds 0x01–0x04 two times in three, any kind otherwise.
         let kind = if pick < 4 { pick + 1 } else { other };
-        let payload = match shape {
+        let body = match shape {
             0 => Vec::new(),
-            1 => {
-                let mut w = WireWriter::new();
-                w.u32(agents);
-                w.finish()
-            }
+            1 => payload(|w| w.u32(agents)),
             _ => noise,
         };
-        let served = kind == REQ_READ && payload.is_empty();
+        let served = kind == REQ_READ && body.is_empty();
         let mut server = BackendServer::new(Box::new(Fixed));
         let mut reply = Vec::new();
-        let cost = server.serve(SimTime::from_millis(60), &frame(kind, seq, &payload), &mut reply);
+        let cost = server.serve(SimTime::from_millis(60), &frame(kind, seq, &body), &mut reply);
         prop_assert_eq!(cost.is_some(), served);
         if cost.is_some() {
             let f = Frame::decode(&reply).unwrap();
             prop_assert_eq!((f.kind, f.seq), (kind | RESP_FLAG, seq));
+        }
+    }
+
+    /// No frame with exactly one changed byte decodes, and the server
+    /// answers no request with one: the contract the frame checksum
+    /// keeps, and the reason every request the link corrupts is dropped.
+    /// Each case changes every byte of its frame in turn, by one mask.
+    #[test]
+    fn no_single_byte_change_decodes(
+        kind in any::<u8>(),
+        seq in any::<u64>(),
+        body in prop::collection::vec(any::<u8>(), 0..300),
+        mask in 1u8..=255,
+    ) {
+        let mut server = BackendServer::new(Box::new(Fixed));
+        for mut bytes in [frame(kind, seq, &body), frame(REQ_READ, seq, &[])] {
+            for i in 0..bytes.len() {
+                bytes[i] ^= mask;
+                prop_assert!(Frame::decode(&bytes).is_err(), "byte {} ^ {:#04x}", i, mask);
+                let cost = server.serve(SimTime::from_millis(60), &bytes, &mut Vec::new());
+                prop_assert!(cost.is_none());
+                bytes[i] ^= mask;
+            }
         }
     }
 }
