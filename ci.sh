@@ -293,10 +293,12 @@ fi
 # package of its own that builds this repository's crates by path and
 # reads their public fields, so an API change that breaks the benchmark
 # fails here. Its tests run every workload at toy size, at two seeds,
-# untraced and traced. It builds from a fresh copy beside symlinks to the
-# workspace, because any build in place rewrites the committed
-# perfbench/Cargo.lock. The copy's path stays fixed, under target/, so a
-# repeat run reuses the build in target/perfbench.
+# untraced and traced; quick mode only type-checks every perfbench target,
+# which still catches an API break. Either builds from a fresh copy beside
+# symlinks to the workspace, because any build in place rewrites the
+# committed perfbench/Cargo.lock. The copy's path stays fixed, under
+# target/, so a repeat run reuses the build in target/perfbench. The
+# arguments are the cargo subcommand and its flags.
 perfbench_smoke() {
     local tree="$PWD/target/perfbench-tree"
     rm -rf "$tree"
@@ -305,15 +307,16 @@ perfbench_smoke() {
     for f in Cargo.toml src crates BENCHMARK.json; do
         ln -s "$PWD/$f" "$tree/$f"
     done
-    CARGO_TARGET_DIR="$PWD/target/perfbench" cargo test --release --offline -q \
+    CARGO_TARGET_DIR="$PWD/target/perfbench" cargo "$@" --offline -q \
         --manifest-path "$tree/perfbench/Cargo.toml"
 }
 
 if [[ $quick -eq 0 ]]; then
     stage "perfbench smoke (benchmark builds against the tree)" \
-        "perfbench_smoke"
+        "perfbench_smoke test --release"
 else
-    skipped "--quick" "perfbench smoke (benchmark smoke needs release)"
+    stage "perfbench check (benchmark type-checks against the tree)" \
+        "perfbench_smoke check --all-targets"
 fi
 
 # Per-stage timing summary: the same numbers each stage already printed,

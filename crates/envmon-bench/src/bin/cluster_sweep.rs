@@ -17,13 +17,7 @@ use moneq::{ClusterResult, ClusterRun};
 use simkit::SimTime;
 use std::time::Instant;
 
-fn drive(
-    seed: u64,
-    agents: usize,
-    virtual_secs: u64,
-    workers: usize,
-    chunk: usize,
-) -> (f64, f64, ClusterResult) {
+fn drive(seed: u64, agents: usize, virtual_secs: u64, workers: usize) -> (f64, f64, ClusterResult) {
     let machine = envmon_bench::bgq_machine(seed, virtual_secs);
     let t0 = Instant::now();
     let mut run = ClusterRun::launch(
@@ -33,8 +27,7 @@ fn drive(
         envmon_bench::agent_name,
         SimTime::ZERO,
     )
-    .with_par_agents(workers)
-    .with_chunk_size(chunk);
+    .with_par_agents(workers);
     let launch_ms = t0.elapsed().as_secs_f64() * 1e3;
     let end = SimTime::from_secs(virtual_secs);
     let t1 = Instant::now();
@@ -48,8 +41,7 @@ fn main() {
     let mut seed = DEFAULT_SEED;
     let mut out = std::path::PathBuf::from("BENCH_cluster.json");
     // Default phase width = physical CPUs: requesting more only adds
-    // scheduling overhead (ClusterRun caps internally regardless, and keeps
-    // every phase on the calling thread on a single-CPU host).
+    // scheduling overhead.
     let mut workers = moneq::host_cpus();
     let mut quick = false;
     let mut args = std::env::args().skip(1);
@@ -70,7 +62,6 @@ fn main() {
             }
         }
     }
-    let chunk = 64;
     // (agents, virtual seconds): the 1,536-agent row is the paper's full
     // Mira run at node-card granularity over a longer window; the 16k/49k
     // rows stress scheduler + memory at node granularity with a short
@@ -84,10 +75,12 @@ fn main() {
         &[(1_536, 10), (16_384, 2), (49_152, 2), (1_048_576, 1)]
     };
 
-    // Sanity: the parallel path must be indistinguishable from serial.
+    // Sanity: the parallel path must be indistinguishable from serial. One
+    // 32-rank chunk per worker and a ragged tail, so it runs at full width.
     {
-        let (_, _, a) = drive(seed, 64, 4, 1, 1);
-        let (_, _, b) = drive(seed, 64, 4, workers, 5);
+        let agents = 32 * workers + 5;
+        let (_, _, a) = drive(seed, agents, 4, 1);
+        let (_, _, b) = drive(seed, agents, 4, workers);
         assert_eq!(a.files, b.files, "parallel diverged from serial");
         assert_eq!(a.overheads, b.overheads, "ledger diverged");
     }
@@ -97,12 +90,11 @@ fn main() {
         // Discarded warm-up leg: the first run at a given footprint pays
         // the allocator/page-fault cost, which would otherwise be billed
         // to whichever leg ran first.
-        let (warm_launch_ms, _, _) = drive(seed, agents, virtual_secs, workers, chunk);
-        let (serial_launch_ms, serial_ms, serial) = drive(seed, agents, virtual_secs, 1, chunk);
+        let (warm_launch_ms, _, _) = drive(seed, agents, virtual_secs, workers);
+        let (serial_launch_ms, serial_ms, serial) = drive(seed, agents, virtual_secs, 1);
         let records: usize = serial.files.iter().map(|f| f.points.len()).sum();
         drop(serial);
-        let (par_launch_ms, parallel_ms, parallel) =
-            drive(seed, agents, virtual_secs, workers, chunk);
+        let (par_launch_ms, parallel_ms, parallel) = drive(seed, agents, virtual_secs, workers);
         assert_eq!(parallel.files.len(), agents);
         let pool_width = parallel.sched.workers.max(1);
         drop(parallel);
@@ -138,7 +130,7 @@ fn main() {
     // Figure 8-style reduction on the first sweep's scale: machine-wide sum
     // of node-card power across all agents.
     let (fig8_agents, fig8_secs) = sweep[0];
-    let (_, _, result) = drive(seed, fig8_agents, fig8_secs, workers, chunk);
+    let (_, _, result) = drive(seed, fig8_agents, fig8_secs, workers);
     let t = Instant::now();
     let sum = result.sum_series("nodecard");
     let reduce_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -149,8 +141,7 @@ fn main() {
             .text("bench", "cluster_parallel_sweep")
             .num("seed", seed)
             .num("workers", workers)
-            .num("host_cpus", moneq::host_cpus())
-            .num("chunk_size", chunk),
+            .num("host_cpus", moneq::host_cpus()),
         rows_key: "sweeps",
         rows,
         tail: Fields::default().object(

@@ -52,9 +52,9 @@ pub struct Exp1Config {
     pub interval: SimDuration,
     /// Actuation cadence (one MSR write per period at most).
     pub cadence: SimDuration,
-    /// `Some((workers, chunk, host_cpus))` drives the cluster in parallel;
-    /// `None` stays serial. Outputs must be byte-identical either way.
-    pub parallel: Option<(usize, usize, usize)>,
+    /// Phase width of the cluster drive (1 stays on the calling thread).
+    /// Outputs must be byte-identical at every width.
+    pub workers: usize,
     /// Optional fault plan for the sensing path (the actuation path stays
     /// clean: the paper's failure mode is the *mechanism*, not the MSR
     /// write port).
@@ -72,7 +72,7 @@ impl Default for Exp1Config {
             horizon: SimTime::from_secs(60),
             interval: SimDuration::from_millis(100),
             cadence: SimDuration::from_millis(500),
-            parallel: None,
+            workers: 1,
             faults: None,
             control: true,
         }
@@ -169,13 +169,8 @@ pub fn run(config: &Exp1Config, rep: usize, seed: u64) -> Exp1Run {
         },
         |rank| format!("cap{rank:02}"),
         SimTime::ZERO,
-    );
-    if let Some((workers, chunk, cpus)) = config.parallel {
-        run = run
-            .with_par_agents(workers)
-            .with_chunk_size(chunk)
-            .with_host_cpus(cpus);
-    }
+    )
+    .with_par_agents(config.workers);
     if config.control {
         run.attach_control_hooks(|rank| {
             let source = Arc::clone(&plants[rank]) as Arc<dyn PowerSource>;

@@ -46,8 +46,8 @@ pub struct Exp2Config {
     pub interval: SimDuration,
     /// Decision cadence.
     pub cadence: SimDuration,
-    /// Parallel-drive knob, as in [`crate::Exp1Config`].
-    pub parallel: Option<(usize, usize, usize)>,
+    /// Phase width of the cluster drive, as in [`crate::Exp1Config`].
+    pub workers: usize,
     /// `false` = open loop (plants heat uncontrolled; byte-identity
     /// baseline).
     pub control: bool,
@@ -64,7 +64,7 @@ impl Default for Exp2Config {
             horizon: SimTime::from_secs(240),
             interval: SimDuration::from_millis(100),
             cadence: SimDuration::from_secs(1),
-            parallel: None,
+            workers: 1,
             control: true,
         }
     }
@@ -161,13 +161,8 @@ pub fn run(config: &Exp2Config, rep: usize, seed: u64) -> Exp2Run {
         },
         |rank| format!("gpu{rank:02}"),
         SimTime::ZERO,
-    );
-    if let Some((workers, chunk, cpus)) = config.parallel {
-        run = run
-            .with_par_agents(workers)
-            .with_chunk_size(chunk)
-            .with_host_cpus(cpus);
-    }
+    )
+    .with_par_agents(config.workers);
     if config.control {
         run.attach_control_hooks(|rank| {
             Some(Box::new(ThrottleHook {

@@ -42,8 +42,8 @@ pub struct Exp3Config {
     pub ranks_per_tenant: usize,
     /// Run horizon.
     pub horizon: SimTime,
-    /// Parallel-drive knob, as in [`crate::Exp1Config`].
-    pub parallel: Option<(usize, usize, usize)>,
+    /// Phase width of the cluster drive, as in [`crate::Exp1Config`].
+    pub workers: usize,
 }
 
 impl Default for Exp3Config {
@@ -51,7 +51,7 @@ impl Default for Exp3Config {
         Exp3Config {
             ranks_per_tenant: 4,
             horizon: SimTime::from_secs(30),
-            parallel: None,
+            workers: 1,
         }
     }
 }
@@ -95,15 +95,10 @@ fn drive(
         },
         |rank| format!("tenant{rank:02}"),
         SimTime::ZERO,
-    );
+    )
+    .with_par_agents(config.workers);
     if let Some(plan) = plan {
         run = run.with_collection_plan(plan);
-    }
-    if let Some((workers, chunk, cpus)) = config.parallel {
-        run = run
-            .with_par_agents(workers)
-            .with_chunk_size(chunk)
-            .with_host_cpus(cpus);
     }
     run.run_until(config.horizon);
     run.finalize(config.horizon)

@@ -20,20 +20,25 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Number of CPUs the host actually has (1 when it cannot be determined —
-/// the safe assumption, since it keeps the run serial).
+/// Number of CPUs the host actually has (1 when it cannot be determined).
+/// The sweeps use it as their default phase width.
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
 }
 
-/// Default number of consecutive ranks dispatched to a worker as one unit.
+/// Consecutive ranks a worker claims off the cursor at once (rounded up to
+/// whole sharing domains).
 ///
-/// Chunking amortizes the per-dispatch synchronization over many cheap
+/// Chunking amortizes the per-claim synchronization over many cheap
 /// sessions; at Mira scale (49,152 nodes = 1,536 node-card agents) a worker
-/// grabs a batch of ranks at a time instead of contending per rank.
-pub const DEFAULT_CHUNK_SIZE: usize = 32;
+/// grabs a batch of ranks at a time instead of contending per rank. A
+/// smaller run does not narrow its chunks to reach its width: a run of at
+/// most 32 ranks is one chunk on the calling thread, because splitting a
+/// 32-rank phase over two threads cost more than the phase's own work
+/// (DESIGN.md §12.3).
+const CHUNK: usize = 32;
 
 /// A whole-machine profiling run.
 ///
@@ -41,21 +46,18 @@ pub const DEFAULT_CHUNK_SIZE: usize = 32;
 /// the fan-out is embarrassingly parallel. Each `run_until` and the
 /// `finalize` is one **phase**: width 1 (the default) runs on the calling
 /// thread and spawns nothing, and a phase of width w > 1 (see
-/// [`with_par_agents`]) spawns w workers inside one [`std::thread::scope`],
-/// joined before the call returns. Workers claim chunks of consecutive
-/// ranks from one shared cursor, through the same loop at every width;
-/// `run_until` drives the sessions in place. Results are gathered in rank
-/// order, so a parallel run produces a [`ClusterResult`] identical to a
-/// serial run of the same seed and agents.
+/// [`with_par_agents`]) spawns its workers inside one
+/// [`std::thread::scope`], joined before the call returns. Workers claim
+/// chunks of consecutive ranks from one shared cursor, through the same
+/// loop at every width; `run_until` drives the sessions in place. Results
+/// are gathered in rank order, so a parallel run produces a
+/// [`ClusterResult`] identical to a serial run of the same seed and
+/// agents.
 ///
 /// [`with_par_agents`]: ClusterRun::with_par_agents
 pub struct ClusterRun {
     sessions: Vec<MonEq>,
     par_agents: usize,
-    chunk_size: usize,
-    /// Host-CPU cap for a phase's width (defaults to [`host_cpus`];
-    /// overridable via [`ClusterRun::with_host_cpus`] for tests/benches).
-    cpus_cap: usize,
     plan: CollectionPlan,
     /// One shared read cache per sharing domain (empty for the per-agent
     /// plan). Arcs are shared with the domain's sessions.
@@ -75,43 +77,22 @@ pub struct SchedStats {
     /// Most workers any one phase ran on (1 = every phase ran on the
     /// calling thread alone).
     pub workers: usize,
-    /// Dispatch units (chunks of consecutive ranks) processed, totalled
-    /// over every `run_until`/`finalize` phase.
-    pub chunks: usize,
-    /// Chunks each worker claimed off the shared cursor, per worker slot,
-    /// totalled over every phase.
-    pub claimed_per_worker: Vec<u64>,
     /// Wall-clock time each worker spent driving sessions, per worker
     /// slot, totalled over every phase.
     pub busy_per_worker: Vec<Duration>,
 }
 
 impl SchedStats {
-    /// Fold one phase's stats into the run's running totals. Each
-    /// per-worker vector is resized against its *own* counterpart — the
-    /// two can legitimately differ in length, and resizing `busy` from
-    /// `claimed`'s length used to silently truncate the longer one.
-    fn absorb(&mut self, other: &SchedStats) {
-        self.workers = self.workers.max(other.workers);
-        self.chunks += other.chunks;
-        if self.claimed_per_worker.len() < other.claimed_per_worker.len() {
-            self.claimed_per_worker
-                .resize(other.claimed_per_worker.len(), 0);
+    /// Fold one phase's per-worker busy times into the run's totals. A
+    /// phase may run wider or narrower than the ones before it.
+    fn absorb(&mut self, busy: &[Duration]) {
+        if self.busy_per_worker.len() < busy.len() {
+            self.busy_per_worker.resize(busy.len(), Duration::ZERO);
         }
-        if self.busy_per_worker.len() < other.busy_per_worker.len() {
-            self.busy_per_worker
-                .resize(other.busy_per_worker.len(), Duration::ZERO);
+        for (total, b) in self.busy_per_worker.iter_mut().zip(busy) {
+            *total += *b;
         }
-        for (a, b) in self
-            .claimed_per_worker
-            .iter_mut()
-            .zip(&other.claimed_per_worker)
-        {
-            *a += b;
-        }
-        for (a, b) in self.busy_per_worker.iter_mut().zip(&other.busy_per_worker) {
-            *a += *b;
-        }
+        self.workers = self.busy_per_worker.len();
     }
 }
 
@@ -178,9 +159,9 @@ fn drive_phase<S: Send>(
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let panics = Mutex::new(Vec::new());
-    // Returns the worker's (chunks claimed, busy wall-clock).
+    // Returns the worker's busy wall-clock.
     let worker = || {
-        let (mut claimed, mut busy) = (0u64, Duration::ZERO);
+        let mut busy = Duration::ZERO;
         while !abort.load(Ordering::Relaxed) {
             let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) else {
                 break;
@@ -188,7 +169,6 @@ fn drive_phase<S: Send>(
             let start = Instant::now();
             let done = drive(&mut slot.lock().unwrap_or_else(PoisonError::into_inner));
             busy += start.elapsed();
-            claimed += 1;
             if let Err(panic) = done {
                 abort.store(true, Ordering::Relaxed);
                 panics
@@ -197,26 +177,20 @@ fn drive_phase<S: Send>(
                     .push(panic);
             }
         }
-        (claimed, busy)
+        busy
     };
-    let (claimed, busy) = if workers == 1 {
-        let (claimed, busy) = worker();
-        (vec![claimed], vec![busy])
+    let busy: Vec<Duration> = if workers == 1 {
+        vec![worker()]
     } else {
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
             handles
                 .into_iter()
                 .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .unzip()
+                .collect()
         })
     };
-    sched.absorb(&SchedStats {
-        workers,
-        chunks: slots.len(),
-        claimed_per_worker: claimed,
-        busy_per_worker: busy,
-    });
+    sched.absorb(&busy);
     let mut panics = panics.into_inner().unwrap_or_else(PoisonError::into_inner);
     panics.sort();
     if let Some((rank, msg)) = panics.first() {
@@ -293,8 +267,6 @@ impl ClusterRun {
         ClusterRun {
             sessions,
             par_agents: 1,
-            chunk_size: DEFAULT_CHUNK_SIZE,
-            cpus_cap: host_cpus(),
             plan: CollectionPlan::per_agent(),
             caches: Vec::new(),
             sched: SchedStats::default(),
@@ -360,13 +332,12 @@ impl ClusterRun {
         }
     }
 
-    /// Set the phase width for `run_until`/`finalize`. `1` (the default)
-    /// keeps every phase on the calling thread. The effective width is
-    /// additionally capped by the host-CPU cap ([`host_cpus`] unless
-    /// [`ClusterRun::with_host_cpus`] overrode it) — asking for more
-    /// workers than the host has cores only adds scheduling overhead (the
-    /// 49k-agent regression this cap fixed), and on a single-CPU host
-    /// every phase stays on the calling thread.
+    /// Set the phase width for `run_until`/`finalize`, the one scheduling
+    /// setting. `1` (the default) keeps every phase on the calling thread.
+    /// A phase runs `min(workers, chunks)` threads, where a chunk is 32
+    /// consecutive ranks rounded up to whole sharing domains, so a run
+    /// reaches its full width only with more than `workers − 1` chunks of
+    /// ranks; nothing caps the width at the host's CPU count.
     ///
     /// # Panics
     ///
@@ -377,73 +348,24 @@ impl ClusterRun {
         self
     }
 
-    /// Set how many consecutive ranks a worker claims per dispatch.
-    ///
-    /// # Panics
-    ///
-    /// If `ranks` is 0.
-    pub fn with_chunk_size(mut self, ranks: usize) -> Self {
-        assert!(ranks >= 1, "chunk size must be positive");
-        self.chunk_size = ranks;
-        self
-    }
-
-    /// Override the host-CPU cap used when sizing a phase (defaults to
-    /// [`host_cpus`]). A testing and benchmarking hook: it lets
-    /// determinism suites run phases on several threads even on a
-    /// single-CPU host, where the default cap would keep every phase on
-    /// the calling thread. Production callers should leave it alone —
-    /// oversubscribing the host only adds scheduling overhead.
-    ///
-    /// # Panics
-    ///
-    /// If `cpus` is 0.
-    pub fn with_host_cpus(mut self, cpus: usize) -> Self {
-        assert!(cpus >= 1, "at least one CPU required");
-        self.cpus_cap = cpus;
-        self
-    }
-
-    /// Number of agent ranks.
-    pub fn agents(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// The chunk size actually used for dispatch: the configured size,
-    /// rounded up to a whole number of sharing domains when a collection
-    /// plan is active. A domain split across two workers would let ranks
-    /// of one domain race on leader election, making the charged
-    /// overheads depend on scheduling; whole-domain chunks keep parallel
-    /// runs identical to serial ones.
-    fn effective_chunk_size(&self) -> usize {
-        let chunk = self.chunk_size.max(1);
+    /// One phase's `(chunk, workers)`, by the rule on
+    /// [`ClusterRun::with_par_agents`]. The chunk rounds up to whole
+    /// sharing domains: a domain split across two workers would let its
+    /// ranks race on leader election, making the charged overheads depend
+    /// on scheduling.
+    fn dispatch(&self) -> (usize, usize) {
         let domain = self.plan.domain_size();
-        if domain <= 1 {
-            chunk
-        } else {
-            chunk.div_ceil(domain) * domain
-        }
-    }
-
-    /// Worker count actually used for `n_chunks` dispatch units: the
-    /// requested width, capped by the chunk count and the host-CPU cap
-    /// ([`host_cpus`] unless [`ClusterRun::with_host_cpus`] overrode it).
-    /// Returns 1 (the calling thread alone, nothing spawned) when the cap
-    /// is a single CPU or there is at most one chunk — spawning workers
-    /// then only adds overhead with zero possible speedup.
-    fn effective_workers(&self, n_chunks: usize) -> usize {
-        if n_chunks < 2 {
-            return 1;
-        }
-        self.par_agents.min(n_chunks).min(self.cpus_cap)
+        let chunk = CHUNK.div_ceil(domain) * domain;
+        let chunks = self.sessions.len().div_ceil(chunk);
+        (chunk, self.par_agents.min(chunks))
     }
 
     /// Advance every rank's timer to `until`.
     ///
-    /// The sessions are driven in place, chunk by chunk, by
-    /// `effective_workers` threads (the calling thread alone at width 1);
-    /// each session still observes exactly the serial event sequence,
-    /// because no state is shared between ranks outside a chunk.
+    /// The sessions are driven in place, chunk by chunk, by the phase's
+    /// workers (the calling thread alone at width 1); each session still
+    /// observes exactly the serial event sequence, because no state is
+    /// shared between ranks outside a chunk.
     ///
     /// # Panics
     ///
@@ -451,8 +373,7 @@ impl ClusterRun {
     /// during cluster run_until: msg` (the lowest rank caught), at every
     /// width.
     pub fn run_until(&mut self, until: SimTime) {
-        let chunk = self.effective_chunk_size();
-        let workers = self.effective_workers(self.sessions.len().div_ceil(chunk));
+        let (chunk, workers) = self.dispatch();
         let slots: Vec<_> = self.sessions.chunks_mut(chunk).map(Mutex::new).collect();
         drive_phase(&slots, workers, "run_until", &mut self.sched, |ranks| {
             for s in ranks.iter_mut() {
@@ -508,9 +429,8 @@ impl ClusterRun {
     /// finalize: msg`, like [`ClusterRun::run_until`].
     pub fn finalize(mut self, now: SimTime) -> ClusterResult {
         let n = self.sessions.len();
-        let chunk = self.effective_chunk_size();
+        let (chunk, workers) = self.dispatch();
         let n_chunks = n.div_ceil(chunk);
-        let workers = self.effective_workers(n_chunks);
         // One slot per chunk: its sessions in, their results out.
         let mut sessions = std::mem::take(&mut self.sessions).into_iter();
         let slots: Vec<Mutex<(Vec<MonEq>, Vec<FinalizeResult>)>> = (0..n_chunks)
@@ -742,15 +662,11 @@ mod tests {
             run.run_until(SimTime::from_secs(2));
             run.end_tag_all("phase", SimTime::from_secs(2));
         };
-        let mut serial = launch(13);
+        let mut serial = launch(100);
         drive(&mut serial);
         let serial = serial.finalize(SimTime::from_secs(3));
-        // Chunk size 3 over 13 agents: last chunk is ragged on purpose.
-        // `with_host_cpus(4)` runs 4 workers even on a 1-CPU host.
-        let mut parallel = launch(13)
-            .with_par_agents(4)
-            .with_chunk_size(3)
-            .with_host_cpus(4);
+        // Width 4 over 100 agents: 32-rank chunks, the last one 4 ranks.
+        let mut parallel = launch(100).with_par_agents(4);
         drive(&mut parallel);
         let parallel = parallel.finalize(SimTime::from_secs(3));
         assert_eq!(parallel.sched.workers, 4);
@@ -820,66 +736,58 @@ mod tests {
     }
 
     #[test]
-    fn effective_workers_caps_by_chunks_and_host() {
-        let run = launch(4).with_par_agents(64).with_chunk_size(1);
-        // One chunk -> the calling thread alone.
-        assert_eq!(run.effective_workers(1), 1);
-        // Many chunks: capped by host CPUs (and never above the request).
-        let w = run.effective_workers(100);
-        assert!(w <= host_cpus().max(1));
-        assert!((1..=64).contains(&w));
-        if host_cpus() == 1 {
-            assert_eq!(w, 1, "single-CPU hosts must stay on the calling thread");
+    fn dispatch_derives_chunk_and_workers_from_the_cluster() {
+        let dispatch = |agents: usize, width: usize, plan: CollectionPlan| {
+            launch(agents)
+                .with_collection_plan(plan)
+                .with_par_agents(width)
+                .dispatch()
+        };
+        // A run reaches width w past w - 1 whole chunks: 100 = 3 x 32 + 4.
+        assert_eq!(dispatch(100, 4, CollectionPlan::per_agent()), (32, 4));
+        // Every width past the chunk count is capped by it.
+        assert_eq!(dispatch(100, 64, CollectionPlan::per_agent()), (32, 4));
+        // A run of at most one chunk stays on the calling thread: the
+        // 32-agent legs of the sweeps at width 2, and any smaller run.
+        assert_eq!(dispatch(32, 2, CollectionPlan::per_agent()), (32, 1));
+        assert_eq!(dispatch(13, 4, CollectionPlan::per_agent()), (32, 1));
+        // Live-remote's shape: 16-rank domains round up to 32-rank chunks.
+        for width in [1, 2] {
+            let (chunk, workers) = dispatch(256, width, CollectionPlan::shared(16));
+            assert_eq!((chunk, workers), (32, width));
         }
-        // The cap override replaces the detected CPU count exactly.
-        let run = launch(4)
-            .with_par_agents(64)
-            .with_chunk_size(1)
-            .with_host_cpus(8);
-        assert_eq!(run.effective_workers(100), 8);
-        assert_eq!(run.effective_workers(5), 5, "chunk count still caps");
-        assert_eq!(run.effective_workers(1), 1);
+        // 5-rank domains round 32 up to 35-rank chunks: 70 ranks are two.
+        assert_eq!(dispatch(70, 4, CollectionPlan::shared(5)), (35, 2));
+        // One domain is one chunk, whatever the width asks for.
+        assert_eq!(dispatch(32, 2, CollectionPlan::shared(32)), (32, 1));
+        // Mira at node-card granularity: 32-rank chunks at any width up to 48.
+        assert_eq!(dispatch(1_536, 8, CollectionPlan::per_agent()), (32, 8));
     }
 
     #[test]
     fn sched_stats_absorb_handles_unequal_phase_widths() {
-        // Regression: the busy-time resize used to be gated on the
-        // *claimed* vector's length, so absorbing a phase whose busy
-        // vector was the longer of the two silently dropped the extra
-        // workers' busy time off the end.
+        // Regression: a phase wider than every one before it must add its
+        // extra workers' busy time, not drop it off the end, and a narrower
+        // phase after it must leave the wider slots alone.
         let ms = Duration::from_millis;
         let mut total = SchedStats::default();
-        total.absorb(&SchedStats {
-            workers: 2,
-            chunks: 2,
-            claimed_per_worker: vec![2, 0],
-            busy_per_worker: vec![ms(4), ms(6)],
-        });
-        total.absorb(&SchedStats {
-            workers: 1,
-            chunks: 1,
-            claimed_per_worker: vec![1],
-            busy_per_worker: vec![ms(5), ms(7), ms(9)],
-        });
-        assert_eq!(total.workers, 2);
-        assert_eq!(total.chunks, 3);
-        assert_eq!(total.claimed_per_worker, vec![3, 0]);
-        assert_eq!(total.busy_per_worker, vec![ms(9), ms(13), ms(9)]);
+        total.absorb(&[ms(4), ms(6)]);
+        total.absorb(&[ms(5), ms(7), ms(9)]);
+        total.absorb(&[ms(1)]);
+        assert_eq!(total.workers, 3);
+        assert_eq!(total.busy_per_worker, vec![ms(10), ms(13), ms(9)]);
     }
 
     #[test]
     fn many_parallel_phases_stay_exact() {
         // Every phase opens its own scope; repeated run_until calls plus
         // finalize must match a serial run byte for byte.
-        let mut serial = launch(13);
+        let mut serial = launch(100);
         for step in 1..=4 {
             serial.run_until(SimTime::from_secs(step));
         }
         let serial = serial.finalize(SimTime::from_secs(5));
-        let mut parallel = launch(13)
-            .with_par_agents(4)
-            .with_chunk_size(3)
-            .with_host_cpus(4);
+        let mut parallel = launch(100).with_par_agents(4);
         for step in 1..=4 {
             parallel.run_until(SimTime::from_secs(step));
             assert_eq!(parallel.sched.workers, 4);
@@ -892,28 +800,21 @@ mod tests {
             |r: &ClusterResult| -> Vec<String> { r.files.iter().map(|f| f.render()).collect() };
         assert_eq!(render(&serial), render(&parallel));
         assert_eq!(parallel.sched.workers, 4);
-        let claimed: u64 = parallel.sched.claimed_per_worker.iter().sum();
-        assert_eq!(
-            claimed as usize, parallel.sched.chunks,
-            "every chunk claimed"
-        );
     }
 
     #[test]
     fn a_later_phase_may_run_wider() {
-        let mut run = launch(12)
-            .with_par_agents(2)
-            .with_chunk_size(1)
-            .with_host_cpus(8);
+        // 170 ranks = 5 whole 32-rank chunks and a 10-rank tail.
+        let mut run = launch(170).with_par_agents(2);
         run.run_until(SimTime::from_secs(1));
         assert_eq!(run.sched.workers, 2);
         // Widen the request mid-run (directly: the builder consumes self).
         run.par_agents = 6;
         run.run_until(SimTime::from_secs(2));
         assert_eq!(run.sched.workers, 6);
-        assert_eq!(run.sched.claimed_per_worker.len(), 6);
+        assert_eq!(run.sched.busy_per_worker.len(), 6);
         let result = run.finalize(SimTime::from_secs(3));
-        assert_eq!(result.files.len(), 12);
+        assert_eq!(result.files.len(), 170);
         assert_eq!(result.sched.workers, 6);
     }
 
@@ -967,8 +868,6 @@ mod tests {
             SimTime::ZERO,
         )
         .with_par_agents(4)
-        .with_chunk_size(1)
-        .with_host_cpus(4)
     }
 
     #[test]
@@ -976,9 +875,10 @@ mod tests {
         // Regression: a panic in one rank's run_until used to poison the
         // chunk mutex and surface in sibling workers as an opaque
         // PoisonError panic; the caller must see rank 5's own message.
-        let mut run = launch_panicky(8, 5, SimTime::ZERO);
+        let mut run = launch_panicky(100, 5, SimTime::ZERO);
         let err = catch_unwind(AssertUnwindSafe(|| run.run_until(SimTime::from_secs(1))))
             .expect_err("rank 5 must panic");
+        assert_eq!(run.sched.workers, 4);
         let msg = panic_message(err);
         assert!(msg.contains("injected failure on rank 5"), "{msg}");
         assert!(!msg.contains("PoisonError"), "{msg}");
@@ -1001,14 +901,15 @@ mod tests {
             "{msg}"
         );
         assert_eq!(run.sched.workers, 1);
-        assert_eq!(run.sched.claimed_per_worker.len(), 1);
+        assert_eq!(run.sched.busy_per_worker.len(), 1);
     }
 
     #[test]
     fn parallel_finalize_panic_reports_original_rank() {
         // The panic only trips during the final drive inside finalize.
-        let mut run = launch_panicky(8, 3, SimTime::from_millis(1_500));
+        let mut run = launch_panicky(100, 3, SimTime::from_millis(1_500));
         run.run_until(SimTime::from_secs(1)); // before the trip point
+        assert_eq!(run.sched.workers, 4);
         let err = catch_unwind(AssertUnwindSafe(move || {
             run.finalize(SimTime::from_secs(2));
         }))
@@ -1063,22 +964,6 @@ mod tests {
     }
 
     #[test]
-    fn sched_stats_account_all_chunks() {
-        let mut run = launch(13)
-            .with_par_agents(4)
-            .with_chunk_size(3)
-            .with_host_cpus(4);
-        run.run_until(SimTime::from_secs(1));
-        let claimed: u64 = run.sched.claimed_per_worker.iter().sum();
-        assert_eq!(claimed, 5, "13 ranks / chunk 3 = 5 chunks, all claimed");
-        let result = run.finalize(SimTime::from_secs(2));
-        assert_eq!(result.sched.chunks, 10, "run_until + finalize phases");
-        assert_eq!(result.sched.workers, 4);
-        let total: u64 = result.sched.claimed_per_worker.iter().sum();
-        assert_eq!(total, 10);
-    }
-
-    #[test]
     fn shared_plan_keeps_outputs_identical_and_cuts_charged_cost() {
         let drive = |run: &mut ClusterRun| run.run_until(SimTime::from_secs(2));
         let mut naive = launch(10);
@@ -1117,17 +1002,18 @@ mod tests {
 
     #[test]
     fn shared_plan_parallel_matches_serial_including_ledger() {
-        let mut serial = launch(24).with_collection_plan(CollectionPlan::shared(8));
+        let mut serial = launch(100).with_collection_plan(CollectionPlan::shared(6));
         serial.run_until(SimTime::from_secs(1));
         let serial = serial.finalize(SimTime::from_secs(2));
-        // Chunk 3 is misaligned on purpose; dispatch aligns it up to 8.
-        let mut parallel = launch(24)
-            .with_collection_plan(CollectionPlan::shared(8))
-            .with_par_agents(4)
-            .with_chunk_size(3)
-            .with_host_cpus(4);
+        // 32 ranks are misaligned with the 6-rank domains; dispatch rounds
+        // the chunk up to 36, so 100 ranks are 3 chunks on 3 workers, and
+        // the last domain is a ragged 4.
+        let mut parallel = launch(100)
+            .with_collection_plan(CollectionPlan::shared(6))
+            .with_par_agents(4);
         parallel.run_until(SimTime::from_secs(1));
         let parallel = parallel.finalize(SimTime::from_secs(2));
+        assert_eq!(parallel.sched.workers, 3);
         assert_eq!(serial.files, parallel.files);
         assert_eq!(serial.overheads, parallel.overheads);
         assert_eq!(serial.cache, parallel.cache);

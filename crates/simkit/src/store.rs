@@ -596,6 +596,10 @@ impl SeriesData {
     /// path, so the results are comparable with `==`.
     ///
     /// Only meaningful while the raw ring still covers `[from, to)`.
+    ///
+    /// # Panics
+    ///
+    /// If `width` is zero: a bin grid has a positive width.
     pub fn aggregate_raw(&self, width: SimDuration, from: SimTime, to: SimTime) -> Aggregate {
         assert!(!width.is_zero(), "aggregate_raw width must be non-zero");
         let (_, floor, to) = bin_window(from, to, width);
@@ -672,6 +676,12 @@ impl TsStore {
     }
 
     /// The id for `name`, registering an empty series on first use.
+    ///
+    /// # Panics
+    ///
+    /// If registering `name` would make more than `u32::MAX` series, the
+    /// range a [`SeriesId`] holds; memory runs out long before that many
+    /// names are stored.
     pub fn series(&mut self, name: &str) -> SeriesId {
         if let Some(id) = self.find(name) {
             return id;

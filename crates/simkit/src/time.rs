@@ -89,6 +89,10 @@ impl SimTime {
     /// This models sensors that only refresh every `period`: a query at time
     /// `t` observes the value generated at `t.grid_floor(anchor, period)`.
     /// Queries before `anchor` observe the `anchor` generation itself.
+    ///
+    /// # Panics
+    ///
+    /// If `period` is zero: a grid has a positive period.
     #[inline]
     pub fn grid_floor(self, anchor: SimTime, period: SimDuration) -> SimTime {
         assert!(period.0 > 0, "grid period must be positive");
@@ -101,6 +105,10 @@ impl SimTime {
 
     /// Index of the grid slot containing `self` (0 for anything at/before
     /// `anchor`). Used to derive order-independent per-slot noise.
+    ///
+    /// # Panics
+    ///
+    /// If `period` is zero, like [`SimTime::grid_floor`].
     #[inline]
     pub fn grid_index(self, anchor: SimTime, period: SimDuration) -> u64 {
         assert!(period.0 > 0, "grid period must be positive");
@@ -194,8 +202,11 @@ impl SimDuration {
         self.0.checked_sub(other.0).map(SimDuration)
     }
 
-    /// Scale by a non-negative float (e.g. jitter factors). Panics on NaN or
-    /// negative input.
+    /// Scale by a non-negative float (e.g. jitter factors).
+    ///
+    /// # Panics
+    ///
+    /// If `k` is NaN, infinite or negative.
     #[inline]
     pub fn mul_f64(self, k: f64) -> SimDuration {
         assert!(k.is_finite() && k >= 0.0, "scale must be finite and >= 0");
@@ -205,6 +216,10 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    /// # Panics
+    ///
+    /// If the sum passes [`SimTime::MAX`];
+    /// [`SimTime::saturating_add`] saturates instead.
     #[inline]
     fn add(self, d: SimDuration) -> SimTime {
         SimTime(
@@ -216,6 +231,9 @@ impl Add<SimDuration> for SimTime {
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    /// # Panics
+    ///
+    /// If the sum passes [`SimTime::MAX`], like `+`.
     #[inline]
     fn add_assign(&mut self, d: SimDuration) {
         *self = *self + d;
@@ -224,6 +242,9 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    /// # Panics
+    ///
+    /// If `d` reaches back past [`SimTime::ZERO`].
     #[inline]
     fn sub(self, d: SimDuration) -> SimTime {
         SimTime(
@@ -236,6 +257,10 @@ impl Sub<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    /// # Panics
+    ///
+    /// If `earlier` is later than `self`;
+    /// [`SimTime::saturating_since`] returns zero instead.
     #[inline]
     fn sub(self, earlier: SimTime) -> SimDuration {
         SimDuration(
@@ -248,6 +273,9 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    /// # Panics
+    ///
+    /// If the sum passes [`SimDuration::MAX`].
     #[inline]
     fn add(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(other.0).expect("SimDuration overflow"))
@@ -255,6 +283,9 @@ impl Add for SimDuration {
 }
 
 impl AddAssign for SimDuration {
+    /// # Panics
+    ///
+    /// If the sum passes [`SimDuration::MAX`], like `+`.
     #[inline]
     fn add_assign(&mut self, other: SimDuration) {
         *self = *self + other;
@@ -263,6 +294,10 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    /// # Panics
+    ///
+    /// If `other` is longer than `self`;
+    /// [`SimDuration::checked_sub`] returns `None` instead.
     #[inline]
     fn sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_sub(other.0).expect("SimDuration underflow"))
@@ -270,6 +305,9 @@ impl Sub for SimDuration {
 }
 
 impl SubAssign for SimDuration {
+    /// # Panics
+    ///
+    /// If `other` is longer than `self`, like `-`.
     #[inline]
     fn sub_assign(&mut self, other: SimDuration) {
         *self = *self - other;
@@ -278,6 +316,10 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    /// # Panics
+    ///
+    /// If the product passes [`SimDuration::MAX`];
+    /// [`SimDuration::saturating_mul`] saturates instead.
     #[inline]
     fn mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(k).expect("SimDuration overflow"))
@@ -286,6 +328,9 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    /// # Panics
+    ///
+    /// If `k` is zero.
     #[inline]
     fn div(self, k: u64) -> SimDuration {
         SimDuration(self.0 / k)
@@ -294,6 +339,9 @@ impl Div<u64> for SimDuration {
 
 impl Div<SimDuration> for SimDuration {
     type Output = u64;
+    /// # Panics
+    ///
+    /// If `other` is zero.
     #[inline]
     fn div(self, other: SimDuration) -> u64 {
         assert!(other.0 > 0, "division by zero duration");
@@ -303,6 +351,9 @@ impl Div<SimDuration> for SimDuration {
 
 impl Rem<SimDuration> for SimDuration {
     type Output = SimDuration;
+    /// # Panics
+    ///
+    /// If `other` is zero.
     #[inline]
     fn rem(self, other: SimDuration) -> SimDuration {
         assert!(other.0 > 0, "modulo by zero duration");

@@ -392,10 +392,9 @@ impl<'a> WireReader<'a> {
 pub struct LinkSpec {
     /// One-way flight latency charged per leg.
     pub latency: SimDuration,
-    /// Wire time per byte (inverse bandwidth), per leg.
+    /// Time per byte, per leg: wire time (inverse bandwidth) plus the
+    /// codec's serialize and deserialize time.
     pub ns_per_byte: u64,
-    /// Serialize/deserialize CPU time per byte, charged once each per leg.
-    pub ser_ns_per_byte: u64,
     /// Probability a frame is lost in flight, per leg.
     pub drop: f64,
     /// Probability a frame is corrupted in flight, per leg.
@@ -420,7 +419,6 @@ impl LinkSpec {
         LinkSpec {
             latency: SimDuration::ZERO,
             ns_per_byte: 0,
-            ser_ns_per_byte: 0,
             drop: 0.0,
             corrupt: 0.0,
             reorder: 0.0,
@@ -431,23 +429,23 @@ impl LinkSpec {
         }
     }
 
-    /// A clean in-rack link: 50 µs flight, ~10 Gb/s wire, cheap codec.
+    /// A clean in-rack link: 50 µs flight, 5 ns per byte (~10 Gb/s wire,
+    /// 2 ns each to serialize and deserialize).
     pub fn lan() -> Self {
         LinkSpec {
             latency: SimDuration::from_micros(50),
-            ns_per_byte: 1,
-            ser_ns_per_byte: 2,
+            ns_per_byte: 5,
             ..LinkSpec::ideal()
         }
     }
 
-    /// An out-of-band management network: 1 ms flight, ~100 Mb/s wire —
-    /// the service-processor Ethernet that BMC/EMON-style paths cross.
+    /// An out-of-band management network: 1 ms flight, 88 ns per byte
+    /// (~100 Mb/s wire, 4 ns each to serialize and deserialize) — the
+    /// service-processor Ethernet that BMC/EMON-style paths cross.
     pub fn mgmt() -> Self {
         LinkSpec {
             latency: SimDuration::from_millis(1),
-            ns_per_byte: 80,
-            ser_ns_per_byte: 4,
+            ns_per_byte: 88,
             ..LinkSpec::ideal()
         }
     }
@@ -471,15 +469,11 @@ impl LinkSpec {
         self.drop == 0.0 && self.corrupt == 0.0 && self.reorder == 0.0
     }
 
-    /// Virtual time one leg costs for a frame of `bytes` bytes:
-    /// serialize + flight + wire + deserialize. Integer nanoseconds, so
-    /// identical inputs always charge identical time.
+    /// Virtual time one leg costs for a frame of `bytes` bytes: flight
+    /// plus the per-byte time. Integer nanoseconds, so identical inputs
+    /// always charge identical time.
     pub fn leg_time(&self, bytes: usize) -> SimDuration {
-        let b = bytes as u64;
-        let per_byte = self
-            .ns_per_byte
-            .saturating_add(self.ser_ns_per_byte.saturating_mul(2))
-            .saturating_mul(b);
+        let per_byte = self.ns_per_byte.saturating_mul(bytes as u64);
         SimDuration::from_nanos(self.latency.as_nanos().saturating_add(per_byte))
     }
 
@@ -914,8 +908,7 @@ mod tests {
     fn latency_charges_exactly_two_legs() {
         let spec = LinkSpec {
             latency: SimDuration::from_millis(1),
-            ns_per_byte: 10,
-            ser_ns_per_byte: 5,
+            ns_per_byte: 20,
             ..LinkSpec::ideal()
         };
         let mut tr = SimTransport::new(spec, 0);
@@ -927,7 +920,7 @@ mod tests {
             .expect("clean link");
         let expect = spec.leg_time(req.len()) + spec.leg_time(resp.len());
         assert_eq!(done.saturating_since(t), expect);
-        // 20 ns/byte effective + 1 ms flight per leg.
+        // 20 ns/byte + 1 ms flight per leg.
         assert_eq!(
             spec.leg_time(req.len()),
             SimDuration::from_nanos(1_000_000 + 20 * req.len() as u64)

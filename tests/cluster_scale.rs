@@ -71,11 +71,11 @@ fn full_mira_scale_smoke() {
         |rank| format!("agent{rank:04}"),
         SimTime::ZERO,
     )
-    .with_par_agents(8)
-    .with_chunk_size(64);
+    .with_par_agents(8);
     let end = SimTime::from_secs(10);
     run.run_until(end);
     let result = run.finalize(end);
+    assert_eq!(result.sched.workers, 8);
     assert_eq!(result.files.len(), AGENTS);
     assert_eq!(result.dropped_records, 0);
     // Every agent collected the same number of records.

@@ -25,7 +25,6 @@ fn run_faulted(
     agents: usize,
     secs: u64,
     par_agents: usize,
-    chunk_size: usize,
 ) -> ClusterResult {
     let profile = {
         let mut p = WorkloadProfile::new("prop", SimDuration::from_secs(secs));
@@ -71,8 +70,7 @@ fn run_faulted(
         |rank| format!("agent{rank:04}"),
         SimTime::ZERO,
     )
-    .with_par_agents(par_agents)
-    .with_chunk_size(chunk_size);
+    .with_par_agents(par_agents);
     run.run_until(SimTime::from_secs(secs));
     run.finalize(SimTime::from_secs(secs))
 }
@@ -89,7 +87,7 @@ proptest! {
         secs in 3u64..8,
     ) {
         let plan = FaultPlan::mechanism(seed, intensity);
-        let result = run_faulted(seed, plan, agents, secs, 1, 1);
+        let result = run_faulted(seed, plan, agents, secs, 1);
         prop_assert_eq!(result.files.len(), agents);
         for per_rank in &result.completeness {
             for c in per_rank {
@@ -121,9 +119,9 @@ proptest! {
         seed in 0u64..1_000,
         agents in 2usize..6,
     ) {
-        let unfaulted = run_faulted(seed, FaultPlan::none(), agents, 4, 1, 1);
+        let unfaulted = run_faulted(seed, FaultPlan::none(), agents, 4, 1);
         for plan in [FaultPlan::mechanism(seed, 0.0), FaultPlan::uniform(seed, 0.0)] {
-            let zeroed = run_faulted(seed, plan, agents, 4, 1, 1);
+            let zeroed = run_faulted(seed, plan, agents, 4, 1);
             prop_assert_eq!(&unfaulted.files, &zeroed.files);
             for (a, b) in unfaulted.files.iter().zip(&zeroed.files) {
                 prop_assert_eq!(a.render(), b.render());
@@ -141,13 +139,16 @@ proptest! {
     fn fault_runs_deterministic_serial_vs_parallel(
         seed in 0u64..1_000,
         intensity in 0.5f64..3.0,
-        agents in 4usize..12,
         workers in 2usize..8,
-        chunk_size in 1usize..5,
+        tail in 1usize..64,
     ) {
+        // 32-rank chunks: enough whole ones to reach the width, then a
+        // tail of up to two more, ragged unless it fills them.
+        let agents = 32 * (workers - 1) + tail;
         let plan = FaultPlan::mechanism(seed, intensity);
-        let serial = run_faulted(seed, plan, agents, 4, 1, 1);
-        let parallel = run_faulted(seed, plan, agents, 4, workers, chunk_size);
+        let serial = run_faulted(seed, plan, agents, 4, 1);
+        let parallel = run_faulted(seed, plan, agents, 4, workers);
+        prop_assert_eq!(parallel.sched.workers, workers);
         prop_assert_eq!(&serial.files, &parallel.files);
         prop_assert_eq!(&serial.overheads, &parallel.overheads);
         prop_assert_eq!(&serial.completeness, &parallel.completeness);
@@ -164,7 +165,7 @@ proptest! {
 #[test]
 fn full_mira_faulted_run_reconciles_and_reproduces() {
     let plan = FaultPlan::mechanism(2015, 1.0);
-    let serial = run_faulted(2015, plan, 1_536, 4, 1, 1);
+    let serial = run_faulted(2015, plan, 1_536, 4, 1);
     assert_eq!(serial.files.len(), 1_536);
     let merged = serial.completeness_by_device();
     assert!(!merged.is_empty());
@@ -178,7 +179,8 @@ fn full_mira_faulted_run_reconciles_and_reproduces() {
         merged.iter().any(|m| !m.is_clean()),
         "a nonzero plan at Mira scale must inject something"
     );
-    let parallel = run_faulted(2015, plan, 1_536, 4, 4, 64);
+    let parallel = run_faulted(2015, plan, 1_536, 4, 4);
+    assert_eq!(parallel.sched.workers, 4);
     assert_eq!(serial.files, parallel.files);
     assert_eq!(serial.completeness, parallel.completeness);
 }

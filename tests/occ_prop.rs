@@ -91,8 +91,7 @@ fn run_occ_cluster(secs: u64, agents: usize, shared: bool, par_agents: usize) ->
         |rank| format!("agent{rank}"),
         SimTime::ZERO,
     )
-    .with_par_agents(par_agents)
-    .with_host_cpus(par_agents.max(1));
+    .with_par_agents(par_agents);
     if shared {
         run = run.with_collection_plan(CollectionPlan::shared(agents));
     }
@@ -147,6 +146,8 @@ proptest! {
     ) {
         let naive = run_occ_cluster(secs, agents, false, 1);
         let cached = run_occ_cluster(secs, agents, true, workers);
+        // Every rank is in one domain, so one chunk on one worker.
+        prop_assert_eq!(cached.sched.workers, 1);
         prop_assert_eq!(naive.files.len(), agents);
         for (a, b) in naive.files.iter().zip(&cached.files) {
             prop_assert_eq!(a.render(), b.render());

@@ -60,13 +60,22 @@ fn catalog_schedule_replications_pass_invariants() {
     }
 }
 
+// The serial == parallel drives below use clusters of more than one
+// 32-rank chunk: a run of at most 32 ranks stays on the calling thread at
+// any width, so a smaller one would compare two serial drives.
+
 #[test]
 fn exp1_serial_and_parallel_drives_are_byte_identical() {
-    let serial = exp1::run(&exp1_quick(), 0, 11);
+    // 100 ranks: three whole chunks and a 4-rank tail, on four workers.
+    let config = Exp1Config {
+        ranks: 100,
+        ..exp1_quick()
+    };
+    let serial = exp1::run(&config, 0, 11);
     let parallel = exp1::run(
         &Exp1Config {
-            parallel: Some((4, 1, 4)),
-            ..exp1_quick()
+            workers: 4,
+            ..config
         },
         0,
         11,
@@ -81,14 +90,19 @@ fn exp1_serial_and_parallel_drives_are_byte_identical() {
 
 #[test]
 fn exp2_serial_and_parallel_drives_are_byte_identical() {
+    // 100 ranks, one per ambient from 24 to 48 °C: three whole chunks and
+    // a 4-rank tail, on four workers.
     let config = Exp2Config {
+        ambients_c: (0..100)
+            .map(|i| 24.0 + f64::from(i) * 24.0 / 99.0)
+            .collect(),
         horizon: SimTime::from_secs(120),
         ..Exp2Config::default()
     };
     let serial = exp2::run(&config, 0, 13);
     let parallel = exp2::run(
         &Exp2Config {
-            parallel: Some((4, 1, 4)),
+            workers: 4,
             ..config
         },
         0,
@@ -103,11 +117,17 @@ fn exp2_serial_and_parallel_drives_are_byte_identical() {
 
 #[test]
 fn exp3_serial_and_parallel_drives_are_byte_identical() {
-    let serial = exp3::run(&Exp3Config::default(), 0, 17);
+    // Two tenants of 32 ranks: one chunk per tenant's node card, so two
+    // workers, with and without the sharing plan (exp3 has two tenants).
+    let config = Exp3Config {
+        ranks_per_tenant: 32,
+        ..Exp3Config::default()
+    };
+    let serial = exp3::run(&config, 0, 17);
     let parallel = exp3::run(
         &Exp3Config {
-            parallel: Some((4, 1, 4)),
-            ..Exp3Config::default()
+            workers: 2,
+            ..config
         },
         0,
         17,

@@ -8,7 +8,7 @@
 //! 2. Telemetry is *deterministic*: per-rank reports are built from
 //!    simulated time and indexed fault draws only, so serial and parallel
 //!    [`ClusterRun`] drives produce identical `TelemetryReport`s, whatever
-//!    the worker count or chunk size.
+//!    the phase width.
 //! 3. The merged report is an exact fold: merged counters equal the sum of
 //!    the per-rank counters, and merged histograms carry every sample.
 
@@ -27,7 +27,6 @@ fn run_cluster(
     agents: usize,
     secs: u64,
     par_agents: usize,
-    chunk_size: usize,
     telemetry: bool,
 ) -> ClusterResult {
     let profile = {
@@ -77,11 +76,7 @@ fn run_cluster(
             ..MonEqConfig::default()
         },
     )
-    .with_par_agents(par_agents)
-    .with_chunk_size(chunk_size)
-    // Lift the host-CPU cap to the requested width so phases run on that
-    // many threads even on a single-CPU test host.
-    .with_host_cpus(par_agents.max(1));
+    .with_par_agents(par_agents);
     run.run_until(SimTime::from_secs(secs));
     run.finalize(SimTime::from_secs(secs))
 }
@@ -97,8 +92,8 @@ proptest! {
         agents in 3usize..8,
     ) {
         let plan = FaultPlan::mechanism(seed, intensity);
-        let off = run_cluster(seed, plan, agents, 4, 1, 1, false);
-        let on = run_cluster(seed, plan, agents, 4, 1, 1, true);
+        let off = run_cluster(seed, plan, agents, 4, 1, false);
+        let on = run_cluster(seed, plan, agents, 4, 1, true);
         prop_assert_eq!(&off.files, &on.files);
         for (a, b) in off.files.iter().zip(&on.files) {
             prop_assert_eq!(a.render(), b.render());
@@ -118,13 +113,16 @@ proptest! {
     fn telemetry_deterministic_serial_vs_parallel(
         seed in 0u64..1_000,
         intensity in 0.5f64..3.0,
-        agents in 4usize..12,
         workers in 2usize..8,
-        chunk_size in 1usize..5,
+        tail in 1usize..64,
     ) {
+        // 32-rank chunks: enough whole ones to reach the width, then a
+        // tail of up to two more, ragged unless it fills them.
+        let agents = 32 * (workers - 1) + tail;
         let plan = FaultPlan::mechanism(seed, intensity);
-        let serial = run_cluster(seed, plan, agents, 4, 1, 1, true);
-        let parallel = run_cluster(seed, plan, agents, 4, workers, chunk_size, true);
+        let serial = run_cluster(seed, plan, agents, 4, 1, true);
+        let parallel = run_cluster(seed, plan, agents, 4, workers, true);
+        prop_assert_eq!(parallel.sched.workers, workers);
         prop_assert_eq!(&serial.telemetry, &parallel.telemetry);
         prop_assert_eq!(serial.telemetry_merged(), parallel.telemetry_merged());
         prop_assert_eq!(&serial.files, &parallel.files);
@@ -138,7 +136,7 @@ proptest! {
         agents in 3usize..10,
     ) {
         let plan = FaultPlan::mechanism(seed, intensity);
-        let result = run_cluster(seed, plan, agents, 4, 1, 1, true);
+        let result = run_cluster(seed, plan, agents, 4, 1, true);
         prop_assert_eq!(result.telemetry.len(), agents);
         let merged = result.telemetry_merged();
         let ranks: Vec<TelemetryReport> =
@@ -172,8 +170,9 @@ proptest! {
 #[test]
 fn full_mira_telemetry_reproduces() {
     let plan = FaultPlan::mechanism(2015, 1.0);
-    let serial = run_cluster(2015, plan, 1_536, 4, 1, 1, true);
-    let parallel = run_cluster(2015, plan, 1_536, 4, 4, 64, true);
+    let serial = run_cluster(2015, plan, 1_536, 4, 1, true);
+    let parallel = run_cluster(2015, plan, 1_536, 4, 4, true);
+    assert_eq!(parallel.sched.workers, 4);
     assert_eq!(serial.telemetry, parallel.telemetry);
     let merged = serial.telemetry_merged();
     let scheduled: u64 = serial

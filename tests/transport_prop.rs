@@ -264,17 +264,20 @@ fn run_mixed_cluster(
         run = run
             .with_collection_plan(CollectionPlan::per_agent().deployed(Deployment::Remote(link)));
     }
-    let mut run = run
-        .with_par_agents(par_agents)
-        .with_host_cpus(par_agents.max(1));
+    let mut run = run.with_par_agents(par_agents);
     let end = SimTime::from_secs(secs);
     run.run_until(end);
     run.finalize(end)
 }
 
+/// A cluster of 32-rank chunks that reaches `width` workers: enough whole
+/// chunks, then a `tail` of up to two more, ragged unless it fills them.
+fn agents_for(width: usize, tail: usize) -> usize {
+    32 * (width - 1) + tail
+}
+
 /// A BG/Q cluster with every session's backend deployed behind the given
-/// link. Mirrors `cluster_parallel_prop.rs`; `with_host_cpus` lifts the
-/// CPU cap so phases run on several threads even on a single-CPU host.
+/// link. Mirrors `cluster_parallel_prop.rs`.
 fn run_remote_cluster(
     seed: u64,
     agents: usize,
@@ -304,8 +307,7 @@ fn run_remote_cluster(
         SimTime::ZERO,
     )
     .with_collection_plan(CollectionPlan::per_agent().deployed(Deployment::Remote(link)))
-    .with_par_agents(par_agents)
-    .with_host_cpus(par_agents.max(1));
+    .with_par_agents(par_agents);
     let end = SimTime::from_secs(secs);
     run.run_until(end);
     run.finalize(end)
@@ -359,12 +361,14 @@ proptest! {
     #[test]
     fn remote_parallel_equals_remote_serial(
         seed in 0u64..1_000,
-        agents in 4usize..12,
         workers in 2usize..6,
+        tail in 1usize..64,
     ) {
+        let agents = agents_for(workers, tail);
         let link = LinkSpec::lan();
         let serial = run_remote_cluster(seed, agents, 3, 1, link);
         let parallel = run_remote_cluster(seed, agents, 3, workers, link);
+        prop_assert_eq!(parallel.sched.workers, workers);
         prop_assert_eq!(&serial.files, &parallel.files);
         prop_assert_eq!(&serial.overheads, &parallel.overheads);
         prop_assert_eq!(serial.dropped_records, parallel.dropped_records);
@@ -392,12 +396,14 @@ proptest! {
     #[test]
     fn mixed_labels_remote_parallel_equals_serial(
         seed in 0u64..1_000,
-        agents in 4usize..12,
         workers in 2usize..6,
+        tail in 1usize..64,
     ) {
+        let agents = agents_for(workers, tail);
         let link = LinkSpec::lan().with_faults(0.05, 0.02, 0.02).with_seed(seed);
         let serial = run_mixed_cluster(agents, 3, 1, Some(link));
         let parallel = run_mixed_cluster(agents, 3, workers, Some(link));
+        prop_assert_eq!(parallel.sched.workers, workers);
         prop_assert_eq!(&serial.files, &parallel.files);
         prop_assert_eq!(&serial.overheads, &parallel.overheads);
         prop_assert_eq!(serial.dropped_records, parallel.dropped_records);
