@@ -11,7 +11,7 @@
 //! telemetry_sweep [--seed N] [--out FILE] [--quick | --smoke] [--gate PCT]
 //! ```
 //!
-//! `--smoke` runs the single full-Mira leg (1,536 agents) at full pairs —
+//! `--smoke` runs the single full-Mira leg (1,536 agents) at 181 pairs —
 //! the CI perf-smoke stage. `--gate PCT` exits non-zero if any leg's
 //! telemetry overhead exceeds `PCT` percent, making the sweep a pass/fail
 //! regression gate instead of a recording run.
@@ -102,9 +102,18 @@ fn main() {
     };
     // The on/off *ratio* is the product here. A single pair's ratio
     // spreads by ±30% on a shared 2-CPU host, far more than the claim under
-    // test, so a full leg reads the median of 61 pairs. Quick legs are a
-    // few milliseconds each, so 21 pairs cost little there.
-    let pairs = if quick { 21 } else { 61 };
+    // test, so a full leg reads the median of 61 pairs. The smoke gate
+    // reads 181: there, 16 clean runs at 61 pairs read +1.4% to +12.3%, so
+    // the 10% gate failed trees with nothing at fault, and 30 at 181 read
+    // +0.6% to +7.0%. Quick legs are a few milliseconds each, so 21 pairs
+    // cost little there.
+    let pairs = if quick {
+        21
+    } else if smoke {
+        181
+    } else {
+        61
+    };
 
     // Sanity: enabling telemetry must not change a single output byte.
     {

@@ -81,6 +81,13 @@ pub fn run_serial(front: &QueryFront, w: &ClientWorkload) -> Vec<ClientReport> {
 /// Run every client on its own OS thread, all against views taken as they
 /// start. Reports come back in client order regardless of scheduling; on
 /// a quiesced daemon they are bit-identical to [`run_serial`]'s.
+///
+/// # Panics
+///
+/// Re-raises a client thread's panic with its original payload, as
+/// `moneq::ClusterRun` re-raises a worker's. No `Query` value panics
+/// [`QueryFront::answer`] (`tests/serve_prop.rs` property 7), so a client
+/// panics only on a bug.
 pub fn run_threaded(front: &QueryFront, w: &ClientWorkload) -> Vec<ClientReport> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..w.clients)
@@ -91,7 +98,7 @@ pub fn run_threaded(front: &QueryFront, w: &ClientWorkload) -> Vec<ClientReport>
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("client thread panicked"))
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     })
 }

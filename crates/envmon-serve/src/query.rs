@@ -12,6 +12,7 @@ use moneq::Completeness;
 use simkit::rng::mix64;
 use simkit::store::{Aggregate, SeriesId, TsStore};
 use simkit::{Sample, SimDuration, SimTime};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, PoisonError, RwLock};
@@ -147,7 +148,8 @@ pub enum Response {
         /// Exact fold over every matched series' window bins.
         agg: Aggregate,
     },
-    /// Answer to [`Query::TopK`] — descending watts, ties by rank.
+    /// Answer to [`Query::TopK`] — descending watts, ties by rank, and a
+    /// NaN score after every number.
     TopK(Vec<TopEntry>),
     /// Answer to [`Query::Freshness`].
     Freshness(FreshnessReport),
@@ -331,10 +333,7 @@ impl QueryFront {
                 // name is cloned only if the rank makes the top k.
                 let mut slot: Vec<Option<usize>> = Vec::new();
                 let mut sums: Vec<(u32, f64, SeriesId)> = Vec::new();
-                for id in view.store.ids() {
-                    let Some(mean) = view.store.get(id).mean(*tier, *from, *to) else {
-                        continue;
-                    };
+                view.store.means(*tier, *from, *to, |id, mean| {
                     let rank = view.meta[id.index()].rank;
                     let r = rank as usize;
                     if r >= slot.len() {
@@ -347,12 +346,8 @@ impl QueryFront {
                             sums.push((rank, mean, id));
                         }
                     }
-                }
-                sums.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
                 });
+                sums.sort_by(top_order);
                 sums.truncate(*k);
                 Ok(Response::TopK(
                     sums.into_iter()
@@ -373,6 +368,18 @@ impl QueryFront {
             })),
         }
     }
+}
+
+/// The order of top-k entries, `(rank, watts, _)`: descending watts,
+/// ties by rank, and NaN after every number. Two samples of ±1.7e308 in
+/// one bin overflow its sum to ±∞, and a window over a +∞ and a −∞ bin, or
+/// a rank with one series of each, scores NaN. `-0.0` ties `0.0`, so every
+/// NaN-free pair keeps the order `partial_cmp` gives it.
+fn top_order(a: &(u32, f64, SeriesId), b: &(u32, f64, SeriesId)) -> Ordering {
+    a.1.is_nan()
+        .cmp(&b.1.is_nan())
+        .then_with(|| b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal))
+        .then(a.0.cmp(&b.0))
 }
 
 fn check_tier(view: &Published, tier: usize) -> Result<SimDuration, QueryError> {

@@ -31,7 +31,9 @@
 //! [`SeriesData::aggregate`] all four fields. The bins are the same and
 //! are folded in the same order as a scan would, and min and max fold by
 //! a compare-select that is exact for the finite values the store holds,
-//! so answers keep their bits (DESIGN.md §13.2).
+//! so answers keep their bits (DESIGN.md §13.2). [`TsStore::means`] gives
+//! every series' mean at once, eight series side by side, each with the
+//! additions `mean` makes.
 //!
 //! The store is plain data with one writer (`record` takes `&mut self`).
 //! Sharing it with readers is the owner's decision: `envmon-serve`'s
@@ -145,14 +147,36 @@ fn lesser(held: f64, new: f64) -> f64 {
     }
 }
 
-/// The window `[from, to)` widened onto the `width` grid, as
-/// `[floor(from), end)`, with the grid slot of `floor(from)`: `end` is
-/// `to`, or `floor(from)` for a reversed window, so that it holds no bin.
-fn bin_window(from: SimTime, to: SimTime, width: SimDuration) -> (u64, SimTime, SimTime) {
-    let slot = from.as_nanos() / width.as_nanos();
-    let floor = SimTime::from_nanos(slot * width.as_nanos());
-    (slot, floor, if to < from { floor } else { to })
+/// A window `[from, to)` resolved on one tier's grid: widened to
+/// `[floor, to)`, where `floor` is `floor(from)` and `to` is the window's
+/// end, or `floor` for a reversed window, so that it holds no bin. Each
+/// end carries the first grid slot that starts at or after it.
+#[derive(Clone, Copy, Debug)]
+struct GridWindow {
+    first: u64,
+    floor: SimTime,
+    end: u64,
+    to: SimTime,
 }
+
+impl GridWindow {
+    fn new(from: SimTime, to: SimTime, width: SimDuration) -> Self {
+        let first = from.as_nanos() / width.as_nanos();
+        let floor = SimTime::from_nanos(first * width.as_nanos());
+        let to = if to < from { floor } else { to };
+        GridWindow {
+            first,
+            floor,
+            end: to.as_nanos().div_ceil(width.as_nanos()),
+            to,
+        }
+    }
+}
+
+/// Series [`TsStore::means`] folds side by side: one independent add
+/// chain each, so the core adds one series' bin while another's sum is
+/// still in flight.
+const LANES: usize = 8;
 
 /// One downsampled bin: exact `count/sum/min/max` of the raw samples whose
 /// timestamps fall in `[start, start + width)`.
@@ -390,19 +414,33 @@ impl TierBuf {
         i
     }
 
-    /// Ring positions `lo..hi` of the closed bins in the widened window
-    /// (see [`bin_window`]), and the open bin when it is in it too.
-    fn window(&self, from: SimTime, to: SimTime) -> (Range<usize>, Option<&RollupBin>) {
-        let (slot, floor, to) = bin_window(from, to, self.width);
-        let lo = self.seek(slot, floor);
-        let hi = self
-            .seek(to.as_nanos().div_ceil(self.width.as_nanos()), to)
-            .max(lo);
+    /// Ring positions `lo..hi` of the closed bins in window `w`, resolved
+    /// on this tier's grid, and the open bin when it is in it too.
+    fn window(&self, w: &GridWindow) -> Located<'_> {
+        let lo = self.seek(w.first, w.floor);
+        let hi = self.seek(w.end, w.to).max(lo);
         let open = self
             .open
             .as_ref()
-            .filter(|b| b.start >= floor && b.start < to);
+            .filter(|b| b.start >= w.floor && b.start < w.to);
         (lo..hi, open)
+    }
+
+    /// The mean of the bins [`TierBuf::window`] located: their counts and
+    /// sums added in time order from zero, then the open bin's.
+    fn mean(&self, (range, open): Located<'_>) -> Option<f64> {
+        let mut agg = Aggregate::default();
+        for cols in self.spans(range) {
+            for &(count, sum) in &self.sums[cols] {
+                agg.count += count;
+                agg.sum += sum;
+            }
+        }
+        if let Some(bin) = open {
+            agg.count += bin.count;
+            agg.sum += bin.sum;
+        }
+        agg.mean()
     }
 
     /// The column-index ranges holding ring positions `lo..hi`, oldest
@@ -418,6 +456,63 @@ impl TierBuf {
             [a..n, 0..b - n]
         }
     }
+}
+
+/// What [`TierBuf::window`] locates: ring positions of closed bins, and
+/// the open bin when it is in the window.
+type Located<'a> = (Range<usize>, Option<&'a RollupBin>);
+
+/// The `(count, sum)` column of each tier's located bins, when each is one
+/// unwrapped run and all runs have one length.
+fn one_run_each<'a>(
+    tiers: &[&'a TierBuf; LANES],
+    located: &[Located<'_>; LANES],
+) -> Option<[&'a [(u64, f64)]; LANES]> {
+    let spans: [_; LANES] = std::array::from_fn(|l| tiers[l].spans(located[l].0.clone()));
+    let n = spans[0][0].len();
+    spans
+        .iter()
+        .all(|[run, wrapped]| run.len() == n && wrapped.is_empty())
+        .then(|| std::array::from_fn(|l| &tiers[l].sums[spans[l][0].clone()]))
+}
+
+/// [`TierBuf::mean`] of window `w` in each of [`LANES`] tiers.
+///
+/// When every tier's located bins are one unwrapped run of the same
+/// length, bin `j` of every run is added before bin `j + 1` of any, each
+/// tier into its own count and sum from zero, then each open bin: the
+/// additions of [`TierBuf::mean`] in its order, so every mean keeps its
+/// bits, but as independent chains. Otherwise each tier folds alone.
+fn lane_means(tiers: [&TierBuf; LANES], w: &GridWindow) -> [Option<f64>; LANES] {
+    let located = tiers.map(|t| t.window(w));
+    let Some(runs) = one_run_each(&tiers, &located) else {
+        return std::array::from_fn(|l| tiers[l].mean(located[l].clone()));
+    };
+    // Every run is `n` long; slicing each to `n` tells the compiler so,
+    // which lets it drop the bounds check on `run[j]` below.
+    let n = runs[0].len();
+    let runs = runs.map(|run| &run[..n]);
+    let mut counts = [0u64; LANES];
+    let mut sums = [0.0f64; LANES];
+    for j in 0..n {
+        for (l, run) in runs.iter().enumerate() {
+            let (count, sum) = run[j];
+            counts[l] += count;
+            sums[l] += sum;
+        }
+    }
+    std::array::from_fn(|l| {
+        let mut agg = Aggregate {
+            count: counts[l],
+            sum: sums[l],
+            ..Aggregate::default()
+        };
+        if let Some(bin) = located[l].1 {
+            agg.count += bin.count;
+            agg.sum += bin.sum;
+        }
+        agg.mean()
+    })
 }
 
 /// Exact ingest-side counters for one [`TsStore`].
@@ -545,7 +640,7 @@ impl SeriesData {
     /// Panics if `tier` is out of range.
     pub fn aggregate(&self, tier: usize, from: SimTime, to: SimTime) -> Aggregate {
         let t = &self.tiers[tier];
-        let (range, open) = t.window(from, to);
+        let (range, open) = t.window(&GridWindow::new(from, to, t.width));
         let mut agg = Aggregate::default();
         // The minimum and the negated maximum fold side by side through the
         // same compare-select, which the compiler packs into one vector
@@ -574,19 +669,7 @@ impl SeriesData {
     /// Panics if `tier` is out of range.
     pub fn mean(&self, tier: usize, from: SimTime, to: SimTime) -> Option<f64> {
         let t = &self.tiers[tier];
-        let (range, open) = t.window(from, to);
-        let mut agg = Aggregate::default();
-        for cols in t.spans(range) {
-            for &(count, sum) in &t.sums[cols] {
-                agg.count += count;
-                agg.sum += sum;
-            }
-        }
-        if let Some(bin) = open {
-            agg.count += bin.count;
-            agg.sum += bin.sum;
-        }
-        agg.mean()
+        t.mean(t.window(&GridWindow::new(from, to, t.width)))
     }
 
     /// Reference implementation of [`SeriesData::aggregate`]: groups the
@@ -602,7 +685,7 @@ impl SeriesData {
     /// If `width` is zero: a bin grid has a positive width.
     pub fn aggregate_raw(&self, width: SimDuration, from: SimTime, to: SimTime) -> Aggregate {
         assert!(!width.is_zero(), "aggregate_raw width must be non-zero");
-        let (_, floor, to) = bin_window(from, to, width);
+        let GridWindow { floor, to, .. } = GridWindow::new(from, to, width);
         let mut agg = Aggregate::default();
         let mut open: Option<RollupBin> = None;
         for s in &self.raw {
@@ -719,6 +802,42 @@ impl TsStore {
         (0..self.series.len()).map(|i| SeriesId(i as u32))
     }
 
+    /// The mean of tier `tier` over `[from, to)` of every series that has
+    /// one, passed to `each` in id order: for every id, what
+    /// [`SeriesData::mean`] returns for it, bit for bit.
+    ///
+    /// The window is resolved on the tier's grid once, and series fold
+    /// eight at a time. A group whose located bins are one unwrapped run
+    /// of one length in every series adds them side by side, one add chain
+    /// per series, each in the order `mean` adds them. Any other group,
+    /// and the last `len % 8` series, fold one series at a time.
+    ///
+    /// # Panics
+    ///
+    /// If `tier` is out of range of the store's plan ([`TsStore::config`]).
+    pub fn means(
+        &self,
+        tier: usize,
+        from: SimTime,
+        to: SimTime,
+        mut each: impl FnMut(SeriesId, f64),
+    ) {
+        let w = GridWindow::new(from, to, self.cfg.tiers[tier].width);
+        let groups = self.series.chunks_exact(LANES);
+        let rest = groups.remainder().iter().map(|s| {
+            let t = &s.tiers[tier];
+            t.mean(t.window(&w))
+        });
+        let means = groups
+            .flat_map(|g| lane_means(std::array::from_fn(|l| &g[l].tiers[tier]), &w))
+            .chain(rest);
+        for (id, mean) in self.ids().zip(means) {
+            if let Some(mean) = mean {
+                each(id, mean);
+            }
+        }
+    }
+
     /// Ingest one sample. Returns `false` when the sample is rejected:
     /// a NaN or infinite `value` counts `rejected_nonfinite`, and an `at`
     /// that predates the series' newest sample counts `rejected_late`
@@ -766,6 +885,13 @@ mod tests {
     /// A deterministic but irregular value stream.
     fn value(i: u64) -> f64 {
         700.0 + ((i * 2654435761) % 997) as f64 / 7.0
+    }
+
+    /// Every window with ends on a 500 ms grid from 0 to 12 s: bin edges,
+    /// bin middles, before the rings, past them and reversed.
+    fn windows() -> impl Iterator<Item = (SimTime, SimTime)> {
+        let ends = || (0..=24).map(|h| SimTime::from_millis(500 * h));
+        ends().flat_map(move |from| ends().map(move |to| (from, to)))
     }
 
     #[test]
@@ -840,30 +966,25 @@ mod tests {
         assert_eq!((t.len(), t.head, t.evicted), (6, 3, 3));
         let starts: Vec<SimTime> = (0..t.len()).map(|i| t.starts[t.column(i)]).collect();
         assert_eq!(starts, (3..9).map(SimTime::from_secs).collect::<Vec<_>>());
-        // Every window with ends on a 500 ms grid from 0 to 12 s: bin
-        // edges, bin middles, before the ring, past it and reversed.
-        let ends = || (0..=24).map(|h| SimTime::from_millis(500 * h));
-        for from in ends() {
-            for to in ends() {
-                let floor = from.grid_floor(SimTime::ZERO, t.width);
-                let want: Vec<usize> = (0..t.len())
-                    .filter(|&i| from <= to && starts[i] >= floor && starts[i] < to)
-                    .collect();
-                let (range, open) = t.window(from, to);
-                let got: Vec<usize> = range.clone().collect();
-                assert_eq!(got, want, "[{from}, {to})");
-                // The columns the fold reads hold exactly those bins.
-                let cols: Vec<SimTime> = t
-                    .spans(range)
-                    .into_iter()
-                    .flat_map(|r| t.starts[r].iter().copied())
-                    .collect();
-                let want_starts: Vec<SimTime> = want.iter().map(|&i| starts[i]).collect();
-                assert_eq!(cols, want_starts, "[{from}, {to})");
-                let open_in =
-                    from <= to && floor <= SimTime::from_secs(9) && SimTime::from_secs(9) < to;
-                assert_eq!(open.is_some(), open_in, "[{from}, {to})");
-            }
+        for (from, to) in windows() {
+            let floor = from.grid_floor(SimTime::ZERO, t.width);
+            let want: Vec<usize> = (0..t.len())
+                .filter(|&i| from <= to && starts[i] >= floor && starts[i] < to)
+                .collect();
+            let (range, open) = t.window(&GridWindow::new(from, to, t.width));
+            let got: Vec<usize> = range.clone().collect();
+            assert_eq!(got, want, "[{from}, {to})");
+            // The columns the fold reads hold exactly those bins.
+            let cols: Vec<SimTime> = t
+                .spans(range)
+                .into_iter()
+                .flat_map(|r| t.starts[r].iter().copied())
+                .collect();
+            let want_starts: Vec<SimTime> = want.iter().map(|&i| starts[i]).collect();
+            assert_eq!(cols, want_starts, "[{from}, {to})");
+            let open_in =
+                from <= to && floor <= SimTime::from_secs(9) && SimTime::from_secs(9) < to;
+            assert_eq!(open.is_some(), open_in, "[{from}, {to})");
         }
     }
 
@@ -966,6 +1087,122 @@ mod tests {
                 .count,
             2
         );
+    }
+
+    /// `TsStore::means` over `[from, to)`, as `(id, mean bits)` pairs in
+    /// the order it passes them.
+    fn lane_bits(store: &TsStore, tier: usize, from: SimTime, to: SimTime) -> Vec<(SeriesId, u64)> {
+        let mut got = Vec::new();
+        store.means(tier, from, to, |id, mean| got.push((id, mean.to_bits())));
+        got
+    }
+
+    /// Each series' own `SeriesData::mean`, as `(id, mean bits)` pairs in
+    /// id order.
+    fn series_bits(
+        store: &TsStore,
+        tier: usize,
+        from: SimTime,
+        to: SimTime,
+    ) -> Vec<(SeriesId, u64)> {
+        store
+            .ids()
+            .filter_map(|id| Some((id, store.get(id).mean(tier, from, to)?.to_bits())))
+            .collect()
+    }
+
+    /// Whether `means` folds the `g`-th group of eight series side by side.
+    fn side_by_side(store: &TsStore, g: usize, tier: usize, from: SimTime, to: SimTime) -> bool {
+        let tiers: [&TierBuf; LANES] =
+            std::array::from_fn(|l| &store.series[g * LANES + l].tiers[tier]);
+        let w = GridWindow::new(from, to, tiers[0].width);
+        one_run_each(&tiers, &tiers.map(|t| t.window(&w))).is_some()
+    }
+
+    #[test]
+    fn eight_gap_free_series_fold_side_by_side() {
+        // Four samples in every 1 s bin for 10 s, each series its own
+        // values: eight rings of one shape, none wrapped.
+        let mut cfg = tiny();
+        cfg.tiers[0].capacity = 16;
+        let mut store = TsStore::new(cfg);
+        for k in 0..8 {
+            let id = store.series(&format!("a{k}/dev/dom"));
+            for i in 0..40 {
+                store.record(id, SimTime::from_millis(250 * i), value(8 * i + k));
+            }
+        }
+        for (from, to) in windows() {
+            for tier in 0..2 {
+                assert!(side_by_side(&store, 0, tier, from, to), "[{from}, {to})");
+                let want = series_bits(&store, tier, from, to);
+                assert_eq!(lane_bits(&store, tier, from, to), want, "[{from}, {to})");
+            }
+        }
+        // A window over every bin yields all eight, in id order.
+        let all = lane_bits(&store, 0, SimTime::ZERO, SimTime::from_secs(10));
+        let ids: Vec<SeriesId> = all.iter().map(|p| p.0).collect();
+        assert_eq!(ids, store.ids().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_group_with_one_wrapped_ring_folds_each_series() {
+        // Series 0 samples 0-10 s: its ring of 6 keeps bins 3..=8 from
+        // column 3, so it has wrapped. Series 1-7 sample 6-10 s: bins
+        // 6..=8 from column 0.
+        let mut cfg = tiny();
+        cfg.tiers[0].capacity = 6;
+        let mut store = TsStore::new(cfg);
+        for k in 0..8u64 {
+            let id = store.series(&format!("a{k}/dev/dom"));
+            let first = if k == 0 { 0 } else { 24 };
+            for i in first..40 {
+                store.record(id, SimTime::from_millis(250 * i), value(8 * i + k));
+            }
+        }
+        // Over [3 s, 9 s) every series' first column run is three bins
+        // long, but series 0's six bins wrap into a second run, so each
+        // series folds alone. Over [6 s, 9 s) every series holds bins
+        // 6..=8 in one run, so the group folds side by side.
+        let (from, to) = (SimTime::from_secs(3), SimTime::from_secs(9));
+        let runs = |k: u32| {
+            let t = &store.get(SeriesId(k)).tiers[0];
+            t.spans(t.window(&GridWindow::new(from, to, t.width)).0)
+        };
+        assert_eq!(runs(0), [3..6, 0..3]);
+        assert!((1..8).all(|k| runs(k) == [0..3, 0..0]));
+        assert!(!side_by_side(&store, 0, 0, from, to));
+        assert!(side_by_side(&store, 0, 0, SimTime::from_secs(6), to));
+        for (from, to) in windows() {
+            for tier in 0..2 {
+                let want = series_bits(&store, tier, from, to);
+                assert_eq!(lane_bits(&store, tier, from, to), want, "[{from}, {to})");
+            }
+        }
+    }
+
+    #[test]
+    fn a_ninth_series_folds_alone() {
+        // Nine gap-free series: one group of eight and a remainder of one,
+        // which samples every 700 ms so its bins differ from the group's.
+        let mut store = TsStore::new(StoreConfig::default());
+        for k in 0..9u64 {
+            let id = store.series(&format!("a{k}/dev/dom"));
+            let step = if k == 8 { 700 } else { 250 };
+            for i in 0..(10_000 / step) {
+                store.record(id, SimTime::from_millis(step * i), value(8 * i + k));
+            }
+        }
+        assert_eq!(store.series.chunks_exact(LANES).remainder().len(), 1);
+        for (from, to) in windows() {
+            for tier in 0..2 {
+                let want = series_bits(&store, tier, from, to);
+                assert_eq!(lane_bits(&store, tier, from, to), want, "[{from}, {to})");
+            }
+        }
+        let all = lane_bits(&store, 0, SimTime::ZERO, SimTime::from_secs(10));
+        assert_eq!(all.len(), 9);
+        assert_eq!(all[8].0, SeriesId(8));
     }
 
     #[test]

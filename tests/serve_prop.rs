@@ -28,12 +28,19 @@
 //! 7. *No query panics the front*: any value of `Query` against a
 //!    ticking daemon's views is answered or refused with a `QueryError`,
 //!    and a reversed window answers like an empty one.
+//! 8. *Lanes fold what each series folds*: `TsStore::means`, which folds
+//!    series eight at a time, passes exactly the means each series' own
+//!    `mean` gives, in id order, bit for bit; and top-k over a daemon's
+//!    views equals a ranking built from those per-series means, with
+//!    NaN scores (±1.7e308 samples overflow a bin's sum to ±∞) after
+//!    every number.
 
+use envmon::moneq::{DataPoint, Poll};
 use envmon::prelude::*;
 use envmon::serve::{clients, Published, QueryError, Response};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use simkit::store::{Aggregate, StoreConfig, TierSpec, TsStore};
+use simkit::store::{Aggregate, SeriesId, StoreConfig, TierSpec, TsStore};
 use simkit::{Sample, SeriesData};
 use std::sync::Arc;
 
@@ -253,8 +260,164 @@ fn answer_fits(
     Ok(())
 }
 
+/// One agent's power on three `dev` domains, polled every 100 ms; `c`
+/// skips every third second, so its rings have gaps. With `flip > 0`, `a`
+/// and `b` swing between +1.7e308 and −1.7e308 W, `a` changing sign every
+/// `flip` polls and `b` every `flip + 1`: two samples of one sign in a bin
+/// overflow its sum to ±∞.
+struct Swings {
+    rank: u64,
+    flip: u64,
+    polls: u64,
+}
+
+impl EnvBackend for Swings {
+    fn name(&self) -> &'static str {
+        "swings"
+    }
+    fn platform(&self) -> Platform {
+        Platform::Rapl
+    }
+    fn min_interval(&self) -> SimDuration {
+        SimDuration::from_millis(100)
+    }
+    fn poll_cost(&self) -> SimDuration {
+        SimDuration::from_micros(10)
+    }
+    fn capabilities(&self) -> Vec<(Metric, Support)> {
+        Vec::new()
+    }
+    fn read(&mut self, t: SimTime) -> Result<Poll, ReadError> {
+        self.polls += 1;
+        let (rank, polls) = (self.rank, self.polls);
+        let plain = |d: u64| ((rank * 7_919 + polls * 104_729 + d * 31) % 1_000) as f64 / 4.0;
+        let (a, b) = if self.flip == 0 {
+            (plain(0), plain(1))
+        } else {
+            let swing = |flip: u64| {
+                if (polls / flip).is_multiple_of(2) {
+                    1.7e308
+                } else {
+                    -1.7e308
+                }
+            };
+            (swing(self.flip), swing(self.flip + 1))
+        };
+        let mut points = vec![
+            DataPoint::power(t, "dev", "a", a),
+            DataPoint::power(t, "dev", "b", b),
+        ];
+        if (polls / 10) % 3 != 2 {
+            points.push(DataPoint::power(t, "dev", "c", plain(2)));
+        }
+        Ok(Poll::complete(points))
+    }
+    fn records_per_poll(&self) -> usize {
+        3
+    }
+}
+
+/// Top-k built from each series' own `mean`: per-rank sums in id order,
+/// ranked by descending score, ties by rank, then the NaN scores by rank;
+/// the first `k`, as `(rank, agent, watts bits)`.
+fn top_k_reference(
+    view: &Published,
+    k: usize,
+    tier: usize,
+    from: SimTime,
+    to: SimTime,
+) -> Vec<(u32, String, u64)> {
+    let mut sums: Vec<(u32, f64, SeriesId)> = Vec::new();
+    for id in view.store.ids() {
+        let Some(mean) = view.store.get(id).mean(tier, from, to) else {
+            continue;
+        };
+        let rank = view.meta[id.index()].rank;
+        match sums.iter_mut().find(|s| s.0 == rank) {
+            Some(s) => s.1 += mean,
+            None => sums.push((rank, mean, id)),
+        }
+    }
+    let (mut nan, mut ranked): (Vec<_>, Vec<_>) = sums.into_iter().partition(|s| s.1.is_nan());
+    ranked.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .expect("no NaN left")
+            .then(a.0.cmp(&b.0))
+    });
+    nan.sort_by_key(|s| s.0);
+    ranked
+        .into_iter()
+        .chain(nan)
+        .take(k)
+        .map(|(rank, watts, id)| (rank, view.meta[id.index()].agent.clone(), watts.to_bits()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::scaled(10))]
+
+    /// (8) Top-k over a daemon's views equals a ranking built from each
+    /// series' own `mean`, bit for bit: agents whose ±1.7e308 samples
+    /// score ±∞ or NaN, series with gaps, tier rings of a few bins that
+    /// wrap and evict, any `k` and windows anywhere, reversed included.
+    #[test]
+    fn top_k_ranks_what_each_series_means(
+        seed in 0u64..1_000,
+        agents in 1usize..24,
+        flips in prop::collection::vec((0u8..3, 1u64..12), 24..25),
+        secs in 1u64..10,
+        capacities in (1usize..6, 1usize..4),
+        queries in prop::collection::vec(
+            (
+                0usize..12,
+                0usize..2,
+                (0u64..12, 0u8..3, 0u64..1_000_000_000),
+                (0u64..12, 0u8..3, 0u64..1_000_000_000),
+            ),
+            1..16,
+        ),
+    ) {
+        let tiers = vec![
+            TierSpec { width: SimDuration::from_secs(1), capacity: capacities.0 },
+            TierSpec { width: SimDuration::from_secs(5), capacity: capacities.1 },
+        ];
+        let run = ClusterRun::launch(
+            agents,
+            Some(SimDuration::from_millis(100)),
+            |rank| {
+                let (kind, flip) = flips[rank];
+                Box::new(Swings {
+                    rank: rank as u64 ^ seed,
+                    flip: if kind == 0 { flip } else { 0 },
+                    polls: 0,
+                }) as _
+            },
+            |rank| format!("agent{rank:02}"),
+            SimTime::ZERO,
+        );
+        let mut daemon = Daemon::new(
+            run,
+            SimTime::ZERO,
+            ServeConfig {
+                store: StoreConfig { raw_capacity: 8, tiers },
+                ..ServeConfig::default()
+            },
+        );
+        daemon.run_for(SimDuration::from_secs(secs));
+        let view = daemon.front().view();
+        for (k, tier, a, b) in queries {
+            let (from, to) = (window_end(a), window_end(b));
+            let q = Query::TopK { k, tier, from, to };
+            let got = match QueryFront::answer(&view, &q) {
+                Ok(Response::TopK(entries)) => entries
+                    .into_iter()
+                    .map(|e| (e.rank, e.agent, e.watts.to_bits()))
+                    .collect::<Vec<_>>(),
+                other => return Err(TestCaseError::fail(format!("{q:?} answered {other:?}"))),
+            };
+            prop_assert_eq!(got, top_k_reference(&view, k, tier, from, to), "{:?}", q);
+        }
+    }
 
     /// (7) Any query against a ticking daemon's views is answered or
     /// refused, never a panic: any `k` (0 and `usize::MAX` included), any
@@ -522,6 +685,65 @@ proptest! {
         let all: Vec<_> = f.raw_range(SimTime::ZERO, horizon).collect();
         prop_assert_eq!(kept.len(), raw_capacity);
         prop_assert_eq!(&kept[..], &all[all.len() - raw_capacity..]);
+    }
+
+    /// (8) Lanes fold what each series folds: stores of 1–40 streams,
+    /// gap-free at one shared cadence, with long gaps, or empty; tier
+    /// rings of a few bins that wrap and evict; windows anywhere, reversed
+    /// included. `TsStore::means` passes exactly the `(id, mean)` pairs
+    /// each series' own `mean` gives, in id order, bit for bit.
+    #[test]
+    fn lanes_fold_what_each_series_folds(
+        kinds in prop::collection::vec(0u8..8, 1..41),
+        uniform in any::<bool>(),
+        cadence_ms in 100u64..1_500,
+        values in prop::collection::vec(-1_000.0f64..1_000.0, 1..80),
+        gaps in prop::collection::vec((1u64..6_000_000_000, -1_000.0f64..1_000.0), 1..60),
+        capacities in (1usize..6, 1usize..4),
+        windows in prop::collection::vec(
+            ((0u64..240, 0u8..3, 0u64..1_000_000_000), (0u64..240, 0u8..3, 0u64..1_000_000_000)),
+            1..24,
+        ),
+    ) {
+        let tiers = vec![
+            TierSpec { width: SimDuration::from_secs(1), capacity: capacities.0 },
+            TierSpec { width: SimDuration::from_secs(5), capacity: capacities.1 },
+        ];
+        let mut store = TsStore::new(StoreConfig { raw_capacity: 8, tiers });
+        for (k, &kind) in kinds.iter().enumerate() {
+            let id = store.series(&format!("agent{k:02}/dev/dom"));
+            // Kinds 0-5 (every stream when `uniform`): one sample per
+            // cadence from zero, each stream its own values; 6: long gaps;
+            // 7: empty.
+            match if uniform { 0 } else { kind } {
+                0..=5 => {
+                    for (i, v) in values.iter().cycle().skip(k).take(values.len()).enumerate() {
+                        let at = SimTime::from_millis(cadence_ms * i as u64);
+                        prop_assert!(store.record(id, at, *v));
+                    }
+                }
+                6 => {
+                    let mut at = SimTime::ZERO;
+                    for &(dt, v) in gaps.iter().cycle().skip(k).take(gaps.len()) {
+                        at += SimDuration::from_nanos(dt);
+                        prop_assert!(store.record(id, at, v));
+                    }
+                }
+                _ => {}
+            }
+        }
+        for &(a, b) in &windows {
+            let (from, to) = (window_end(a), window_end(b));
+            for tier in 0..2 {
+                let mut lanes = Vec::new();
+                store.means(tier, from, to, |id, mean| lanes.push((id, mean.to_bits())));
+                let each: Vec<(SeriesId, u64)> = store
+                    .ids()
+                    .filter_map(|id| Some((id, store.get(id).mean(tier, from, to)?.to_bits())))
+                    .collect();
+                prop_assert_eq!(lanes, each, "tier {} [{}, {})", tier, from, to);
+            }
+        }
     }
 
     /// (6) The window locator: tier rings of a few bins that wrap and
